@@ -32,6 +32,7 @@ from .dataio import (
     ConfigError,
     DatasetFormatError,
     ExperimentConfig,
+    _fmt,
     load_config,
     load_dataset,
     save_dataset,
@@ -50,10 +51,6 @@ from .experiment import (
 from .solver import DegenerateLabelsError
 
 __all__ = ["main", "entry"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,20 +138,27 @@ def _materialize(cfg: ExperimentConfig):
     return train, test, unseen
 
 
+def _check_at_most(name: str, values, limit: int, what: str) -> None:
+    for v in values:
+        if v > limit:
+            raise ConfigError(f"{name}: {v} exceeds the {limit} {what}")
+
+
 def _require_tests(test_tasks):
     if any(t is None for t in test_tasks):
         raise ConfigError("every task needs a test set for this command")
     return test_tasks
 
 
-def _choices(cfg: ExperimentConfig, modes) -> list[ModelChoice]:
+def _choices(cfg: ExperimentConfig, modes, train) -> list[ModelChoice]:
+    _check_at_most("n_windows", [cfg.n_windows], train[0].n_features, "feature lines")
     return [ModelChoice(mode, cfg.solver, cfg.n_windows) for mode in modes]
 
 
 def _run_eval(cfg: ExperimentConfig, modes) -> int:
     train, test, _ = _materialize(cfg)
     report = run_comparison(
-        train, _require_tests(test), _choices(cfg, modes),
+        train, _require_tests(test), _choices(cfg, modes, train),
         include_traces=cfg.include_traces,
     )
     paths = write_report_bundle(
@@ -207,6 +211,13 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
     if cfg.grid is None:
         raise ConfigError("grid section is required for the grid command")
     train, _, _ = _materialize(cfg)
+    n_feat = train[0].n_features
+    _check_at_most("grid.window_counts", cfg.grid.window_counts, n_feat, "feature lines")
+    if cfg.grid_strategy == "staged":
+        _check_at_most("grid.stage_windows", [cfg.grid.stage_windows], n_feat, "feature lines")
+    # folds are dealt per class from fold 0, so folds beyond the larger class stay empty
+    n_major = min(int(np.bincount(t.labels).max()) for t in train)
+    _check_at_most("grid.folds", [cfg.grid.folds], n_major, "samples of a task's larger class")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle: dict = {"config": cfg.echo, "results": {}}
@@ -250,7 +261,7 @@ def cmd_transfer(cfg: ExperimentConfig, args) -> int:
     train, _, unseen = _materialize(cfg)
     if unseen is None:
         raise ConfigError("transfer: no unseen task available")
-    rows = run_transfer(train, unseen, _choices(cfg, cfg.modes))
+    rows = run_transfer(train, unseen, _choices(cfg, cfg.modes, train))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "transfer.csv"

@@ -18,8 +18,17 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .datagen import ModalMode, SyntheticPopulationSpec
-from .experiment import EvaluationReport, GridRow, GridSpec, TransferRow
+from .datagen import ModalMode, SpectrumLine, SyntheticPopulationSpec, spectrum_to_datasets
+from .experiment import (
+    MODE_INDEPENDENT,
+    MODE_MTL,
+    EvaluationReport,
+    GridRow,
+    GridSpec,
+    TransferRow,
+    grid_search,
+    run_comparison,
+)
 from .model import TaskDataset
 from .solver import SolverConfig
 
@@ -182,16 +191,115 @@ class ExperimentConfig:
     grid: GridSpec | None
     grid_strategy: str
     transfer: TransferSource | None
-    echo: dict = field(repr=False, default_factory=dict)
+    echo: dict = field(repr=False)
 
 
-_TOP_KEYS = {
-    "seed", "output_dir", "solver", "n_windows", "modes", "threads",
-    "include_traces", "sampling", "tasks", "synthetic", "spectra",
-    "grid", "transfer",
-}
+_REQUIRED = object()
 
-_MODE_NAMES = ("independent", "mtl")
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key. ``kind`` is int, float, bool, str, Path (an output
+    path, kept relative), _FILE (an existing file, resolved against the
+    config's directory), a _Choice, a _List or a tuple of _Key (a mapping).
+    A key without a default is required. With a None default an absent
+    scalar echoes null and an absent mapping or list is left out."""
+
+    name: str
+    kind: Any
+    default: Any = _REQUIRED
+    minimum: int | None = None
+
+
+@dataclass(frozen=True)
+class _List:
+    item: Any
+    nonempty: bool = False
+
+
+@dataclass(frozen=True)
+class _Choice:
+    noun: str
+    options: tuple[str, ...]
+
+
+_FILE = object()
+_MODE_NAMES = (MODE_INDEPENDENT, MODE_MTL)
+_STRATEGIES = ("staged", "exhaustive")  # the first is the default
+_FLOATS = _List(float)
+# Keys passed straight into a library call take that call's default.
+_EXPAND_DEFAULTS = spectrum_to_datasets.__kwdefaults__
+
+# The config schema in echo order. Every key the loader accepts is here.
+_SCHEMA = (
+    _Key("seed", int, minimum=0),
+    _Key("output_dir", Path, "out"),
+    _Key("threads", int, grid_search.__kwdefaults__["threads"], minimum=1),
+    _Key("include_traces", bool, run_comparison.__kwdefaults__["include_traces"]),
+    _Key("solver", (
+        _Key("epsilon", float),
+        _Key("xi", float),
+        _Key("max_iters", int, SolverConfig.max_iters),
+        _Key("lambda_floor", float, SolverConfig.lambda_floor),
+    )),
+    _Key("n_windows", int, 1, minimum=1),
+    _Key("modes", _List(_Choice("mode", _MODE_NAMES), nonempty=True), _MODE_NAMES),
+    _Key("sampling", (
+        _Key("mode", _Choice("mode", ("two-stage", "one-stage")), "two-stage"),
+        _Key("n_intermediate", int, _EXPAND_DEFAULTS["n_intermediate"], minimum=2),
+    ), {}),
+    _Key("tasks", _List((
+        _Key("id", str),
+        _Key("train", _FILE),
+        _Key("test", _FILE, None),
+    )), None),
+    _Key("synthetic", (
+        _Key("modes", _List((
+            _Key("natural_freq", float),
+            _Key("damping", float),
+            _Key("amplitude", float, ModalMode.amplitude),
+        ), nonempty=True)),
+        _Key("class_shift", _FLOATS),
+        _Key("nuisance_band", _FLOATS),
+        _Key("noise_sd", float),
+        _Key("n_samples", int),
+        _Key("n_test", int, SyntheticPopulationSpec.n_test),
+        _Key("n_tasks", int, SyntheticPopulationSpec.n_tasks),
+        _Key("n_features", int, SyntheticPopulationSpec.n_features),
+        _Key("freq_range", _FLOATS, SyntheticPopulationSpec.freq_range),
+        _Key("nuisance_modes", int, SyntheticPopulationSpec.nuisance_modes),
+        _Key("nuisance_class_shift", float, SyntheticPopulationSpec.nuisance_class_shift),
+        _Key("nuisance_damping", float, SyntheticPopulationSpec.nuisance_damping),
+        _Key("nuisance_amplitude", float, SyntheticPopulationSpec.nuisance_amplitude),
+        _Key("coherence", float, SyntheticPopulationSpec.coherence),
+    ), None),
+    _Key("spectra", _List((
+        _Key("id", str),
+        _Key("class0", _FILE),
+        _Key("class1", _FILE),
+        _Key("n_avg", int, SpectrumLine.n_avg, minimum=1),
+        _Key("n_train_per_class", int, minimum=1),
+        _Key("n_test_per_class", int, 0, minimum=0),
+        _Key("normalize", bool, _EXPAND_DEFAULTS["normalize"]),
+        _Key("freq_min", float, None),
+        _Key("freq_max", float, None),
+    )), None),
+    _Key("grid", (
+        _Key("epsilons", _FLOATS, GridSpec.epsilons),
+        _Key("xis", _FLOATS, GridSpec.xis),
+        _Key("window_counts", _List(int), GridSpec.window_counts),
+        _Key("folds", int, GridSpec.folds),
+        _Key("strategy", _Choice("strategy", _STRATEGIES), _STRATEGIES[0]),
+        _Key("stage_windows", int, GridSpec.stage_windows),
+        _Key("refine_epsilons", _FLOATS, GridSpec.refine_epsilons),
+    ), None),
+    _Key("transfer", (
+        _Key("unseen", _FILE, None),
+        _Key("extra_synthetic_task", bool, False),
+    ), None),
+)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def _require(cond: bool, msg: str):
@@ -199,109 +307,62 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _as_mapping(value, name: str) -> dict:
-    _require(isinstance(value, dict), f"{name} must be a mapping")
-    return value
+def _walk(kind, value, where: str, base: Path):
+    """Check one raw value against its kind; return it in echo form."""
+    if isinstance(kind, tuple):
+        return _walk_mapping(kind, value, where, base)
+    if isinstance(kind, _List):
+        _require(
+            isinstance(value, (list, tuple)) and (value or not kind.nonempty),
+            f"{where} must be a {'non-empty ' if kind.nonempty else ''}list",
+        )
+        return [_walk(kind.item, v, f"{where}[{i}]", base) for i, v in enumerate(value)]
+    if isinstance(kind, _Choice):
+        _require(value in kind.options, f"{where}: unknown {kind.noun} {value!r}")
+        return value
+    if kind is _FILE or kind is Path:
+        _require(isinstance(value, (str, Path)) and str(value), f"{where} must be a path string")
+        if kind is Path:
+            return str(Path(value))
+        p = base / value  # an absolute value replaces the base
+        _require(p.is_file(), f"{where}: file not found: {p}")
+        return str(p)
+    # bool is a subclass of int; it is never accepted as a number
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    _require(
+        ok and (kind is bool or not isinstance(value, bool)),
+        f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}",
+    )
+    return float(value) if kind is float else value
 
 
-def _known_keys(mapping: dict, allowed: set[str], name: str):
-    unknown = set(mapping) - allowed
-    _require(not unknown, f"{name}: unknown keys {sorted(unknown)}")
+def _walk_mapping(keys, node, where: str, base: Path) -> dict:
+    _require(isinstance(node, dict), f"{where or 'config'} must be a mapping")
+    unknown = set(node) - {key.name for key in keys}
+    _require(not unknown, f"{where or 'config'}: unknown keys {sorted(map(str, unknown))}")
+    out = {}
+    for key in keys:
+        path = f"{where}.{key.name}" if where else key.name
+        value = node.get(key.name)
+        if value is None:
+            _require(key.default is not _REQUIRED, f"{path} is required")
+            value = key.default
+        if value is not None:
+            value = _walk(key.kind, value, path, base)
+            if key.minimum is not None:
+                _require(value >= key.minimum, f"{path} must be at least {key.minimum}")
+        section = isinstance(key.kind, (tuple, _List))
+        if not (section and key.default is None and not value):
+            out[key.name] = value
+    return out
 
 
-def _existing(path_value, base: Path, name: str) -> Path:
-    _require(isinstance(path_value, str) and path_value, f"{name} must be a path string")
-    p = Path(path_value)
-    if not p.is_absolute():
-        p = base / p
-    _require(p.is_file(), f"{name}: file not found: {p}")
-    return p
-
-
-def _parse_solver(node) -> SolverConfig:
-    node = _as_mapping(node, "solver")
-    _known_keys(node, {"epsilon", "xi", "max_iters", "lambda_floor"}, "solver")
-    _require("epsilon" in node and "xi" in node, "solver: epsilon and xi are required")
+def _make(where: str, cls, **kwargs):
+    """Build a typed config object; its validation errors become ConfigError."""
     try:
-        return SolverConfig(
-            epsilon=float(node["epsilon"]),
-            xi=float(node["xi"]),
-            max_iters=int(node.get("max_iters", 2000)),
-            lambda_floor=float(node.get("lambda_floor", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-
-def _parse_synthetic(node, seed: int) -> SyntheticPopulationSpec:
-    node = _as_mapping(node, "synthetic")
-    allowed = {
-        "modes", "class_shift", "nuisance_band", "noise_sd", "n_samples",
-        "n_test", "n_tasks", "n_features", "freq_range", "nuisance_modes",
-        "nuisance_class_shift", "nuisance_damping", "nuisance_amplitude",
-        "coherence",
-    }
-    _known_keys(node, allowed, "synthetic")
-    for key in ("modes", "class_shift", "nuisance_band", "noise_sd", "n_samples"):
-        _require(key in node, f"synthetic: {key} is required")
-    _require(isinstance(node["modes"], list) and node["modes"], "synthetic: modes must be a non-empty list")
-    try:
-        modes = tuple(
-            ModalMode(
-                natural_freq=float(m["natural_freq"]),
-                damping=float(m["damping"]),
-                amplitude=float(m.get("amplitude", 1.0)),
-            )
-            for m in node["modes"]
-        )
-        kwargs: dict[str, Any] = {}
-        for key in (
-            "n_test", "n_tasks", "n_features", "nuisance_modes",
-        ):
-            if key in node:
-                kwargs[key] = int(node[key])
-        for key in ("nuisance_class_shift", "nuisance_damping", "nuisance_amplitude", "coherence"):
-            if key in node:
-                kwargs[key] = float(node[key])
-        if "freq_range" in node:
-            kwargs["freq_range"] = tuple(float(v) for v in node["freq_range"])
-        return SyntheticPopulationSpec(
-            modes=modes,
-            class_shift=tuple(float(s) for s in node["class_shift"]),
-            nuisance_band=tuple(float(b) for b in node["nuisance_band"]),
-            noise_sd=float(node["noise_sd"]),
-            n_samples=int(node["n_samples"]),
-            seed=seed,
-            **kwargs,
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"synthetic: {exc}") from None
-
-
-def _parse_grid(node, seed: int) -> tuple[GridSpec, str]:
-    node = _as_mapping(node, "grid")
-    allowed = {
-        "epsilons", "xis", "window_counts", "folds", "strategy",
-        "stage_windows", "refine_epsilons",
-    }
-    _known_keys(node, allowed, "grid")
-    strategy = node.get("strategy", "staged")
-    _require(strategy in ("staged", "exhaustive"), f"grid: unknown strategy {strategy!r}")
-    try:
-        spec = GridSpec(
-            epsilons=tuple(float(e) for e in node.get("epsilons", (1.0, 0.3, 0.1, 0.03))),
-            xis=tuple(float(x) for x in node.get("xis", (0.1, 0.01, 0.001))),
-            window_counts=tuple(int(w) for w in node.get("window_counts", (6,))),
-            folds=int(node.get("folds", 5)),
-            seed=seed,
-            stage_windows=int(node.get("stage_windows", 6)),
-            refine_epsilons=tuple(float(e) for e in node.get("refine_epsilons", ())),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from None
-    return spec, strategy
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(
@@ -315,208 +376,83 @@ def load_config(
 
     All referenced files must exist; the seed is mandatory (command-line
     overrides are applied before validation and appear in the echo).
+    Values of the wrong type are rejected, never coerced, except that an
+    integer is accepted where a number is expected.
     """
     cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise ConfigError(f"config file not found: {cfg_path}")
+    _require(cfg_path.is_file(), f"config file not found: {cfg_path}")
     try:
         raw = yaml.safe_load(cfg_path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{cfg_path}: invalid YAML: {exc}") from None
-    raw = _as_mapping(raw, "config")
-    _known_keys(raw, _TOP_KEYS, "config")
-    base = cfg_path.parent
+    _require(isinstance(raw, dict), "config must be a mapping")
+    overrides = {"seed": seed_override, "output_dir": out_override, "threads": threads_override}
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
+    tree = _walk_mapping(_SCHEMA, raw, "", cfg_path.parent)
 
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    _require(seed is not None, "seed is required (an integer; no wall-clock default)")
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
-
-    out_dir = Path(out_override) if out_override is not None else Path(raw.get("output_dir", "out"))
-    threads = threads_override if threads_override is not None else int(raw.get("threads", 1))
-    _require(threads >= 1, "threads must be at least 1")
-
-    _require("solver" in raw, "solver section is required")
-    solver = _parse_solver(raw["solver"])
-
-    n_windows = int(raw.get("n_windows", 1))
-    _require(n_windows >= 1, "n_windows must be at least 1")
-
-    modes_node = raw.get("modes", list(_MODE_NAMES))
-    _require(isinstance(modes_node, list) and modes_node, "modes must be a non-empty list")
-    modes = tuple(str(m) for m in modes_node)
-    for m in modes:
-        _require(m in _MODE_NAMES, f"modes: unknown mode {m!r}")
-    _require(len(set(modes)) == len(modes), "modes must not repeat")
-
-    sampling = _as_mapping(raw.get("sampling", {}), "sampling")
-    _known_keys(sampling, {"mode", "n_intermediate"}, "sampling")
-    sampling_mode = sampling.get("mode", "two-stage")
-    _require(sampling_mode in ("two-stage", "one-stage"), f"sampling: unknown mode {sampling_mode!r}")
-    n_intermediate = int(sampling.get("n_intermediate", 10_000))
-    _require(n_intermediate >= 2, "sampling: n_intermediate must be at least 2")
-
-    tasks = []
-    for i, node in enumerate(raw.get("tasks", []) or []):
-        node = _as_mapping(node, f"tasks[{i}]")
-        _known_keys(node, {"id", "train", "test"}, f"tasks[{i}]")
-        _require("id" in node and "train" in node, f"tasks[{i}]: id and train are required")
-        test = node.get("test")
-        tasks.append(
-            TaskFiles(
-                task_id=str(node["id"]),
-                train=_existing(node["train"], base, f"tasks[{i}].train"),
-                test=_existing(test, base, f"tasks[{i}].test") if test is not None else None,
-            )
-        )
-
-    synthetic = _parse_synthetic(raw["synthetic"], seed) if raw.get("synthetic") else None
+    seed = tree["seed"]
+    _require(len(set(tree["modes"])) == len(tree["modes"]), "modes must not repeat")
     _require(
-        not (tasks and synthetic),
+        not ("tasks" in tree and "synthetic" in tree),
         "give either file-backed tasks or a synthetic population, not both",
     )
+    solver = _make("solver", SolverConfig, **tree["solver"])
 
-    spectra = []
-    for i, node in enumerate(raw.get("spectra", []) or []):
-        node = _as_mapping(node, f"spectra[{i}]")
-        allowed = {
-            "id", "class0", "class1", "n_avg", "n_train_per_class",
-            "n_test_per_class", "normalize", "freq_min", "freq_max",
-        }
-        _known_keys(node, allowed, f"spectra[{i}]")
-        for key in ("id", "class0", "class1", "n_train_per_class"):
-            _require(key in node, f"spectra[{i}]: {key} is required")
-        spectra.append(
-            SpectrumSource(
-                task_id=str(node["id"]),
-                class0=_existing(node["class0"], base, f"spectra[{i}].class0"),
-                class1=_existing(node["class1"], base, f"spectra[{i}].class1"),
-                n_avg=int(node.get("n_avg", 6)),
-                n_train_per_class=int(node["n_train_per_class"]),
-                n_test_per_class=int(node.get("n_test_per_class", 0)),
-                normalize=bool(node.get("normalize", True)),
-                freq_min=float(node["freq_min"]) if node.get("freq_min") is not None else None,
-                freq_max=float(node["freq_max"]) if node.get("freq_max") is not None else None,
-            )
+    synthetic = None
+    if "synthetic" in tree:
+        node = tree["synthetic"]
+        node["seed"] = seed
+        modes = tuple(
+            _make(f"synthetic.modes[{i}]", ModalMode, **m) for i, m in enumerate(node["modes"])
         )
+        synthetic = _make("synthetic", SyntheticPopulationSpec, **{**node, "modes": modes})
 
     grid = None
-    grid_strategy = "staged"
-    if raw.get("grid") is not None:
-        grid, grid_strategy = _parse_grid(raw["grid"], seed)
+    if "grid" in tree:
+        node = tree["grid"]
+        node["seed"] = seed
+        grid = _make("grid", GridSpec, **{k: v for k, v in node.items() if k != "strategy"})
+        _require(grid.pairs(), "grid: no (epsilon, xi) pairs satisfy epsilon > xi")
 
     transfer = None
-    if raw.get("transfer") is not None:
-        node = _as_mapping(raw["transfer"], "transfer")
-        _known_keys(node, {"unseen", "extra_synthetic_task"}, "transfer")
-        extra = bool(node.get("extra_synthetic_task", False))
-        unseen = node.get("unseen")
+    if "transfer" in tree:
+        node = tree["transfer"]
+        extra = node["extra_synthetic_task"]
         _require(
-            (unseen is not None) != extra,
+            (node["unseen"] is not None) != extra,
             "transfer: give exactly one of 'unseen' (a dataset file) or extra_synthetic_task: true",
         )
         _require(not (extra and synthetic is None), "transfer: extra_synthetic_task needs a synthetic population")
-        transfer = TransferSource(
-            unseen=_existing(unseen, base, "transfer.unseen") if unseen is not None else None,
-            extra_synthetic_task=extra,
-        )
+        transfer = TransferSource(node["unseen"] and Path(node["unseen"]), extra)
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         seed=seed,
-        output_dir=out_dir,
+        output_dir=Path(tree["output_dir"]),
         solver=solver,
-        n_windows=n_windows,
-        modes=modes,
-        threads=threads,
-        include_traces=bool(raw.get("include_traces", False)),
-        sampling_mode=sampling_mode,
-        n_intermediate=n_intermediate,
-        tasks=tuple(tasks),
+        n_windows=tree["n_windows"],
+        modes=tuple(tree["modes"]),
+        threads=tree["threads"],
+        include_traces=tree["include_traces"],
+        sampling_mode=tree["sampling"]["mode"],
+        n_intermediate=tree["sampling"]["n_intermediate"],
+        tasks=tuple(
+            TaskFiles(t["id"], Path(t["train"]), t["test"] and Path(t["test"]))
+            for t in tree.get("tasks", ())
+        ),
         synthetic=synthetic,
-        spectra=tuple(spectra),
+        spectra=tuple(
+            SpectrumSource(
+                s["id"], Path(s["class0"]), Path(s["class1"]), s["n_avg"],
+                s["n_train_per_class"], s["n_test_per_class"], s["normalize"],
+                s["freq_min"], s["freq_max"],
+            )
+            for s in tree.get("spectra", ())
+        ),
         grid=grid,
-        grid_strategy=grid_strategy,
+        grid_strategy=tree["grid"]["strategy"] if grid else _STRATEGIES[0],
         transfer=transfer,
+        echo=tree,
     )
-    cfg.echo.update(_build_echo(cfg))
-    return cfg
-
-
-def _build_echo(cfg: ExperimentConfig) -> dict:
-    echo: dict[str, Any] = {
-        "seed": cfg.seed,
-        "output_dir": str(cfg.output_dir),
-        "threads": cfg.threads,
-        "include_traces": cfg.include_traces,
-        "solver": {
-            "epsilon": cfg.solver.epsilon,
-            "xi": cfg.solver.xi,
-            "max_iters": cfg.solver.max_iters,
-            "lambda_floor": cfg.solver.lambda_floor,
-        },
-        "n_windows": cfg.n_windows,
-        "modes": list(cfg.modes),
-        "sampling": {"mode": cfg.sampling_mode, "n_intermediate": cfg.n_intermediate},
-    }
-    if cfg.tasks:
-        echo["tasks"] = [
-            {"id": t.task_id, "train": str(t.train), "test": str(t.test) if t.test else None}
-            for t in cfg.tasks
-        ]
-    if cfg.synthetic is not None:
-        s = cfg.synthetic
-        echo["synthetic"] = {
-            "modes": [
-                {"natural_freq": m.natural_freq, "damping": m.damping, "amplitude": m.amplitude}
-                for m in s.modes
-            ],
-            "class_shift": list(s.class_shift),
-            "nuisance_band": list(s.nuisance_band),
-            "noise_sd": s.noise_sd,
-            "n_samples": s.n_samples,
-            "n_test": s.n_test,
-            "n_tasks": s.n_tasks,
-            "n_features": s.n_features,
-            "freq_range": list(s.freq_range),
-            "nuisance_modes": s.nuisance_modes,
-            "nuisance_class_shift": s.nuisance_class_shift,
-            "nuisance_damping": s.nuisance_damping,
-            "nuisance_amplitude": s.nuisance_amplitude,
-            "coherence": s.coherence,
-            "seed": s.seed,
-        }
-    if cfg.spectra:
-        echo["spectra"] = [
-            {
-                "id": s.task_id,
-                "class0": str(s.class0),
-                "class1": str(s.class1),
-                "n_avg": s.n_avg,
-                "n_train_per_class": s.n_train_per_class,
-                "n_test_per_class": s.n_test_per_class,
-                "normalize": s.normalize,
-                "freq_min": s.freq_min,
-                "freq_max": s.freq_max,
-            }
-            for s in cfg.spectra
-        ]
-    if cfg.grid is not None:
-        g = cfg.grid
-        echo["grid"] = {
-            "epsilons": list(g.epsilons),
-            "xis": list(g.xis),
-            "window_counts": list(g.window_counts),
-            "folds": g.folds,
-            "strategy": cfg.grid_strategy,
-            "stage_windows": g.stage_windows,
-            "refine_epsilons": list(g.refine_epsilons),
-            "seed": g.seed,
-        }
-    if cfg.transfer is not None:
-        echo["transfer"] = {
-            "unseen": str(cfg.transfer.unseen) if cfg.transfer.unseen else None,
-            "extra_synthetic_task": cfg.transfer.extra_synthetic_task,
-        }
-    return echo
 
 
 def _report_rows(report: EvaluationReport) -> list[dict]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import Standardizer, TaskDataset, sigmoid
+from .model import Standardizer, TaskDataset, sigmoid, standardized_copy
 from .solver import FitResult, SolverConfig, SolverTrace, fit
 
 __all__ = [
@@ -133,13 +133,6 @@ def _fit_window_models(train_tasks, config, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskDataset:
-    """The same dataset with its features pushed through a standardizer."""
-    return TaskDataset(
-        standardizer.apply(task.features), task.labels, task.feature_freqs, task.task_id
-    )
-
-
 def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDataset) -> float:
     """F1 of one fitted weight column applied to an already-standardized task.
 
@@ -196,8 +189,8 @@ def grid_search(
     grid: GridSpec,
     mode: str,
     *,
-    max_iters: int = 2000,
-    lambda_floor: float = 0.0,
+    max_iters: int = SolverConfig.max_iters,
+    lambda_floor: float = SolverConfig.lambda_floor,
     strategy: str = "exhaustive",
     threads: int = 1,
 ) -> GridSearchResult:

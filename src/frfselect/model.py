@@ -21,6 +21,7 @@ __all__ = [
     "WeightMatrix",
     "LossBreakdown",
     "Standardizer",
+    "standardized_copy",
     "sigmoid",
     "predict",
     "classify",
@@ -192,6 +193,13 @@ class Standardizer:
         return (feats - self.mean) / self.scale
 
 
+def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskDataset:
+    """The same dataset with its features pushed through a standardizer."""
+    return TaskDataset(
+        standardizer.apply(task.features), task.labels, task.feature_freqs, task.task_id
+    )
+
+
 def sigmoid(z):
     """Logistic function ``1 / (1 + exp(-z))``.
 
@@ -252,14 +260,18 @@ def empirical_loss_single(weights, data: TaskDataset) -> float:
     return float(_nll_from_logits(z, data.labels.astype(float)))
 
 
-def _weights_2d(weights) -> np.ndarray:
+def _weights_2d(weights, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Weights as an (n_features, n_tasks) array, optionally of a given shape."""
     if isinstance(weights, WeightMatrix):
-        return weights.values
-    arr = np.asarray(weights, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("weights must be 1-D or 2-D")
+        arr = weights.values
+    else:
+        arr = np.asarray(weights, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValueError("weights must be 1-D or 2-D")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"weights shape {arr.shape} does not match {shape}")
     return arr
 
 

@@ -20,11 +20,12 @@ import numpy as np
 
 from .model import (
     Standardizer,
-    TaskDataset,
     WeightMatrix,
     _nll_from_logits,
+    _weights_2d,
     empirical_loss_mtl,
     l21_norm,
+    standardized_copy,
 )
 
 __all__ = [
@@ -124,15 +125,6 @@ class FitResult:
     standardization: tuple[Standardizer, ...]
 
 
-def _weights_array(weights, n_features: int, n_tasks: int) -> np.ndarray:
-    arr = weights.values if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape != (n_features, n_tasks):
-        raise ValueError(f"weights shape {arr.shape} does not match ({n_features}, {n_tasks})")
-    return arr
-
-
 def _task_arrays(tasks):
     X = [t.features for t in tasks]
     y = [t.labels.astype(float) for t in tasks]
@@ -159,7 +151,7 @@ def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
     """
     tasks = tuple(tasks)
     n_feat = tasks[0].n_features
-    W = _weights_array(weights, n_feat, len(tasks))
+    W = _weights_2d(weights, (n_feat, len(tasks)))
     X, y = _task_arrays(tasks)
     L = len(tasks)
     eps = config.epsilon
@@ -211,7 +203,7 @@ def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandi
         raise ValueError(f"lambda must be a nonnegative real, got {lam}")
     tasks = tuple(tasks)
     n_feat = tasks[0].n_features
-    W = _weights_array(weights, n_feat, len(tasks))
+    W = _weights_2d(weights, (n_feat, len(tasks)))
     if not np.any(W != 0.0):
         return None
     X, y = _task_arrays(tasks)
@@ -316,10 +308,7 @@ def fit(tasks, config: SolverConfig, *, standardize: bool = True) -> FitResult:
         standardizers = tuple(Standardizer.fit(t.features) for t in tasks)
     else:
         standardizers = tuple(Standardizer.identity(n_feat) for _ in tasks)
-    std_tasks = tuple(
-        TaskDataset(std.apply(t.features), t.labels, t.feature_freqs, t.task_id)
-        for std, t in zip(standardizers, tasks)
-    )
+    std_tasks = tuple(standardized_copy(t, std) for std, t in zip(standardizers, tasks))
 
     counts = np.zeros((n_feat, L), dtype=np.int64)
     lam: float | None = None

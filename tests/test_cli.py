@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from frfselect import load_dataset, load_delimited_table
+from frfselect import (
+    SpectrumLine,
+    TaskDataset,
+    load_dataset,
+    load_delimited_table,
+    save_dataset,
+    write_spectrum,
+)
 from frfselect.cli import main
 
 CONFIG = """
@@ -247,6 +254,89 @@ tasks:
         )
         assert main(["fit", "--config", str(cfg)]) == 1
         assert "test set" in capsys.readouterr().err
+
+
+FILE_CONFIG = """
+seed: 3
+solver: {epsilon: 0.2, xi: 0.01, max_iters: 20}
+tasks:
+  - {id: a, train: a.csv, test: a.csv}
+spectra:
+  - {id: s, class0: s0.csv, class1: s1.csv, n_train_per_class: 4, n_test_per_class: 4,
+     normalize: true}
+"""
+
+
+@pytest.fixture
+def file_config(tmp_path):
+    rng = np.random.default_rng(0)
+    freqs = [10.0, 20.0, 30.0]
+    save_dataset(
+        TaskDataset(rng.normal(size=(6, 3)), np.array([0, 1] * 3), np.array(freqs), "a"),
+        tmp_path / "a.csv",
+    )
+    for name, h in (("s0.csv", 1.0), ("s1.csv", 2.0)):
+        write_spectrum([SpectrumLine(f, h, 0.9) for f in freqs], tmp_path / name)
+    path = tmp_path / "files.yaml"
+    path.write_text(FILE_CONFIG)
+    return path
+
+
+class TestConfigTypes:
+    """A value of the wrong type is a config error, never coerced."""
+
+    def test_file_config_is_valid(self, file_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(file_config), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "base, old, new, key",
+        [
+            ("synthetic", "n_windows: 2", "n_windows: two", "n_windows"),
+            ("synthetic", "n_windows: 2", "n_windows: 2.7", "n_windows"),
+            ("synthetic", "n_windows: 2", "n_windows: true", "n_windows"),
+            ("synthetic", "max_iters: 150", 'max_iters: "20"', "solver.max_iters"),
+            ("synthetic", "n_test: 8", "n_test: 5.9", "synthetic.n_test"),
+            ("synthetic", "n_windows: 2", 'n_windows: 2\ninclude_traces: "no"', "include_traces"),
+            ("files", "normalize: true", 'normalize: "false"', "spectra[0].normalize"),
+            ("files", "id: a,", "id: 1,", "tasks[0].id"),
+            ("synthetic", "epsilons: [0.5, 0.2]", "epsilons: 0.3", "grid.epsilons"),
+        ],
+    )
+    def test_wrong_type_exits_1(self, request, tmp_path, base, old, new, key, capsys):
+        path = request.getfixturevalue("config" if base == "synthetic" else "file_config")
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        command = "grid" if key.startswith("grid.") else "generate"
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+
+
+class TestDataDependentChecks:
+    """Settings that do not fit the materialized data exit 1 before any fit."""
+
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("grid", "xis: [0.01]", "xis: [0.9]", "no (epsilon, xi) pairs"),
+            ("fit", "n_windows: 2", "n_windows: 500", "n_windows: 500 exceeds the 32 feature lines"),
+            ("transfer", "n_windows: 2", "n_windows: 500", "n_windows: 500 exceeds the 32 feature lines"),
+            ("grid", "window_counts: [1, 2]", "window_counts: [1, 500]",
+             "grid.window_counts: 500 exceeds the 32 feature lines"),
+            ("grid", "strategy: exhaustive", "strategy: staged\n  stage_windows: 500",
+             "grid.stage_windows: 500 exceeds the 32 feature lines"),
+            ("grid", "folds: 2", "folds: 200", "grid.folds: 200 exceeds the 16 samples"),
+            ("grid", "folds: 2", "folds: 17", "grid.folds: 17 exceeds the 16 samples"),
+        ],
+    )
+    def test_exits_1(self, config, command, old, new, message, capsys):
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        assert main([command, "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -1,9 +1,13 @@
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import yaml
 
 from frfselect import (
     ConfigError,
@@ -18,6 +22,7 @@ from frfselect import (
     save_dataset,
     write_report_bundle,
 )
+from frfselect import dataio
 from frfselect.experiment import ActiveFeature, GridRow, ReportRow
 
 
@@ -266,6 +271,72 @@ transfer:
             load_config(
                 self.write(tmp_path, MINIMAL + "\ngrid: {strategy: random}\n")
             )
+
+
+GOLDEN = Path(__file__).parent / "echo_golden"
+REPO = Path(__file__).parent.parent
+
+# Data files each golden config names; loading only checks that they exist.
+GOLDEN_DATA_FILES = {
+    "files.yaml": [
+        "data/task1_train.csv", "data/task1_test.csv", "data/task2_train.csv",
+        "spectra/class0.csv", "spectra/class1.csv", "data/task3_unseen.csv",
+    ],
+    "all_keys.yaml": ["healthy.csv", "damaged.csv"],
+}
+
+
+class TestEchoGolden:
+    """The echo bytes of three configs, recorded before the schema table."""
+
+    @staticmethod
+    def echo_text(cfg_path):
+        cfg = load_config(cfg_path)
+        text = json.dumps(cfg.echo, indent=2) + "\n"
+        return text.replace(str(cfg_path.parent), "{config_dir}")
+
+    def test_demo_pipeline_config(self):
+        text = self.echo_text(REPO / "demos" / "configs" / "pipeline.yaml")
+        assert text == (GOLDEN / "pipeline.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DATA_FILES))
+    def test_file_backed_and_all_keys_configs(self, tmp_path, name):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+        for rel in GOLDEN_DATA_FILES[name]:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("")
+        text = self.echo_text(tmp_path / name)
+        assert text == (GOLDEN / name.replace(".yaml", ".json")).read_text()
+
+
+
+def schema_paths(keys, prefix=""):
+    paths = set()
+    for key in keys:
+        kind = key.kind.item if isinstance(key.kind, dataio._List) else key.kind
+        if isinstance(kind, tuple):
+            paths |= schema_paths(kind, f"{prefix}{key.name}.")
+        else:
+            paths.add(prefix + key.name)
+    return paths
+
+
+def yaml_paths(node, prefix=""):
+    paths = set()
+    for name, value in node.items():
+        maps = [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, dict)]
+        if maps:
+            for m in maps:
+                paths |= yaml_paths(m, f"{prefix}{name}.")
+        else:
+            paths.add(prefix + name)
+    return paths
+
+
+def test_readme_config_reference_lists_every_key():
+    blocks = re.findall(r"```yaml\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    assert yaml_paths(yaml.safe_load(blocks[0])) == schema_paths(dataio._SCHEMA)
 
 
 def tiny_report():
