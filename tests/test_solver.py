@@ -4,6 +4,7 @@ import pytest
 from frfselect import (
     DegenerateLabelsError,
     FitResult,
+    FitStats,
     SolverConfig,
     SolverTrace,
     TaskDataset,
@@ -33,6 +34,20 @@ def random_instance(rng, n_feat, n_tasks, n_samples):
         labels = rng.integers(0, 2, size=n_samples)
         labels[0], labels[1] = 0, 1  # both classes present
         tasks.append(TaskDataset(feats, labels, freqs, f"t{l}"))
+    return tuple(tasks)
+
+
+def logistic_instance(rng, n_feat, n_tasks, n_samples):
+    """Non-separable tasks with a shared signal and a correlated feature pair."""
+    beta = rng.normal(size=n_feat) * (rng.random(n_feat) < 0.5)
+    tasks = []
+    for l in range(n_tasks):
+        feats = rng.normal(size=(n_samples, n_feat))
+        feats[:, 1] = feats[:, 0] + 0.3 * rng.normal(size=n_samples)
+        z = feats @ (beta + 0.3 * rng.normal(size=n_feat))
+        labels = (rng.random(n_samples) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        labels[0], labels[1] = 0, 1
+        tasks.append(TaskDataset(feats, labels, np.arange(1.0, n_feat + 1.0), f"t{l}"))
     return tuple(tasks)
 
 
@@ -328,6 +343,64 @@ class TestFit:
         res = fit(tasks, cfg)
         validate_trace(res, cfg)
         assert res.weights.n_tasks == 2
+
+
+class TestStepFunctionsReplay:
+    def test_wrappers_reproduce_every_step_of_a_joint_trace(self):
+        cfg = SolverConfig(epsilon=0.3, xi=1e-4, max_iters=200)
+        tasks = logistic_instance(np.random.default_rng(0), 8, 3, 50)
+        res = fit(tasks, cfg)
+        steps = res.trace.steps
+        assert sum(s.kind == "backward" for s in steps) >= 2
+        std_tasks = [
+            TaskDataset(std.apply(t.features), t.labels, t.feature_freqs, t.task_id)
+            for std, t in zip(res.standardization, tasks)
+        ]
+        counts = np.zeros(res.weights.values.shape, dtype=np.int64)
+        for k, target in enumerate(steps):
+            W = counts * cfg.epsilon
+            got = None
+            if k > 0:
+                got = backward_step(W, std_tasks, cfg, steps[k - 1].lambda_after)
+            kind = "backward"
+            if got is None:
+                got = forward_step(W, std_tasks, cfg)
+                kind = "forward"
+            assert (kind, got.feature, got.task, got.sign) == (
+                target.kind, target.feature, target.task, target.sign
+            ), f"step {k}"
+            assert got.empirical_after == pytest.approx(target.empirical_loss_after, abs=1e-12)
+            assert got.penalty_after == pytest.approx(target.penalty_after, abs=1e-12)
+            counts[target.feature, target.task] += target.sign
+        assert res.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP
+        W = counts * cfg.epsilon
+        assert backward_step(W, std_tasks, cfg, res.lambda_final) is None
+        assert forward_step(W, std_tasks, cfg) is None
+
+
+class TestFitStats:
+    def test_counts_match_the_trace(self):
+        cfg = SolverConfig(epsilon=0.3, xi=1e-4, max_iters=200)
+        res = fit(logistic_instance(np.random.default_rng(0), 8, 3, 50), cfg)
+        kinds = [s.kind for s in res.trace.steps]
+        assert res.stats.forward_steps == kinds.count("forward")
+        assert res.stats.backward_steps == kinds.count("backward") > 0
+        assert 0 < res.stats.backward_exact <= res.stats.backward_candidates
+        # every forward call scans each of the 3 tasks once
+        forward_calls = kinds.count("forward") + (
+            res.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP
+        )
+        assert res.stats.fast_scans + res.stats.clamp_scans == 3 * forward_calls
+
+    def test_screening_skips_most_backward_candidates(self):
+        cfg = SolverConfig(epsilon=0.05, xi=1e-3, max_iters=300)
+        res = fit(logistic_instance(np.random.default_rng(0), 30, 3, 80), cfg)
+        assert res.stats.backward_candidates > 1000
+        assert res.stats.backward_exact < 0.1 * res.stats.backward_candidates
+
+    def test_results_built_without_stats_default_to_zero_counts(self):
+        res = _result_with([], [[0.0]], 0.5)
+        assert res.stats == FitStats()
 
 
 def _result_with(steps, weights, eps):

@@ -1,0 +1,211 @@
+"""The solver against its frozen reference copy (tests/reference_solver.py).
+
+Every problem of a seeded corpus must give the same step sequence, the same
+termination reason and the same losses as the reference. The corpus is
+built to reach each regime of the solver: accepted backward steps, the
+clamp fallback on separable data, raw-scale inputs where the fused kernel
+never applies, and exact ties, with another move or with the current loss,
+that force a recheck with the clamped kernel.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import reference_solver
+
+from frfselect import SolverConfig, TaskDataset, fit, forward_step
+
+EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
+
+
+def _problem(seed: int, family: str):
+    """Tasks, config and ``standardize`` flag of one corpus problem."""
+    rng = np.random.default_rng(seed)
+    n_tasks = 1 + seed % 4
+    n = int(rng.integers(20, 70))
+    m = int(rng.integers(3, 10))
+    eps = EPSILONS[seed % len(EPSILONS)]
+    xi = 1e-4
+    standardize = True
+    beta = rng.normal(size=m)
+    tasks = []
+    for l in range(n_tasks):
+        X = rng.normal(size=(n, m))
+        # a strongly correlated pair makes forward steps overshoot, so
+        # backward steps get accepted
+        X[:, 1] = X[:, 0] + 0.3 * rng.normal(size=n)
+        z = X @ (beta + 0.5 * rng.normal(size=m))
+        if family == "separable":
+            y = (z > 0).astype(int)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        y[0], y[1] = 0, 1
+        if family == "duplicate":
+            # an exact copy ties every move of feature 0; a constant line
+            # standardizes to zero and ties the current loss
+            X[:, 2] = X[:, 0]
+            X[:, m - 1] = 1.0
+        if family == "raw":
+            # unstandardized magnitudes: columns on scales 1 to 100 and one
+            # line with a resonance peak near 1e3 in a few samples
+            X = X * 10.0 ** rng.integers(0, 3, size=m)
+            X[rng.integers(0, n, size=3), m - 1] = 1e3
+        tasks.append(TaskDataset(X, y, np.arange(1.0, m + 1.0), f"t{l}"))
+    if family == "separable":
+        eps = max(eps, 0.5)
+    if family == "raw":
+        standardize = False
+    return tasks, SolverConfig(eps, xi, max_iters=150), standardize
+
+
+# (family, seeds): 40 problems with 1-4 tasks and epsilon 0.02-1
+CORPUS = [
+    ("noisy", range(0, 16)),
+    ("separable", range(100, 108)),
+    ("raw", range(200, 210)),
+    ("duplicate", range(300, 306)),
+]
+PROBLEMS = [(family, seed) for family, seeds in CORPUS for seed in seeds]
+
+
+def _codes(result):
+    return [(s.kind, s.feature, s.task, s.sign) for s in result.trace.steps]
+
+
+def _losses(result):
+    return np.array(
+        [
+            [s.empirical_loss_after, s.penalty_after, s.total_loss_after, s.lambda_after]
+            for s in result.trace.steps
+        ]
+    ).reshape(-1, 4)
+
+
+def _assert_same_path(got, want):
+    assert _codes(got) == _codes(want)
+    assert got.trace.terminated_by == want.trace.terminated_by
+    np.testing.assert_allclose(_losses(got), _losses(want), rtol=0, atol=1e-12)
+    assert got.lambda_final == pytest.approx(want.lambda_final, rel=0, abs=1e-12)
+    assert np.array_equal(got.weights.values, want.weights.values)
+
+
+@pytest.fixture(scope="module")
+def corpus_results():
+    out = {}
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        out[family, seed] = (
+            fit(tasks, cfg, standardize=standardize),
+            reference_solver.fit(tasks, cfg, standardize=standardize),
+        )
+    return out
+
+
+@pytest.mark.parametrize("family,seed", PROBLEMS)
+def test_matches_reference(corpus_results, family, seed):
+    got, want = corpus_results[family, seed]
+    _assert_same_path(got, want)
+    # the path state recomputes touched losses from scratch: bit-for-bit
+    assert got.trace == want.trace
+
+
+def test_corpus_reaches_every_regime(corpus_results):
+    assert len(PROBLEMS) >= 30
+    stats = {key: got.stats for key, (got, _) in corpus_results.items()}
+    assert {got.weights.n_tasks for got, _ in corpus_results.values()} == {1, 2, 3, 4}
+    assert sum(s.backward_steps for s in stats.values()) >= 5
+    # separable data: fused scans until the logits near the clamp, then fallback
+    assert any(
+        s.fast_scans > 0 and s.clamp_scans > 0
+        for (family, _), s in stats.items()
+        if family == "separable"
+    )
+    # raw scale: eps * max|x| >= 27 from the start, the fused kernel never runs
+    assert any(
+        s.forward_steps > 0 and s.fast_scans == 0
+        for (family, _), s in stats.items()
+        if family == "raw"
+    )
+    assert any(
+        s.forward_steps > 0 and s.fast_scans > 0
+        for (family, _), s in stats.items()
+        if family == "raw"
+    )
+    assert any(s.recheck_scans > 0 for s in stats.values())
+    assert sum(s.backward_exact for s in stats.values()) < sum(
+        s.backward_candidates for s in stats.values()
+    )
+
+
+def _overflow_cases():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(40, 6))
+    X[:, 1] = X[:, 0] + 0.3 * rng.normal(size=40)
+    freqs = np.arange(1.0, 7.0)
+    separable = TaskDataset(X, (X[:, 0] > X[:, 0].mean()).astype(int), freqs, "separable")
+    y = (X[:, 0] + 0.5 * rng.normal(size=40) > 0).astype(int)
+    # unstandardized magnitudes around 1e3 on the last line
+    raw_X = X * np.array([1.0, 1.0, 10.0, 10.0, 100.0, 100.0])
+    raw_X[:, 5] += 1e3
+    raw = TaskDataset(raw_X, y, freqs, "raw")
+    raw2 = TaskDataset(-raw_X[::-1], 1 - y[::-1], freqs, "raw2")
+    return [
+        # eps * max|x| far above 27 on standardized features
+        ([separable], SolverConfig(40.0, 0.01, max_iters=50), True),
+        ([separable, separable], SolverConfig(40.0, 0.01, max_iters=50), True),
+        # eps * max|x| > 709: exp of a candidate margin would overflow
+        ([raw], SolverConfig(1.0, 0.01, max_iters=50), False),
+        ([raw, raw2], SolverConfig(1.0, 0.001, max_iters=50), False),
+        # eps * max|x| just below 27: fused scans until the logits grow
+        ([raw, raw2], SolverConfig(0.02, 0.001, max_iters=80), False),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_overflow_cases())))
+def test_overflow_edges_match_reference_without_warnings(case):
+    tasks, cfg, standardize = _overflow_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="raise", invalid="raise"):
+            got = fit(tasks, cfg, standardize=standardize)
+            want = reference_solver.fit(tasks, cfg, standardize=standardize)
+    _assert_same_path(got, want)
+    assert len(got.trace.steps) > 0
+
+
+def _balance_point(x, y, eps):
+    """A weight where moving by +eps leaves the loss unchanged up to rounding."""
+    def gain(w):
+        after = reference_solver._nll_from_logits(x * (w + eps), y)
+        return float(after) - float(reference_solver._nll_from_logits(x * w, y))
+
+    lo, hi = -20.0, 20.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gain(mid) < 0 else (lo, mid)
+    return lo
+
+
+def test_moves_within_rounding_of_the_current_loss_follow_the_clamped_kernel():
+    # at the balance point the + move changes the loss by less than the two
+    # kernels' rounding, and the - move is far worse: no candidate ties the
+    # best, so only the comparison with the current loss is in question
+    cfg = SolverConfig(0.5, 0.01)
+    outcomes = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        x = rng.normal(size=n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+        y[0], y[1] = 0, 1
+        task = TaskDataset(x[:, None], y, np.array([1.0]), "balanced")
+        W = np.array([[_balance_point(x, y.astype(float), cfg.epsilon)]])
+        got = forward_step(W, [task], cfg)
+        want = reference_solver.forward_step(W, [task], cfg)
+        if want is None:
+            assert got is None, f"seed {seed}"
+        else:
+            assert (got.feature, got.task, got.sign) == (want.feature, want.task, want.sign)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
