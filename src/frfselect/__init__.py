@@ -9,166 +9,19 @@ into sample populations, frequency windowing, cross-validated parameter
 search, and cross-task transfer scoring.
 """
 
-from .datagen import (
-    ModalMode,
-    SpectrumFormatError,
-    SpectrumLine,
-    SyntheticPopulation,
-    SyntheticPopulationSpec,
-    WindowPlan,
-    coherence_std,
-    coherence_std_curve,
-    load_spectrum,
-    modal_magnitude,
-    monte_carlo_expand,
-    population_spectrum,
-    recommended_sample_size,
-    spectrum_to_datasets,
-    suggested_max_windows,
-    synth_population,
-    window_split,
-    write_spectrum,
-)
-from .dataio import (
-    ConfigError,
-    DatasetFormatError,
-    ExperimentConfig,
-    emit_weight_plot_table,
-    load_config,
-    load_dataset,
-    load_delimited_table,
-    load_report,
-    save_dataset,
-    write_report_bundle,
-)
-from .experiment import (
-    MODE_INDEPENDENT,
-    MODE_MTL,
-    ActiveFeature,
-    EvaluationReport,
-    GridRow,
-    GridSearchResult,
-    GridSpec,
-    ModelChoice,
-    ReportRow,
-    TransferRow,
-    grid_search,
-    kfold_split,
-    run_comparison,
-    run_transfer,
-    standardized_copy,
-    transfer_evaluate,
-)
-from .metrics import ConfusionCounts, f1_score, gini_index, gini_index_mtl
-from .model import (
-    LossBreakdown,
-    Standardizer,
-    TaskDataset,
-    WeightMatrix,
-    classify,
-    empirical_loss_mtl,
-    empirical_loss_single,
-    l21_norm,
-    lp_norm,
-    predict,
-    sigmoid,
-    total_loss,
-)
-from .solver import (
-    DegenerateLabelsError,
-    FitResult,
-    FitStats,
-    SolverConfig,
-    SolverTrace,
-    StepCandidate,
-    StepRecord,
-    backward_step,
-    fit,
-    forward_step,
-    lambda_schedule_update,
-    validate_trace,
-)
+from . import datagen, dataio, experiment, metrics, model, solver
+from .datagen import *  # noqa: F403
+from .dataio import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .model import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "TaskDataset",
-    "WeightMatrix",
-    "LossBreakdown",
-    "Standardizer",
-    "sigmoid",
-    "predict",
-    "classify",
-    "empirical_loss_single",
-    "empirical_loss_mtl",
-    "lp_norm",
-    "l21_norm",
-    "total_loss",
-    # metrics
-    "ConfusionCounts",
-    "f1_score",
-    "gini_index",
-    "gini_index_mtl",
-    # solver
-    "SolverConfig",
-    "StepCandidate",
-    "StepRecord",
-    "SolverTrace",
-    "FitResult",
-    "FitStats",
-    "DegenerateLabelsError",
-    "forward_step",
-    "backward_step",
-    "lambda_schedule_update",
-    "fit",
-    "validate_trace",
-    # data generation
-    "SpectrumLine",
-    "SpectrumFormatError",
-    "coherence_std",
-    "coherence_std_curve",
-    "monte_carlo_expand",
-    "WindowPlan",
-    "window_split",
-    "ModalMode",
-    "modal_magnitude",
-    "SyntheticPopulationSpec",
-    "SyntheticPopulation",
-    "synth_population",
-    "population_spectrum",
-    "spectrum_to_datasets",
-    "load_spectrum",
-    "write_spectrum",
-    "recommended_sample_size",
-    "suggested_max_windows",
-    # experiment
-    "MODE_INDEPENDENT",
-    "MODE_MTL",
-    "kfold_split",
-    "GridSpec",
-    "GridRow",
-    "GridSearchResult",
-    "grid_search",
-    "ModelChoice",
-    "ActiveFeature",
-    "ReportRow",
-    "EvaluationReport",
-    "run_comparison",
-    "TransferRow",
-    "run_transfer",
-    "standardized_copy",
-    "transfer_evaluate",
-    # file formats and configuration
-    "DatasetFormatError",
-    "ConfigError",
-    "save_dataset",
-    "load_dataset",
-    "ExperimentConfig",
-    "load_config",
-    "write_report_bundle",
-    "emit_weight_plot_table",
-    "load_report",
-    "load_delimited_table",
+# each submodule's __all__ is the one list of its public names
+__all__ = ["__version__"] + [
+    name
+    for module in (model, metrics, solver, datagen, experiment, dataio)
+    for name in module.__all__
 ]

@@ -161,9 +161,7 @@ def _run_eval(cfg: ExperimentConfig, modes) -> int:
         train, _require_tests(test), _choices(cfg, modes, train),
         include_traces=cfg.include_traces,
     )
-    paths = write_report_bundle(
-        report, cfg.echo, cfg.output_dir, include_traces=cfg.include_traces
-    )
+    paths = write_report_bundle(report, cfg.echo, cfg.output_dir)
     for r in report.rows:
         print(
             f"window={r.window} task={r.task_id} mode={r.mode} "

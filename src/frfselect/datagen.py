@@ -21,7 +21,6 @@ __all__ = [
     "SpectrumLine",
     "SpectrumFormatError",
     "coherence_std",
-    "coherence_std_curve",
     "monte_carlo_expand",
     "WindowPlan",
     "window_split",
@@ -34,8 +33,6 @@ __all__ = [
     "spectrum_to_datasets",
     "load_spectrum",
     "write_spectrum",
-    "recommended_sample_size",
-    "suggested_max_windows",
 ]
 
 SPECTRUM_HEADER = ("freq_hz", "h_mean", "coherence")
@@ -77,19 +74,6 @@ def coherence_std(line: SpectrumLine) -> float:
     """
     c = line.coherence
     return math.sqrt(1.0 - c * c) / (abs(c) * math.sqrt(2.0 * line.n_avg)) * abs(line.h_mean)
-
-
-def coherence_std_curve(h_mean, coherence, n_avg: int = 6) -> np.ndarray:
-    """Vectorized coherence_std over whole curves."""
-    h = np.asarray(h_mean, dtype=float)
-    c = np.asarray(coherence, dtype=float)
-    if not np.all(np.isfinite(h)) or not np.all(np.isfinite(c)):
-        raise ValueError("h_mean and coherence must be finite")
-    if np.any(c <= 0.0) or np.any(c > 1.0):
-        raise ValueError("coherence values must lie in (0, 1]")
-    if int(n_avg) < 1:
-        raise ValueError("n_avg must be a positive integer")
-    return np.sqrt(1.0 - c * c) / (np.abs(c) * math.sqrt(2.0 * n_avg)) * np.abs(h)
 
 
 def monte_carlo_expand(
@@ -490,22 +474,3 @@ def write_spectrum(lines, path) -> None:
     for ln in lines:
         rows.append(f"{ln.freq!r},{ln.h_mean!r},{ln.coherence!r}")
     Path(path).write_text("\n".join(rows) + "\n")
-
-
-def recommended_sample_size(n_features: int, correlated: bool = False) -> int:
-    """Training-set size heuristic: M + 1 independent rows suffice for M
-    features; correlated features want on the order of M**2 samples."""
-    if n_features < 1:
-        raise ValueError("n_features must be at least 1")
-    return n_features * n_features if correlated else n_features + 1
-
-
-def suggested_max_windows(n_features: int, n_train: int) -> int:
-    """Largest useful window count: windows small enough that the per-window
-    feature count squared stays within the training-set size."""
-    if n_features < 1 or n_train < 1:
-        raise ValueError("n_features and n_train must be positive")
-    per_window = math.floor(math.sqrt(n_train))
-    if per_window < 1:
-        return n_features
-    return min(n_features, math.ceil(n_features / per_window))

@@ -23,7 +23,6 @@ from .experiment import (
     MODE_INDEPENDENT,
     MODE_MTL,
     EvaluationReport,
-    GridRow,
     GridSpec,
     TransferRow,
     grid_search,
@@ -37,15 +36,10 @@ __all__ = [
     "ConfigError",
     "save_dataset",
     "load_dataset",
-    "TaskFiles",
-    "SpectrumSource",
-    "TransferSource",
     "ExperimentConfig",
     "load_config",
     "write_report_bundle",
     "emit_weight_plot_table",
-    "write_grid_table",
-    "write_transfer_table",
     "load_report",
     "load_delimited_table",
 ]
@@ -487,20 +481,6 @@ def _weight_rows(report: EvaluationReport) -> list[dict]:
     ]
 
 
-def _grid_rows(table) -> list[dict]:
-    return [
-        {
-            "stage": g.stage,
-            "epsilon": g.epsilon,
-            "xi": g.xi,
-            "n_windows": g.n_windows,
-            "mean_f1": g.mean_f1,
-            "mean_gini": g.mean_gini,
-        }
-        for g in table
-    ]
-
-
 def _trace_dict(trace) -> dict:
     return {
         "terminated_by": trace.terminated_by,
@@ -542,11 +522,8 @@ def emit_weight_plot_table(report: EvaluationReport, path) -> None:
 
 
 def write_grid_table(table, path) -> None:
-    _write_csv(
-        Path(path),
-        ["stage", "epsilon", "xi", "n_windows", "mean_f1", "mean_gini"],
-        _grid_rows(table),
-    )
+    columns = ["stage", "epsilon", "xi", "n_windows", "mean_f1", "mean_gini"]
+    _write_csv(Path(path), columns, [{c: getattr(g, c) for c in columns} for g in table])
 
 
 def write_transfer_table(rows: tuple[TransferRow, ...], path) -> None:
@@ -564,14 +541,13 @@ def write_report_bundle(
     report: EvaluationReport,
     config_echo: dict,
     out_dir,
-    *,
-    include_traces: bool = False,
 ) -> dict[str, Path]:
     """Write report.json plus delimited tables; returns the written paths.
 
     The JSON bundle embeds the resolved config echo, so the bundle alone
-    reproduces the run. Output is deterministic: no timestamps, fixed key
-    order, shortest round-trip floats.
+    reproduces the run; it carries the solver traces when the report has
+    any. Output is deterministic: no timestamps, fixed key order, shortest
+    round-trip floats.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -580,9 +556,7 @@ def write_report_bundle(
         "summary": _report_rows(report),
         "active_weights": _weight_rows(report),
     }
-    if report.grid_table:
-        bundle["grid_table"] = _grid_rows(report.grid_table)
-    if include_traces:
+    if report.traces:
         bundle["traces"] = {key: _trace_dict(trace) for key, trace in report.traces}
 
     paths = {"report": out / "report.json"}
@@ -597,9 +571,6 @@ def write_report_bundle(
     )
     paths["active_weights"] = out / "active_weights.csv"
     emit_weight_plot_table(report, paths["active_weights"])
-    if report.grid_table:
-        paths["grid_table"] = out / "grid_table.csv"
-        write_grid_table(report.grid_table, paths["grid_table"])
     return paths
 
 

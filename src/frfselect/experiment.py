@@ -5,6 +5,8 @@ stratified k-fold cross validation on mean validation F1; the comparison
 runner then fits per-window models in both modes on full training data,
 scores them on held-out test sets, and tabulates the activated weights.
 Standardization statistics always come from the training side of a split.
+Grid scoring, comparison and transfer fit through one window plan,
+``_window_fits``, so each window of each arm is fitted once per call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "transfer_evaluate",
     "run_transfer",
     "TransferRow",
-    "standardized_copy",
     "MODE_INDEPENDENT",
     "MODE_MTL",
 ]
@@ -122,15 +123,60 @@ def _select_best(rows) -> GridRow:
     return min(rows, key=lambda r: (-r.mean_f1, -r.mean_gini, r.epsilon, r.n_windows, r.xi))
 
 
-def _fit_window_models(train_tasks, config, mode):
-    """One fit per task (independent) or one joint fit (mtl); returns a list
-    of (FitResult, column) aligned with the task list."""
-    if mode == MODE_INDEPENDENT:
-        return [(fit([t], config), 0) for t in train_tasks]
-    if mode == MODE_MTL:
-        res = fit(train_tasks, config)
-        return [(res, l) for l in range(len(train_tasks))]
-    raise ValueError(f"unknown mode {mode!r}")
+@dataclass(frozen=True)
+class ModelChoice:
+    """One model arm: a mode, its solver settings and a window count."""
+
+    mode: str
+    solver: SolverConfig
+    n_windows: int
+
+    def __post_init__(self):
+        if self.mode not in (MODE_INDEPENDENT, MODE_MTL):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n_windows < 1:
+            raise ValueError("n_windows must be positive")
+
+
+def _window_fits(train_tasks, choice: ModelChoice):
+    """Fit one choice on each window of the training tasks, in window order.
+
+    Yields ``(window index, start, stop, fits)`` where ``fits`` holds one
+    ``(FitResult, column)`` per task: one fit per task (independent) or one
+    joint fit shared by all tasks (mtl). Grid scoring, comparison and
+    transfer all fit through here.
+    """
+    plan = window_split(train_tasks[0].n_features, choice.n_windows)
+    for wi, (start, stop) in enumerate(plan.ranges):
+        windows = [t.window(start, stop) for t in train_tasks]
+        if choice.mode == MODE_INDEPENDENT:
+            fits = [(fit([t], choice.solver), 0) for t in windows]
+        else:
+            joint = fit(windows, choice.solver)
+            fits = [(joint, l) for l in range(len(windows))]
+        yield wi, start, stop, fits
+
+
+def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
+    """Validated choices for a run of every choice over ``train_tasks``.
+
+    ``scored`` pairs each task the fitted models are applied to with the
+    training task whose frequency axis it must share.
+    """
+    if not train_tasks:
+        raise ValueError("at least one training task is required")
+    choices = tuple(choices)
+    if not choices:
+        raise ValueError("at least one ModelChoice is required")
+    if len({c.mode for c in choices}) != len(choices):
+        raise ValueError("duplicate modes in choices")
+    for task, train in scored:
+        if not np.array_equal(task.feature_freqs, train.feature_freqs):
+            raise ValueError(
+                f"{what} {task.task_id!r}: feature count or frequencies differ from "
+                f"training task {train.task_id!r}"
+            )
+    return choices
 
 
 def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDataset) -> float:
@@ -159,27 +205,13 @@ def _scored_f1(fit_result: FitResult, col: int, dataset: TaskDataset) -> float:
     return transfer_evaluate(fit_result, col, standardized_copy(dataset, std))
 
 
-def _point_score(train_tasks, folds_per_task, epsilon, xi, n_windows, mode,
-                 max_iters, lambda_floor):
-    config = SolverConfig(epsilon, xi, max_iters=max_iters, lambda_floor=lambda_floor)
-    n_feat = train_tasks[0].n_features
-    plan = window_split(n_feat, n_windows)
-    k = len(folds_per_task[0])
+def _point_score(folds, choice: ModelChoice):
     f1s = []
     ginis = []
-    for f in range(k):
-        fold_train = []
-        fold_val = []
-        for t, folds in zip(train_tasks, folds_per_task):
-            train_idx = np.sort(np.concatenate([folds[g] for g in range(k) if g != f]))
-            fold_train.append(t.subset(train_idx))
-            fold_val.append(t.subset(folds[f]))
-        for start, stop in plan.ranges:
-            tr_w = [t.window(start, stop) for t in fold_train]
-            va_w = [t.window(start, stop) for t in fold_val]
-            models = _fit_window_models(tr_w, config, mode)
-            for l, (res, col) in enumerate(models):
-                f1s.append(_scored_f1(res, col, va_w[l]))
+    for fold_train, fold_val in folds:
+        for _, start, stop, fits in _window_fits(fold_train, choice):
+            for (res, col), val in zip(fits, fold_val):
+                f1s.append(_scored_f1(res, col, val.window(start, stop)))
                 ginis.append(gini_index(res.weights.column(col)))
     return float(np.mean(f1s)), float(np.mean(ginis))
 
@@ -218,6 +250,16 @@ def grid_search(
         kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
         for ti, t in enumerate(train_tasks)
     ]
+    # each fold's (train, validation) tasks, built once for every grid point
+    folds = []
+    for f in range(grid.folds):
+        fold_train = []
+        fold_val = []
+        for t, tf in zip(train_tasks, folds_per_task):
+            rest = np.sort(np.concatenate([tf[g] for g in range(grid.folds) if g != f]))
+            fold_train.append(t.subset(rest))
+            fold_val.append(t.subset(tf[f]))
+        folds.append((fold_train, fold_val))
 
     evaluated: dict[tuple[float, float, int], GridRow] = {}
     table: list[GridRow] = []
@@ -227,9 +269,8 @@ def grid_search(
 
         def score(point):
             e, x, w = point
-            return _point_score(
-                train_tasks, folds_per_task, e, x, w, mode, max_iters, lambda_floor
-            )
+            config = SolverConfig(e, x, max_iters=max_iters, lambda_floor=lambda_floor)
+            return _point_score(folds, ModelChoice(mode, config, w))
 
         if threads > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,21 +297,6 @@ def grid_search(
 
 
 @dataclass(frozen=True)
-class ModelChoice:
-    """One comparison arm: a mode, its solver settings and a window count."""
-
-    mode: str
-    solver: SolverConfig
-    n_windows: int
-
-    def __post_init__(self):
-        if self.mode not in (MODE_INDEPENDENT, MODE_MTL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_windows < 1:
-            raise ValueError("n_windows must be positive")
-
-
-@dataclass(frozen=True)
 class ActiveFeature:
     index: int
     freq: float
@@ -294,13 +320,14 @@ class ReportRow:
 @dataclass(frozen=True)
 class EvaluationReport:
     rows: tuple[ReportRow, ...]
-    grid_table: tuple[GridRow, ...] = ()
     traces: tuple[tuple[str, SolverTrace], ...] = ()
 
 
 def _active_features(task: TaskDataset, weights: np.ndarray, offset: int):
     return tuple(
-        ActiveFeature(index=offset + j, freq=float(task.feature_freqs[j]), weight=float(weights[j]))
+        ActiveFeature(
+            index=offset + j, freq=float(task.feature_freqs[offset + j]), weight=float(weights[j])
+        )
         for j in np.flatnonzero(weights != 0.0)
     )
 
@@ -315,43 +342,32 @@ def run_comparison(train_tasks, test_tasks, choices, *, include_traces: bool = F
     test_tasks = tuple(test_tasks)
     if len(train_tasks) != len(test_tasks):
         raise ValueError("need one test set per training task")
-    for tr, te in zip(train_tasks, test_tasks):
-        if tr.n_features != te.n_features:
-            raise ValueError(f"task {tr.task_id!r}: train/test feature counts differ")
-    choices = tuple(choices)
-    if not choices:
-        raise ValueError("run_comparison requires at least one ModelChoice")
-    if len({c.mode for c in choices}) != len(choices):
-        raise ValueError("duplicate modes in choices")
+    choices = _checked_choices(train_tasks, choices, zip(test_tasks, train_tasks), "test set")
 
     rows = []
     traces = []
-    n_feat = train_tasks[0].n_features
     for choice in choices:
-        plan = window_split(n_feat, choice.n_windows)
-        for wi, (start, stop) in enumerate(plan.ranges):
-            tr_w = [t.window(start, stop) for t in train_tasks]
-            te_w = [t.window(start, stop) for t in test_tasks]
-            models = _fit_window_models(tr_w, choice.solver, choice.mode)
-            for l, (res, col) in enumerate(models):
+        for wi, start, stop, fits in _window_fits(train_tasks, choice):
+            for task, test, (res, col) in zip(train_tasks, test_tasks, fits):
+                weights = res.weights.column(col)
                 rows.append(
                     ReportRow(
                         window=wi,
                         window_start=start,
                         window_stop=stop,
-                        task_id=train_tasks[l].task_id,
+                        task_id=task.task_id,
                         mode=choice.mode,
-                        f1=_scored_f1(res, col, te_w[l]),
-                        gini=gini_index(res.weights.column(col)),
-                        active=_active_features(tr_w[l], res.weights.column(col), start),
+                        f1=_scored_f1(res, col, test.window(start, stop)),
+                        gini=gini_index(weights),
+                        active=_active_features(task, weights, start),
                         epsilon=choice.solver.epsilon,
                         xi=choice.solver.xi,
                     )
                 )
-                if include_traces and (choice.mode == MODE_INDEPENDENT or l == 0):
+                if include_traces and col == 0:
                     key = f"{choice.mode}/window{wi}"
                     if choice.mode == MODE_INDEPENDENT:
-                        key += f"/{train_tasks[l].task_id}"
+                        key += f"/{task.task_id}"
                     traces.append((key, res.trace))
 
     seen = {(r.window, r.task_id, r.mode) for r in rows}
@@ -376,23 +392,19 @@ def run_transfer(train_tasks, unseen: TaskDataset, choices) -> tuple[TransferRow
     exactly as in run_comparison.
     """
     train_tasks = tuple(train_tasks)
-    if unseen.n_features != train_tasks[0].n_features:
-        raise ValueError("unseen task must share the training feature count")
+    choices = _checked_choices(
+        train_tasks, choices, [(unseen, t) for t in train_tasks], "unseen task"
+    )
     rows = []
-    n_feat = train_tasks[0].n_features
-    for choice in tuple(choices):
-        plan = window_split(n_feat, choice.n_windows)
-        for wi, (start, stop) in enumerate(plan.ranges):
-            tr_w = [t.window(start, stop) for t in train_tasks]
+    for choice in choices:
+        for wi, start, stop, fits in _window_fits(train_tasks, choice):
             unseen_w = unseen.window(start, stop)
-            own_std = Standardizer.fit(unseen_w.features)
-            unseen_std = standardized_copy(unseen_w, own_std)
-            models = _fit_window_models(tr_w, choice.solver, choice.mode)
-            for l, (res, col) in enumerate(models):
+            unseen_std = standardized_copy(unseen_w, Standardizer.fit(unseen_w.features))
+            for task, (res, col) in zip(train_tasks, fits):
                 rows.append(
                     TransferRow(
                         mode=choice.mode,
-                        source_task=train_tasks[l].task_id,
+                        source_task=task.task_id,
                         window=wi,
                         f1=transfer_evaluate(res, col, unseen_std),
                     )

@@ -8,40 +8,9 @@ their rank, so the sign pattern of the weights is irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ConfusionCounts", "f1_score", "gini_index", "gini_index_mtl"]
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """2x2 confusion table for 0/1 labels (class 1 is "positive")."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @classmethod
-    def from_labels(cls, y_true, y_pred) -> "ConfusionCounts":
-        yt, yp = _checked_label_pair(y_true, y_pred)
-        return cls(
-            tp=int(np.sum((yt == 1) & (yp == 1))),
-            fp=int(np.sum((yt == 0) & (yp == 1))),
-            tn=int(np.sum((yt == 0) & (yp == 0))),
-            fn=int(np.sum((yt == 1) & (yp == 0))),
-        )
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+__all__ = ["f1_score", "gini_index"]
 
 
 def _checked_label_pair(y_true, y_pred):
@@ -63,11 +32,12 @@ def f1_score(y_true, y_pred) -> float:
     When there are no positives anywhere (tp = fp = fn = 0, i.e. a perfect
     all-negative prediction) the score is defined as 1.0.
     """
-    c = ConfusionCounts.from_labels(y_true, y_pred)
-    denom = 2 * c.tp + c.fp + c.fn
+    yt, yp = _checked_label_pair(y_true, y_pred)
+    tp = int(np.sum((yt == 1) & (yp == 1)))
+    denom = 2 * tp + int(np.sum(yt != yp))  # mismatches are fp + fn
     if denom == 0:
         return 1.0
-    return 2.0 * c.tp / denom
+    return 2.0 * tp / denom
 
 
 def gini_index(weights) -> float:
@@ -90,13 +60,3 @@ def gini_index(weights) -> float:
     rank = np.arange(1, m + 1, dtype=float)
     coef = (m - rank + 0.5) / m
     return 1.0 - 2.0 * float(a @ coef) / s
-
-
-def gini_index_mtl(weights) -> list[float]:
-    """Per-task Gini indices, one per weight column."""
-    arr = np.asarray(getattr(weights, "values", weights), dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("gini_index_mtl expects a (n_features, n_tasks) matrix")
-    return [gini_index(arr[:, l]) for l in range(arr.shape[1])]

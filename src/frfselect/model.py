@@ -16,18 +16,13 @@ import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "PROB_CLAMP",
     "TaskDataset",
     "WeightMatrix",
-    "LossBreakdown",
     "Standardizer",
     "standardized_copy",
     "sigmoid",
-    "predict",
-    "classify",
     "empirical_loss_single",
     "empirical_loss_mtl",
-    "lp_norm",
     "l21_norm",
     "total_loss",
 ]
@@ -216,26 +211,6 @@ def sigmoid(z):
     return out
 
 
-def predict(weights, x) -> float:
-    """Probability that a single observation belongs to class 1."""
-    w = np.asarray(weights, dtype=float)
-    obs = np.asarray(x, dtype=float)
-    if w.ndim != 1 or obs.ndim != 1:
-        raise ValueError("predict expects 1-D weights and a 1-D observation")
-    if w.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: weights {w.shape[0]}, observation {obs.shape[0]}")
-    return sigmoid(float(w @ obs))
-
-
-def classify(p: float, threshold: float = 0.5) -> int:
-    """Hard 0/1 decision; probabilities at the threshold go to class 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    return 1 if p >= threshold else 0
-
-
 def _nll_from_logits(logits, labels):
     """Clamped mean cross-entropy from logits.
 
@@ -285,16 +260,6 @@ def empirical_loss_mtl(weights, tasks) -> float:
         )
     losses = [empirical_loss_single(arr[:, l], tasks[l]) for l in range(len(tasks))]
     return sum(losses) / len(losses)
-
-
-def lp_norm(v, p: float) -> float:
-    """``(sum |v_j|^p)^(1/p)``; absolute values make the result sign-invariant."""
-    if not np.isfinite(p) or p <= 0:
-        raise ValueError(f"norm order must be positive, got {p}")
-    a = np.abs(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("lp_norm requires finite input")
-    return float(np.sum(a**p) ** (1.0 / p))
 
 
 def l21_norm(weights) -> float:

@@ -65,7 +65,6 @@ from .model import (
 __all__ = [
     "DegenerateLabelsError",
     "SolverConfig",
-    "StepCandidate",
     "StepRecord",
     "SolverTrace",
     "FitStats",
@@ -75,9 +74,6 @@ __all__ = [
     "lambda_schedule_update",
     "fit",
     "validate_trace",
-    "TERMINATED_LAMBDA_FLOOR",
-    "TERMINATED_MAX_ITERS",
-    "TERMINATED_NO_IMPROVING_STEP",
 ]
 
 TERMINATED_LAMBDA_FLOOR = "lambda_floor"

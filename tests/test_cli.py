@@ -241,6 +241,21 @@ tasks:
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "single class" in capsys.readouterr().err
 
+    def test_test_set_on_another_frequency_axis_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "train.csv").write_text("label,10.0,20.0\n1,0.5,0.2\n0,0.1,0.4\n")
+        (tmp_path / "test.csv").write_text("label,1010.0,1020.0\n1,0.5,0.2\n0,0.1,0.4\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            """
+seed: 2
+solver: {epsilon: 0.2, xi: 0.01}
+tasks:
+  - {id: a, train: train.csv, test: test.csv}
+"""
+        )
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert "test set 'a': feature count or frequencies differ" in capsys.readouterr().err
+
     def test_fit_without_test_data_is_config_error(self, tmp_path, capsys):
         (tmp_path / "ok.csv").write_text("label,10.0\n1,0.5\n0,0.1\n")
         cfg = tmp_path / "cfg.yaml"

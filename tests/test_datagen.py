@@ -12,14 +12,11 @@ from frfselect import (
     SyntheticPopulationSpec,
     WindowPlan,
     coherence_std,
-    coherence_std_curve,
     load_spectrum,
     modal_magnitude,
     monte_carlo_expand,
     population_spectrum,
-    recommended_sample_size,
     spectrum_to_datasets,
-    suggested_max_windows,
     synth_population,
     window_split,
     write_spectrum,
@@ -50,21 +47,6 @@ class TestCoherenceStd:
         line = SpectrumLine(1.0, h, c, n)
         expected = math.sqrt(1.0 - c * c) / (c * math.sqrt(2.0 * n)) * abs(h)
         assert coherence_std(line) == pytest.approx(expected, abs=1e-12)
-
-    def test_curve_matches_per_line(self):
-        h = np.array([1.0, -2.0, 0.5])
-        c = np.array([0.9, 0.8, 0.99])
-        curve = coherence_std_curve(h, c, n_avg=4)
-        for k in range(3):
-            assert curve[k] == pytest.approx(
-                coherence_std(SpectrumLine(1.0, h[k], c[k], 4)), abs=1e-15
-            )
-
-    def test_curve_rejects_bad_coherence(self):
-        with pytest.raises(ValueError):
-            coherence_std_curve([1.0], [0.0])
-        with pytest.raises(ValueError):
-            coherence_std_curve([1.0], [1.1])
 
 
 class TestSpectrumLine:
@@ -412,32 +394,3 @@ class TestSpectrumToDatasets:
         a, _ = spectrum_to_datasets(SPECTRUM, SPECTRUM, seed=7, **kwargs)
         b, _ = spectrum_to_datasets(SPECTRUM, SPECTRUM, seed=7, **kwargs)
         assert np.array_equal(a.features, b.features)
-
-
-class TestSizingHeuristics:
-    def test_independent_rows_need_count_plus_one(self):
-        assert recommended_sample_size(5) == 6
-
-    def test_correlated_rows_need_square(self):
-        assert recommended_sample_size(24, correlated=True) == 576
-        assert recommended_sample_size(588, correlated=True) == 345744
-
-    def test_window_count_frozen_case(self):
-        assert suggested_max_windows(588, 1500) == 16
-
-    def test_window_count_small_cases(self):
-        # floor(sqrt(4)) = 2 features per window: 10 features need 5 windows
-        assert suggested_max_windows(10, 4) == 5
-        assert suggested_max_windows(3, 1000) == 1
-        assert suggested_max_windows(1, 1) == 1
-
-    def test_window_count_never_exceeds_features(self):
-        assert suggested_max_windows(4, 2) == 4
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            recommended_sample_size(0)
-        with pytest.raises(ValueError):
-            suggested_max_windows(0, 10)
-        with pytest.raises(ValueError):
-            suggested_max_windows(10, 0)

@@ -13,8 +13,10 @@ from frfselect import (
     ConfigError,
     DatasetFormatError,
     EvaluationReport,
+    SolverConfig,
     TaskDataset,
     emit_weight_plot_table,
+    fit,
     load_config,
     load_dataset,
     load_delimited_table,
@@ -23,7 +25,7 @@ from frfselect import (
     write_report_bundle,
 )
 from frfselect import dataio
-from frfselect.experiment import ActiveFeature, GridRow, ReportRow
+from frfselect.experiment import ActiveFeature, ReportRow
 
 
 def sample_dataset():
@@ -353,14 +355,13 @@ def tiny_report():
             epsilon=0.2, xi=0.01,
         ),
     )
-    grid = (GridRow("exhaustive", 0.2, 0.01, 1, 0.9, 0.4),)
-    return EvaluationReport(rows=rows, grid_table=grid)
+    return EvaluationReport(rows=rows)
 
 
 class TestReportBundle:
     def test_files_written_and_parse_back(self, tmp_path):
         paths = write_report_bundle(tiny_report(), {"seed": 3}, tmp_path)
-        assert set(paths) == {"report", "summary", "active_weights", "grid_table"}
+        assert set(paths) == {"report", "summary", "active_weights"}
         bundle = load_report(paths["report"])
         assert bundle["config"] == {"seed": 3}
         assert len(bundle["summary"]) == 2
@@ -370,7 +371,6 @@ class TestReportBundle:
             {"freq_hz": 20.0, "weight": -0.4, "task": "a", "mode": "independent",
              "window": 0}
         ]
-        assert bundle["grid_table"][0]["epsilon"] == 0.2
         assert "traces" not in bundle
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -399,11 +399,14 @@ class TestReportBundle:
             "mode": "independent", "window": "0",
         }
 
-    def test_grid_table_only_when_present(self, tmp_path):
-        report = EvaluationReport(rows=tiny_report().rows)
-        paths = write_report_bundle(report, {}, tmp_path)
-        assert "grid_table" not in paths
-        assert "grid_table" not in load_report(paths["report"])
+    def test_traces_written_when_present(self, tmp_path):
+        task = TaskDataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), np.array([5.0]), "a")
+        trace = fit([task], SolverConfig(0.5, 0.01, max_iters=3)).trace
+        report = EvaluationReport(rows=tiny_report().rows, traces=(("mtl/window0", trace),))
+        bundle = load_report(write_report_bundle(report, {}, tmp_path)["report"])
+        assert list(bundle["traces"]) == ["mtl/window0"]
+        assert bundle["traces"]["mtl/window0"]["terminated_by"] == trace.terminated_by
+        assert len(bundle["traces"]["mtl/window0"]["steps"]) == len(trace.steps) > 0
 
     def test_delimited_reader_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -289,6 +289,13 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison(pop.tasks, pop.test_tasks, [])
 
+    def test_rejects_test_set_on_another_frequency_axis(self):
+        pop = small_population()
+        test = pop.test_tasks[1]
+        shifted = TaskDataset(test.features, test.labels, test.feature_freqs + 1000.0, "task2")
+        with pytest.raises(ValueError, match="test set 'task2': feature count or frequencies"):
+            run_comparison(pop.tasks, (pop.test_tasks[0], shifted), self.choices())
+
     def test_deterministic_repeat(self):
         pop = small_population()
         a = run_comparison(pop.tasks, pop.test_tasks, self.choices())
@@ -362,6 +369,32 @@ class TestTransfer:
         )
         with pytest.raises(ValueError, match="feature count"):
             run_transfer(pop.tasks, narrow, [ModelChoice("mtl", cfg, 1)])
+
+    def test_rejects_unseen_task_on_another_frequency_axis(self):
+        pop = small_population()
+        unseen = pop.test_tasks[0]
+        shifted = TaskDataset(unseen.features, unseen.labels, unseen.feature_freqs + 1000.0, "far")
+        with pytest.raises(ValueError, match="unseen task 'far': feature count or frequencies"):
+            run_transfer(pop.tasks, shifted, [ModelChoice("mtl", SolverConfig(0.3, 0.01), 1)])
+
+    def test_run_transfer_rejects_no_choices(self):
+        pop = small_population()
+        with pytest.raises(ValueError, match="at least one ModelChoice"):
+            run_transfer(pop.tasks, pop.test_tasks[0], [])
+
+    def test_run_transfer_rejects_duplicate_modes(self):
+        pop = small_population()
+        cfg = SolverConfig(0.3, 0.01, max_iters=40)
+        with pytest.raises(ValueError, match="duplicate modes"):
+            run_transfer(
+                pop.tasks, pop.test_tasks[0],
+                [ModelChoice("mtl", cfg, 1), ModelChoice("mtl", cfg, 2)],
+            )
+
+    def test_run_transfer_rejects_no_training_tasks(self):
+        pop = small_population()
+        with pytest.raises(ValueError, match="at least one training task"):
+            run_transfer([], pop.test_tasks[0], [ModelChoice("mtl", SolverConfig(0.3, 0.01), 1)])
 
     def test_transfer_evaluate_rejects_bad_column(self):
         pop = small_population()

@@ -3,20 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frfselect import ConfusionCounts, f1_score, gini_index, gini_index_mtl
-
-
-class TestConfusionCounts:
-    def test_from_labels(self):
-        y_true = np.array([1, 1, 0, 0, 1, 0])
-        y_pred = np.array([1, 0, 0, 1, 1, 0])
-        c = ConfusionCounts.from_labels(y_true, y_pred)
-        assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 2, 1)
-        assert c.total == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+from frfselect import f1_score, gini_index
 
 
 class TestF1:
@@ -29,6 +16,10 @@ class TestF1:
     def test_hand_case(self):
         # tp=1, fp=1, fn=1: 2*1/(2*1+1+1) = 0.5
         assert f1_score([1, 0, 1], [1, 1, 0]) == 0.5
+
+    def test_counts_every_outcome(self):
+        # tp=2, fp=1, tn=2, fn=1: 2*2/(2*2+1+1) = 2/3
+        assert f1_score([1, 1, 0, 0, 1, 0], [1, 0, 0, 1, 1, 0]) == 4.0 / 6.0
 
     def test_no_positives_anywhere_counts_as_perfect(self):
         # zero denominator: nothing to find and nothing found
@@ -116,12 +107,3 @@ class TestGiniIndex:
     def test_bounds(self, values):
         g = gini_index(np.array(values))
         assert -1e-12 <= g < 1.0
-
-
-class TestGiniMtl:
-    def test_per_column(self):
-        w = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, 0.0]])
-        per = gini_index_mtl(w)
-        assert len(per) == 2
-        assert abs(per[0]) < 1e-12
-        assert per[1] == pytest.approx(2.0 / 3.0, abs=1e-12)

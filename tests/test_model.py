@@ -9,12 +9,9 @@ from frfselect import (
     Standardizer,
     TaskDataset,
     WeightMatrix,
-    classify,
     empirical_loss_mtl,
     empirical_loss_single,
     l21_norm,
-    lp_norm,
-    predict,
     sigmoid,
     total_loss,
 )
@@ -63,37 +60,6 @@ class TestSigmoid:
     def test_strictly_increasing(self, z, dz):
         # range kept where the slope exceeds float64 spacing of the output
         assert sigmoid(z + dz) > sigmoid(z)
-
-
-class TestPredictClassify:
-    def test_predict_is_sigmoid_of_dot_product(self):
-        w = np.array([1.0, -1.0])
-        x = np.array([2.0, 1.0])
-        assert predict(w, x) == sigmoid(1.0)
-
-    def test_predict_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            predict(np.ones(3), np.ones(2))
-
-    def test_predict_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            predict(np.ones((2, 2)), np.ones(2))
-
-    def test_classify_threshold_goes_to_positive_class(self):
-        assert classify(0.5) == 1
-        assert classify(0.49999) == 0
-        assert classify(1.0) == 1
-        assert classify(0.0) == 0
-
-    def test_classify_custom_threshold(self):
-        assert classify(0.3, threshold=0.25) == 1
-        assert classify(0.3, threshold=0.35) == 0
-
-    def test_classify_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify(1.2)
-        with pytest.raises(ValueError):
-            classify(0.5, threshold=-0.1)
 
 
 class TestEmpiricalLoss:
@@ -147,38 +113,13 @@ class TestEmpiricalLoss:
 
 
 class TestNorms:
-    def test_euclidean(self):
-        assert lp_norm([3.0, -4.0], 2) == 5.0
-
-    def test_absolute_sum(self):
-        assert lp_norm([3.0, -4.0], 1) == 7.0
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            lp_norm([1.0], 0.0)
-        with pytest.raises(ValueError):
-            lp_norm([1.0], -2.0)
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8)
-    )
-    def test_order_one_equals_abs_sum(self, values):
-        assert lp_norm(values, 1) == pytest.approx(sum(abs(v) for v in values), abs=1e-9)
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8)
-    )
-    def test_sign_invariance(self, values):
-        v = np.array(values)
-        assert lp_norm(v, 2) == pytest.approx(lp_norm(-v, 2), abs=0)
-
     def test_group_norm_sums_row_lengths(self):
         w = np.array([[3.0, 4.0], [0.0, 0.0]])
         assert l21_norm(w) == 5.0
 
     def test_group_norm_single_column_is_l1(self):
         w = np.array([1.5, -2.0, 0.0])
-        assert l21_norm(w) == lp_norm(w, 1) == 3.5
+        assert l21_norm(w) == 3.5
 
     @given(
         st.lists(
