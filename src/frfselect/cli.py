@@ -92,8 +92,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _materialize(cfg: ExperimentConfig):
-    """Build (train_tasks, test_tasks, unseen_task) from the config sources."""
+def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
+    """Build (train_tasks, test_tasks, unseen_task) from the config sources.
+
+    ``transfer.unseen`` is read only with ``unseen_file``; without it the
+    unseen task is the held-out synthetic one, if any.
+    """
     train: list = []
     test: list = []
     unseen = None
@@ -133,7 +137,14 @@ def _materialize(cfg: ExperimentConfig):
         test.extend(pop_test)
     if not train:
         raise ConfigError("no data sources configured (tasks, spectra, or synthetic)")
-    if cfg.transfer is not None and cfg.transfer.unseen is not None:
+    ids = [t.task_id for t in train]
+    for k, task_id in enumerate(ids):
+        if task_id in ids[:k]:
+            raise ConfigError(
+                f"task id {task_id!r} names more than one training task "
+                "(tasks, spectra and synthetic ids must be distinct)"
+            )
+    if unseen_file and cfg.transfer is not None and cfg.transfer.unseen is not None:
         unseen = load_dataset(cfg.transfer.unseen)
     return train, test, unseen
 
@@ -172,7 +183,7 @@ def _run_eval(cfg: ExperimentConfig, modes) -> int:
 
 
 def cmd_generate(cfg: ExperimentConfig, args) -> int:
-    train, test, unseen = _materialize(cfg)
+    train, test, unseen = _materialize(cfg, unseen_file=True)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -256,7 +267,7 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
 def cmd_transfer(cfg: ExperimentConfig, args) -> int:
     if cfg.transfer is None:
         raise ConfigError("transfer section is required for the transfer command")
-    train, _, unseen = _materialize(cfg)
+    train, _, unseen = _materialize(cfg, unseen_file=True)
     if unseen is None:
         raise ConfigError("transfer: no unseen task available")
     rows = run_transfer(train, unseen, _choices(cfg, cfg.modes, train))

@@ -11,6 +11,7 @@ into every report so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -126,7 +127,7 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
                 raise DatasetFormatError(
                     f"{path}: non-numeric value, line {lineno}, column {k}"
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise DatasetFormatError(
                     f"{path}: non-finite value, line {lineno}, column {k}"
                 )

@@ -6,7 +6,9 @@ runner then fits per-window models in both modes on full training data,
 scores them on held-out test sets, and tabulates the activated weights.
 Standardization statistics always come from the training side of a split.
 Grid scoring, comparison and transfer fit through one window plan,
-``_window_fits``, so each window of each arm is fitted once per call.
+``_window_fits``, so each window of each arm is fitted once per call; the
+grid scores all tolerances of one (step size, window count) together, on
+one shared solver path per fit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import numpy as np
 from .datagen import window_split
 from .metrics import f1_score, gini_index
 from .model import Standardizer, TaskDataset, sigmoid, standardized_copy
-from .solver import FitResult, SolverConfig, SolverTrace, fit
+from .solver import (
+    FitResult,
+    SolverConfig,
+    SolverTrace,
+    fit,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
+    fit_xis,
+)
 
 __all__ = [
     "kfold_split",
@@ -138,22 +146,26 @@ class ModelChoice:
             raise ValueError("n_windows must be positive")
 
 
-def _window_fits(train_tasks, choice: ModelChoice):
-    """Fit one choice on each window of the training tasks, in window order.
+def _window_fits(train_tasks, choices):
+    """Fit choices that differ only in ``xi`` on each window, in window order.
 
-    Yields ``(window index, start, stop, fits)`` where ``fits`` holds one
-    ``(FitResult, column)`` per task: one fit per task (independent) or one
-    joint fit shared by all tasks (mtl). Grid scoring, comparison and
-    transfer all fit through here.
+    Yields ``(window index, start, stop, fits)`` where ``fits[c]`` holds one
+    ``(FitResult, column)`` per task for ``choices[c]``: one fit per task
+    (independent) or one joint fit shared by all tasks (mtl). The choices
+    share one solver path per fit until their tolerances pick different
+    moves (``fit_xis``). Grid scoring, comparison and transfer all fit
+    through here.
     """
-    plan = window_split(train_tasks[0].n_features, choice.n_windows)
+    first = choices[0]
+    configs = [c.solver for c in choices]
+    plan = window_split(train_tasks[0].n_features, first.n_windows)
     for wi, (start, stop) in enumerate(plan.ranges):
         windows = [t.window(start, stop) for t in train_tasks]
-        if choice.mode == MODE_INDEPENDENT:
-            fits = [(fit([t], choice.solver), 0) for t in windows]
+        if first.mode == MODE_INDEPENDENT:
+            per_task = [fit_xis([t], configs) for t in windows]
+            fits = [[(res, 0) for res in results] for results in zip(*per_task)]
         else:
-            joint = fit(windows, choice.solver)
-            fits = [(joint, l) for l in range(len(windows))]
+            fits = [[(res, l) for l in range(len(windows))] for res in fit_xis(windows, configs)]
         yield wi, start, stop, fits
 
 
@@ -165,6 +177,10 @@ def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
     """
     if not train_tasks:
         raise ValueError("at least one training task is required")
+    ids = [t.task_id for t in train_tasks]
+    for k, task_id in enumerate(ids):
+        if task_id in ids[:k]:
+            raise ValueError(f"training task id {task_id!r} is repeated")
     choices = tuple(choices)
     if not choices:
         raise ValueError("at least one ModelChoice is required")
@@ -205,15 +221,18 @@ def _scored_f1(fit_result: FitResult, col: int, dataset: TaskDataset) -> float:
     return transfer_evaluate(fit_result, col, standardized_copy(dataset, std))
 
 
-def _point_score(folds, choice: ModelChoice):
-    f1s = []
-    ginis = []
+def _scores(folds, choices) -> list[tuple[float, float]]:
+    """Mean validation F1 and Gini of each choice; the choices differ only in ``xi``."""
+    f1s = [[] for _ in choices]
+    ginis = [[] for _ in choices]
     for fold_train, fold_val in folds:
-        for _, start, stop, fits in _window_fits(fold_train, choice):
-            for (res, col), val in zip(fits, fold_val):
-                f1s.append(_scored_f1(res, col, val.window(start, stop)))
-                ginis.append(gini_index(res.weights.column(col)))
-    return float(np.mean(f1s)), float(np.mean(ginis))
+        for _, start, stop, fits in _window_fits(fold_train, choices):
+            vals = [v.window(start, stop) for v in fold_val]
+            for c, choice_fits in enumerate(fits):
+                for (res, col), val in zip(choice_fits, vals):
+                    f1s[c].append(_scored_f1(res, col, val))
+                    ginis[c].append(gini_index(res.weights.column(col)))
+    return [(float(np.mean(f)), float(np.mean(g))) for f, g in zip(f1s, ginis)]
 
 
 def grid_search(
@@ -266,19 +285,28 @@ def grid_search(
 
     def run_stage(stage_name, points):
         todo = [p for p in points if p not in evaluated]
+        # points sharing (epsilon, window count) are scored on shared paths
+        groups: dict[tuple[float, int], list[float]] = {}
+        for e, x, w in todo:
+            groups.setdefault((e, w), []).append(x)
 
-        def score(point):
-            e, x, w = point
-            config = SolverConfig(e, x, max_iters=max_iters, lambda_floor=lambda_floor)
-            return _point_score(folds, ModelChoice(mode, config, w))
+        def score(group):
+            (e, w), xis = group
+            limits = dict(max_iters=max_iters, lambda_floor=lambda_floor)
+            return _scores(folds, [ModelChoice(mode, SolverConfig(e, x, **limits), w) for x in xis])
 
-        if threads > 1 and len(todo) > 1:
+        items = list(groups.items())
+        if threads > 1 and len(items) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(score, todo))
+                results = list(pool.map(score, items))
         else:
-            results = [score(p) for p in todo]
-        for point, (mean_f1, mean_gini) in zip(todo, results):
-            row = GridRow(stage_name, point[0], point[1], point[2], mean_f1, mean_gini)
+            results = [score(g) for g in items]
+        scores = {}
+        for ((e, w), xis), group_scores in zip(items, results):
+            for x, point_scores in zip(xis, group_scores):
+                scores[e, x, w] = point_scores
+        for point in todo:
+            row = GridRow(stage_name, *point, *scores[point])
             evaluated[point] = row
             table.append(row)
 
@@ -347,8 +375,8 @@ def run_comparison(train_tasks, test_tasks, choices, *, include_traces: bool = F
     rows = []
     traces = []
     for choice in choices:
-        for wi, start, stop, fits in _window_fits(train_tasks, choice):
-            for task, test, (res, col) in zip(train_tasks, test_tasks, fits):
+        for wi, start, stop, fits in _window_fits(train_tasks, [choice]):
+            for task, test, (res, col) in zip(train_tasks, test_tasks, fits[0]):
                 weights = res.weights.column(col)
                 rows.append(
                     ReportRow(
@@ -370,9 +398,6 @@ def run_comparison(train_tasks, test_tasks, choices, *, include_traces: bool = F
                         key += f"/{task.task_id}"
                     traces.append((key, res.trace))
 
-    seen = {(r.window, r.task_id, r.mode) for r in rows}
-    if len(seen) != len(rows):
-        raise AssertionError("duplicate (window, task, mode) rows in report")
     return EvaluationReport(rows=tuple(rows), traces=tuple(traces))
 
 
@@ -397,10 +422,10 @@ def run_transfer(train_tasks, unseen: TaskDataset, choices) -> tuple[TransferRow
     )
     rows = []
     for choice in choices:
-        for wi, start, stop, fits in _window_fits(train_tasks, choice):
+        for wi, start, stop, fits in _window_fits(train_tasks, [choice]):
             unseen_w = unseen.window(start, stop)
             unseen_std = standardized_copy(unseen_w, Standardizer.fit(unseen_w.features))
-            for task, (res, col) in zip(train_tasks, fits):
+            for task, (res, col) in zip(train_tasks, fits[0]):
                 rows.append(
                     TransferRow(
                         mode=choice.mode,

@@ -40,6 +40,11 @@ whose candidates all have this bound at or below ``xi - 1e-9`` (less the
 rounding bound) has no qualifying move and is skipped; otherwise, and always
 in the clamp regime, all its candidates are evaluated exactly.
 
+Shared paths: ``xi`` only decides which backward moves qualify, so
+``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
+each backward decision once for all of them, and forks the path where they
+pick different moves.
+
 ``FitResult.stats`` (a ``FitStats``) counts the accepted steps by kind, the
 backward candidates and how many were evaluated exactly, and the task scans
 by kernel. It is not part of the trace or of any report.
@@ -47,6 +52,7 @@ by kernel. It is not part of the trace or of any report.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 
@@ -151,6 +157,11 @@ class SolverTrace:
 @dataclass(frozen=True)
 class FitStats:
     """What one fit did, beyond its trace.
+
+    The counts cover the result's whole path. A prefix shared with other
+    tolerances in ``fit_xis`` is counted once per result and was screened at
+    the smallest tolerance on it, so ``backward_exact`` can exceed what a
+    solo ``fit`` evaluates.
 
     forward_steps, backward_steps : accepted steps by kind.
     backward_candidates : nonzero coordinates offered a backward move, summed
@@ -322,6 +333,15 @@ class _PathState:
         self.tally["clamp_scans"] += 1
         return terms.scan_clamped()
 
+    def copy(self) -> "_PathState":
+        """An independent iterate. Task terms are replaced, never changed in
+        place, on an update, so their arrays stay shared."""
+        twin = copy.copy(self)
+        twin.W = self.W.copy()
+        twin.tasks = [copy.copy(t) for t in self.tasks]
+        twin.tally = Counter(self.tally)
+        return twin
+
 
 def _forward_move(state: _PathState):
     """Best forward move as (feature, task, sign, empirical loss after), or None.
@@ -358,15 +378,20 @@ def _forward_move(state: _PathState):
     return int(j), int(l), 1 if s == 0 else -1, float(cand[j, l, s])
 
 
-def _backward_move(state: _PathState, xi: float, lam: float) -> StepCandidate | None:
-    """Best qualifying magnitude-decreasing move at level ``lam``, or None.
+def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | None]:
+    """Best qualifying magnitude-decreasing move for each of ``xis`` at level ``lam``.
 
     Each nonzero weight moves by ``epsilon`` toward zero. A move qualifies
-    when it lowers the penalised loss by more than ``xi``; the lowest
-    post-move empirical loss wins, ties toward low feature then task index.
+    for a tolerance ``xi`` when it lowers the penalised loss by more than
+    ``xi``; the lowest post-move empirical loss wins, ties toward low
+    feature then task index. The exact losses are evaluated once, screened
+    at the smallest tolerance: screening never drops a candidate that
+    qualifies there, so it drops none that qualifies for a larger one.
+    Returns one move, or None, per tolerance.
     """
     L = len(state.tasks)
     eps = state.eps
+    xi_min = min(xis)
     pen_now = state.penalty
     rows, cols = np.nonzero(state.W)
     w_vals = state.W[rows, cols]
@@ -382,31 +407,31 @@ def _backward_move(state: _PathState, xi: float, lam: float) -> StepCandidate | 
     gradients, slack = state.screening_terms()
     gain_bound = -(eps * signs) * gradients[rows, cols] / L + lam * (pen_now - pen_after)
     exact_tasks = np.zeros(L, dtype=bool)
-    exact_tasks[cols[gain_bound > xi - slack[cols]]] = True
+    exact_tasks[cols[gain_bound > xi_min - slack[cols]]] = True
 
     others = _cross_task_sums(state.losses)
     total_before = state.empirical + lam * pen_now
-    best = None
-    best_key = None
+    qualifying = []  # (key, gain, candidate) of the moves that qualify at xi_min
     for l in np.flatnonzero(exact_tasks):
         sel = np.flatnonzero(cols == l)
         idx = rows[sel]
         state.tally["backward_exact"] += idx.size
         emp_after = (others[l] + state.tasks[l].moved_losses(idx, signs[sel])) / L
         total_after = emp_after + lam * pen_after[sel]
-        for a in np.flatnonzero(total_before - total_after > xi):
-            key = (float(emp_after[a]), int(idx[a]), int(l))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = StepCandidate(
-                    feature=int(idx[a]),
-                    task=int(l),
-                    sign=int(signs[sel[a]]),
-                    empirical_after=float(emp_after[a]),
-                    penalty_after=float(pen_after[sel[a]]),
-                    total_after=float(total_after[a]),
-                )
-    return best
+        gain = total_before - total_after
+        for a in np.flatnonzero(gain > xi_min):
+            cand = StepCandidate(
+                feature=int(idx[a]),
+                task=int(l),
+                sign=int(signs[sel[a]]),
+                empirical_after=float(emp_after[a]),
+                penalty_after=float(pen_after[sel[a]]),
+                total_after=float(total_after[a]),
+            )
+            key = (cand.empirical_after, cand.feature, cand.task)
+            qualifying.append((key, float(gain[a]), cand))
+    qualifying.sort(key=lambda q: q[0])
+    return [next((c for _, g, c in qualifying if g > xi), None) for xi in xis]
 
 
 def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
@@ -453,7 +478,7 @@ def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandi
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
     if not np.any(W != 0.0):
         return None
-    return _backward_move(_PathState(tasks, W, config.epsilon), config.xi, lam)
+    return _backward_moves(_PathState(tasks, W, config.epsilon), [config.xi], lam)[0]
 
 
 def lambda_schedule_update(
@@ -509,53 +534,119 @@ def fit(tasks, config: SolverConfig, *, standardize: bool = True) -> FitResult:
     and stops at the iteration cap, at the lambda floor, or when no move
     improves anything. Identical inputs produce identical traces.
     """
+    return fit_xis(tasks, [config], standardize=standardize)[0]
+
+
+@dataclass
+class _Branch:
+    """One path of ``fit_xis``: the configs still on it and its iterate.
+
+    ``preset`` is a backward move already chosen for the next iteration.
+    """
+
+    members: list[int]
+    state: _PathState
+    counts: np.ndarray
+    lam: float | None
+    steps: list[StepRecord]
+    preset: tuple | None = None
+
+    def fork(self, members, preset) -> "_Branch":
+        return _Branch(
+            members, self.state.copy(), self.counts.copy(), self.lam, list(self.steps), preset
+        )
+
+
+def fit_xis(tasks, configs, *, standardize: bool = True) -> tuple[FitResult, ...]:
+    """``fit`` for configs that differ only in ``xi``, sharing one path.
+
+    Forward moves do not depend on ``xi``, so the configs follow one path
+    until their tolerances pick different backward moves; there the path
+    forks, and each fork carries a copy of the iterate. Every result equals
+    ``fit(tasks, config)`` for its config, trace and weights bit for bit;
+    its ``stats`` count its whole path, with a shared prefix screened at the
+    smallest tolerance on it. Configs whose paths never fork share one
+    result object. Returns one result per config, in order.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("fit_xis requires at least one config")
+    base = configs[0]
+    shared = (base.epsilon, base.max_iters, base.lambda_floor)
+    if any((c.epsilon, c.max_iters, c.lambda_floor) != shared for c in configs):
+        raise ValueError("configs must differ only in xi")
     tasks = _validated_tasks(tasks)
     n_feat = tasks[0].n_features
-    L = len(tasks)
     if standardize:
         standardizers = tuple(Standardizer.fit(t.features) for t in tasks)
     else:
         standardizers = tuple(Standardizer.identity(n_feat) for _ in tasks)
     std_tasks = tuple(standardized_copy(t, std) for std, t in zip(standardizers, tasks))
 
-    counts = np.zeros((n_feat, L), dtype=np.int64)
-    state = _PathState(std_tasks, counts * config.epsilon, config.epsilon)
-    lam: float | None = None
-    steps: list[StepRecord] = []
-    terminated = TERMINATED_MAX_ITERS
+    counts = np.zeros((n_feat, len(tasks)), dtype=np.int64)
+    state = _PathState(std_tasks, counts * base.epsilon, base.epsilon)
+    pending = [_Branch(list(range(len(configs))), state, counts, None, [])]
+    results: list[FitResult | None] = [None] * len(configs)
+    while pending:
+        branch = pending.pop()
+        terminated = _run_branch(branch, configs, pending)
+        result = FitResult(
+            weights=WeightMatrix(branch.counts * base.epsilon),
+            trace=SolverTrace(tuple(branch.steps), terminated),
+            lambda_final=branch.lam if branch.lam is not None else 0.0,
+            standardization=standardizers,
+            stats=FitStats(**branch.state.tally),
+        )
+        for i in branch.members:
+            results[i] = result
+    return tuple(results)
 
-    for iteration in range(1, config.max_iters + 1):
-        step = None
-        if lam is not None and counts.any():
-            cand = _backward_move(state, config.xi, lam)
-            if cand is not None:
-                step = ("backward", cand.feature, cand.task, cand.sign)
+
+def _run_branch(branch: _Branch, configs, pending: list) -> str:
+    """Advance one branch to its end; returns the termination reason.
+
+    Where the branch's configs pick different moves, the ones that go
+    forward stay (or else the first backward move's), and every other move
+    starts a new branch on ``pending``.
+    """
+    base = configs[branch.members[0]]
+    eps = base.epsilon
+    state, counts = branch.state, branch.counts
+    while len(branch.steps) < base.max_iters:
+        step, branch.preset = branch.preset, None
+        if step is None and branch.lam is not None and counts.any():
+            moves = _backward_moves(state, [configs[i].xi for i in branch.members], branch.lam)
+            groups: dict = {}  # move -> members choosing it; None goes forward
+            for i, cand in zip(branch.members, moves):
+                move = None if cand is None else ("backward", cand.feature, cand.task, cand.sign)
+                groups.setdefault(move, []).append(i)
+            if None in groups:
+                branch.members = groups.pop(None)
+            else:
+                step = next(iter(groups))
+                branch.members = groups.pop(step)
+            for move, members in groups.items():
+                pending.append(branch.fork(members, move))
         emp_before, pen_before = state.empirical, state.penalty
         if step is None:
             move = _forward_move(state)
             if move is None:
-                terminated = TERMINATED_NO_IMPROVING_STEP
-                break
+                return TERMINATED_NO_IMPROVING_STEP
             step = ("forward", *move[:3])
         kind, j, l, sign = step
         counts[j, l] += sign
-        state.set_weight(j, l, counts[j, l] * config.epsilon)
+        state.set_weight(j, l, counts[j, l] * eps)
         state.tally[kind + "_steps"] += 1
         emp, pen = state.empirical, state.penalty
         if kind == "forward":
-            lam = lambda_schedule_update(lam, emp_before, emp, pen_before, pen)
-        steps.append(StepRecord(iteration, kind, j, l, sign, emp, pen, emp + lam * pen, lam))
-        if lam is not None and lam <= config.lambda_floor:
-            terminated = TERMINATED_LAMBDA_FLOOR
-            break
-
-    return FitResult(
-        weights=WeightMatrix(counts * config.epsilon),
-        trace=SolverTrace(tuple(steps), terminated),
-        lambda_final=lam if lam is not None else 0.0,
-        standardization=standardizers,
-        stats=FitStats(**state.tally),
-    )
+            branch.lam = lambda_schedule_update(branch.lam, emp_before, emp, pen_before, pen)
+        lam = branch.lam
+        branch.steps.append(
+            StepRecord(len(branch.steps) + 1, kind, j, l, sign, emp, pen, emp + lam * pen, lam)
+        )
+        if lam <= base.lambda_floor:
+            return TERMINATED_LAMBDA_FLOOR
+    return TERMINATED_MAX_ITERS
 
 
 def validate_trace(result: FitResult, config: SolverConfig) -> None:

@@ -186,6 +186,9 @@ class TestTransfer:
         assert "transfer section" in capsys.readouterr().err
 
 
+SPECTRUM = "class0: s0.csv, class1: s1.csv, n_train_per_class: 4, n_test_per_class: 2}]\n"
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["bogus"]) == 1
@@ -269,6 +272,50 @@ tasks:
         )
         assert main(["fit", "--config", str(cfg)]) == 1
         assert "test set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sources, task_id",
+        [
+            ("tasks: [{id: a, train: ok.csv, test: ok.csv}, {id: a, train: ok.csv}]", "a"),
+            ("tasks: [{id: s, train: ok.csv, test: ok.csv}]\nspectra: [{id: s, " + SPECTRUM, "s"),
+            # a spectrum named like a synthetic task
+            ("spectra: [{id: task2, " + SPECTRUM + "synthetic: {modes: [{natural_freq: 15.0, "
+             "damping: 0.05}], class_shift: [1.0], nuisance_band: [30.0, 40.0], noise_sd: 0.1, "
+             "n_samples: 8, n_test: 4, n_tasks: 2, n_features: 2, freq_range: [10.0, 20.0]}",
+             "task2"),
+        ],
+    )
+    def test_repeated_task_id_is_config_error(self, tmp_path, capsys, sources, task_id):
+        (tmp_path / "ok.csv").write_text("label,10.0,20.0\n1,0.5,0.2\n0,0.1,0.4\n")
+        for name, h in (("s0.csv", 1.0), ("s1.csv", 2.0)):
+            write_spectrum([SpectrumLine(f, h, 0.9) for f in (10.0, 20.0)], tmp_path / name)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 2\nsolver: {epsilon: 0.2, xi: 0.01}\nn_windows: 1\n" + sources)
+        for command in ("fit", "generate"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert f"error: task id {task_id!r} names more than one training task" in err
+            assert "Traceback" not in err
+
+    def test_fit_and_compare_do_not_read_the_unseen_file(self, tmp_path, capsys):
+        # only generate and transfer use transfer.unseen
+        (tmp_path / "ok.csv").write_text("label,10.0,20.0\n1,0.5,0.2\n0,0.1,0.4\n")
+        (tmp_path / "broken.csv").write_text("label,10.0,20.0\n1,0.5,xx\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            """
+seed: 2
+solver: {epsilon: 0.2, xi: 0.01}
+n_windows: 1
+tasks:
+  - {id: a, train: ok.csv, test: ok.csv}
+transfer: {unseen: broken.csv}
+"""
+        )
+        for command in ("fit", "compare"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "non-numeric value, line 2, column 2" in capsys.readouterr().err
 
 
 FILE_CONFIG = """

@@ -19,6 +19,7 @@ from frfselect import (
     transfer_evaluate,
     window_split,
 )
+from frfselect import experiment
 from frfselect.experiment import GridRow, _select_best
 from frfselect.model import Standardizer
 
@@ -206,6 +207,32 @@ class TestGridSearch:
         assert a.table == b.table
         assert a.best == b.best
 
+    @pytest.mark.parametrize("mode", ["independent", "mtl"])
+    @pytest.mark.parametrize("strategy", ["exhaustive", "staged"])
+    def test_table_equals_one_solo_fit_per_point(self, monkeypatch, mode, strategy):
+        pop = small_population()
+        grid = GridSpec(
+            epsilons=(0.5, 0.2), xis=(0.1, 0.01, 0.001), window_counts=(1, 2), folds=2,
+            seed=3, stage_windows=2, refine_epsilons=(0.3,),
+        )
+        shared = grid_search(pop.tasks, grid, mode, max_iters=60, strategy=strategy)
+        # the tolerances of one (epsilon, windows) reach different scores
+        assert len({(r.epsilon, r.n_windows, r.mean_gini) for r in shared.table}) > len(
+            {(r.epsilon, r.n_windows) for r in shared.table}
+        )
+
+        group_sizes = []
+
+        def solo_fits(tasks, configs):
+            group_sizes.append(len(configs))
+            return tuple(fit(tasks, c) for c in configs)
+
+        monkeypatch.setattr(experiment, "fit_xis", solo_fits)
+        solo = grid_search(pop.tasks, grid, mode, max_iters=60, strategy=strategy)
+        assert max(group_sizes) == 3
+        assert shared.table == solo.table
+        assert shared.best == solo.best
+
     def test_rejects_bad_arguments(self):
         pop = small_population()
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
@@ -288,6 +315,12 @@ class TestRunComparison:
             )
         with pytest.raises(ValueError):
             run_comparison(pop.tasks, pop.test_tasks, [])
+
+    def test_rejects_repeated_task_ids(self):
+        pop = small_population()
+        task = pop.tasks[0]
+        with pytest.raises(ValueError, match="training task id 'task1' is repeated"):
+            run_comparison((task, task), (pop.test_tasks[0],) * 2, self.choices())
 
     def test_rejects_test_set_on_another_frequency_axis(self):
         pop = small_population()

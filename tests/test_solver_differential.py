@@ -6,8 +6,12 @@ built to reach each regime of the solver: accepted backward steps, the
 clamp fallback on separable data, raw-scale inputs where the fused kernel
 never applies, and exact ties, with another move or with the current loss,
 that force a recheck with the clamped kernel.
+
+A ladder of tolerances per problem checks the shared path of ``fit_xis``
+against one ``fit`` per tolerance.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,6 +19,7 @@ import pytest
 import reference_solver
 
 from frfselect import SolverConfig, TaskDataset, fit, forward_step
+from frfselect.solver import fit_xis
 
 EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
 
@@ -29,12 +34,22 @@ def _problem(seed: int, family: str):
     xi = 1e-4
     standardize = True
     beta = rng.normal(size=m)
+    if family == "shared":
+        # one design seen by every task, in correlated pairs: a row active in
+        # several tasks gives its backward moves a smaller penalty drop than
+        # a row active in one, so a larger xi can pick another backward move
+        base = rng.normal(size=(n, m))
+        for a in range(0, m - 1, 2):
+            base[:, a + 1] = base[:, a] + 0.3 * rng.normal(size=n)
+        beta *= 2.0
     tasks = []
     for l in range(n_tasks):
         X = rng.normal(size=(n, m))
         # a strongly correlated pair makes forward steps overshoot, so
         # backward steps get accepted
         X[:, 1] = X[:, 0] + 0.3 * rng.normal(size=n)
+        if family == "shared":
+            X = base + 0.2 * X
         z = X @ (beta + 0.5 * rng.normal(size=m))
         if family == "separable":
             y = (z > 0).astype(int)
@@ -59,12 +74,15 @@ def _problem(seed: int, family: str):
     return tasks, SolverConfig(eps, xi, max_iters=150), standardize
 
 
-# (family, seeds): 40 problems with 1-4 tasks and epsilon 0.02-1
+# (family, seeds): 44 problems with 1-4 tasks and epsilon 0.02-1; the
+# "shared" seeds include one (410) where two tolerances of the ladder below
+# pick different backward moves, which few problems do
 CORPUS = [
     ("noisy", range(0, 16)),
     ("separable", range(100, 108)),
     ("raw", range(200, 210)),
     ("duplicate", range(300, 306)),
+    ("shared", range(408, 412)),
 ]
 PROBLEMS = [(family, seed) for family, seeds in CORPUS for seed in seeds]
 
@@ -136,6 +154,80 @@ def test_corpus_reaches_every_regime(corpus_results):
     assert sum(s.backward_exact for s in stats.values()) < sum(
         s.backward_candidates for s in stats.values()
     )
+
+
+LADDER = (1e-5, 5e-5, 1e-3, 0.1)
+
+
+@pytest.fixture(scope="module")
+def ladder_results():
+    """Per problem and limits: the ladder's configs, fit_xis results, solo fits.
+
+    Each problem runs its ladder (tolerances below its epsilon) twice: with
+    its own limits, and with a lambda floor and a lower iteration cap.
+    """
+    out = {}
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+            base = dataclasses.replace(cfg, **limits)
+            configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+            shared = fit_xis(tasks, configs, standardize=standardize)
+            solo = [fit(tasks, c, standardize=standardize) for c in configs]
+            out[family, seed, bool(limits)] = configs, shared, solo
+    return out
+
+
+@pytest.mark.parametrize("family,seed", PROBLEMS)
+def test_shared_path_matches_solo_fits(ladder_results, family, seed):
+    for limited in (False, True):
+        configs, shared, solo = ladder_results[family, seed, limited]
+        assert len(shared) == len(configs) >= 2
+        for cfg, got, want in zip(configs, shared, solo):
+            assert got.trace == want.trace, cfg
+            assert np.array_equal(got.weights.values, want.weights.values)
+            assert got.lambda_final == want.lambda_final
+            for a, b in zip(got.standardization, want.standardization, strict=True):
+                assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scale, b.scale)
+            # stats count the whole path, shared prefix included
+            kinds = [s.kind for s in got.trace.steps]
+            assert got.stats.forward_steps == kinds.count("forward")
+            assert got.stats.backward_steps == kinds.count("backward")
+
+
+def _first_split(lower, higher):
+    """The step kind the higher tolerance takes where its path first leaves
+    the lower one's, or None if neither path leaves the other."""
+    for a, b in zip(lower.trace.steps, higher.trace.steps):
+        if (a.kind, a.feature, a.task, a.sign) != (b.kind, b.feature, b.task, b.sign):
+            return b.kind
+    return None
+
+
+def test_ladder_reaches_every_fork_kind(ladder_results):
+    splits = set()
+    multi_fork = merged_to_cap = floor_stops = 0
+    for configs, shared, _ in ladder_results.values():
+        for i, lower in enumerate(shared):
+            for higher in shared[i + 1:]:
+                splits.add(_first_split(lower, higher))
+        paths = {id(r) for r in shared}
+        multi_fork += len(paths) >= 3
+        if len(paths) == 1 and shared[0].trace.terminated_by == "max_iters":
+            merged_to_cap += 1
+        floor_stops += any(r.trace.terminated_by == "lambda_floor" for r in shared)
+    assert splits == {None, "forward", "backward"}
+    assert multi_fork > 0 and merged_to_cap > 0 and floor_stops > 0
+
+
+def test_fit_xis_rejects_configs_that_differ_beyond_xi():
+    tasks, cfg, _ = _problem(0, "noisy")
+    with pytest.raises(ValueError, match="differ only in xi"):
+        fit_xis(tasks, [cfg, dataclasses.replace(cfg, epsilon=0.5)])
+    with pytest.raises(ValueError, match="differ only in xi"):
+        fit_xis(tasks, [cfg, dataclasses.replace(cfg, max_iters=10)])
+    with pytest.raises(ValueError, match="at least one config"):
+        fit_xis(tasks, [])
 
 
 def _overflow_cases():
