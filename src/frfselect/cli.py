@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .dataio import (
     load_config,
     load_dataset,
     save_dataset,
+    write_bundle,
     write_grid_table,
     write_report_bundle,
     write_transfer_table,
@@ -199,9 +199,7 @@ def cmd_generate(cfg: ExperimentConfig, args) -> int:
         path = out / f"{unseen.task_id}_unseen.csv"
         save_dataset(unseen, path)
         written.append(path)
-    manifest = {"config": cfg.echo, "files": [p.name for p in written]}
-    manifest_path = out / "generate.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path = write_bundle(out, "generate.json", cfg.echo, files=[p.name for p in written])
     for p in written:
         print(f"wrote {p}")
     print(f"wrote {manifest_path}")
@@ -224,12 +222,16 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
     _check_at_most("grid.window_counts", cfg.grid.window_counts, n_feat, "feature lines")
     if cfg.grid_strategy == "staged":
         _check_at_most("grid.stage_windows", [cfg.grid.stage_windows], n_feat, "feature lines")
-    # folds are dealt per class from fold 0, so folds beyond the larger class stay empty
-    n_major = min(int(np.bincount(t.labels).max()) for t in train)
-    _check_at_most("grid.folds", [cfg.grid.folds], n_major, "samples of a task's larger class")
+    # folds are dealt per class from fold 0, so folds beyond a task's smaller
+    # class validate on one class only; a one-class task fails later (exit 2)
+    for t in train:
+        n_minor = int(np.bincount(t.labels, minlength=2).min())
+        if n_minor:
+            _check_at_most("grid.folds", [cfg.grid.folds], n_minor,
+                           f"samples of the smaller class of task {t.task_id!r}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle: dict = {"config": cfg.echo, "results": {}}
+    results = {}
     for mode in cfg.modes:
         result = grid_search(
             train,
@@ -243,23 +245,14 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
         table_path = out / f"grid_{mode}.csv"
         write_grid_table(result.table, table_path)
         best = result.best
-        bundle["results"][mode] = {
-            "best": {
-                "epsilon": best.epsilon,
-                "xi": best.xi,
-                "n_windows": best.n_windows,
-                "mean_f1": best.mean_f1,
-                "mean_gini": best.mean_gini,
-            },
-            "table_file": table_path.name,
-        }
+        best_fields = {k: v for k, v in dataclasses.asdict(best).items() if k != "stage"}
+        results[mode] = {"best": best_fields, "table_file": table_path.name}
         print(
             f"mode={mode} best: epsilon={_fmt(best.epsilon)} xi={_fmt(best.xi)} "
             f"windows={best.n_windows} mean_f1={_fmt(best.mean_f1)} "
             f"mean_gini={_fmt(best.mean_gini)}"
         )
-    grid_path = out / "grid.json"
-    grid_path.write_text(json.dumps(bundle, indent=2) + "\n")
+    grid_path = write_bundle(out, "grid.json", cfg.echo, results=results)
     print(f"wrote {grid_path}")
     return 0
 
@@ -271,20 +264,11 @@ def cmd_transfer(cfg: ExperimentConfig, args) -> int:
     if unseen is None:
         raise ConfigError("transfer: no unseen task available")
     rows = run_transfer(train, unseen, _choices(cfg, cfg.modes, train))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "transfer.csv"
-    write_transfer_table(rows, table_path)
-    bundle = {
-        "config": cfg.echo,
-        "unseen_task": unseen.task_id,
-        "rows": [
-            {"mode": r.mode, "source_task": r.source_task, "window": r.window, "f1": r.f1}
-            for r in rows
-        ],
-    }
-    json_path = out / "transfer.json"
-    json_path.write_text(json.dumps(bundle, indent=2) + "\n")
+    json_path = write_bundle(
+        cfg.output_dir, "transfer.json", cfg.echo,
+        unseen_task=unseen.task_id, rows=[dataclasses.asdict(r) for r in rows],
+    )
+    write_transfer_table(rows, json_path.with_name("transfer.csv"))
     for r in rows:
         print(
             f"mode={r.mode} source={r.source_task} window={r.window} f1={_fmt(r.f1)}"

@@ -281,6 +281,21 @@ def _shifted(modes, shifts):
     )
 
 
+def _train_test(block0, block1, n_train: int, freqs, task_id: str):
+    """Train and test datasets from equal-sized class-0 and class-1 sample blocks.
+
+    The first ``n_train`` rows of each block train; the rest test (None when
+    no rows are left).
+    """
+
+    def dataset(rows0, rows1):
+        labels = np.concatenate([np.zeros(len(rows0), int), np.ones(len(rows1), int)])
+        return TaskDataset(np.vstack([rows0, rows1]), labels, freqs, task_id)
+
+    test = dataset(block0[n_train:], block1[n_train:]) if len(block0) > n_train else None
+    return dataset(block0[:n_train], block1[:n_train]), test
+
+
 def synth_population(spec: SyntheticPopulationSpec) -> SyntheticPopulation:
     """Generate balanced train (and optional test) datasets for every task."""
     rng = np.random.default_rng(spec.seed)
@@ -313,16 +328,10 @@ def synth_population(spec: SyntheticPopulationSpec) -> SyntheticPopulation:
 
         block0 = curve0 + rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
         block1 = curve1 + rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
-        labels = np.concatenate([np.zeros(spec.n_samples, int), np.ones(spec.n_samples, int)])
-        train_feats = np.vstack([block0[: spec.n_samples], block1[: spec.n_samples]])
-        task_id = f"task{t + 1}"
-        tasks.append(TaskDataset(train_feats, labels, freqs, task_id))
-        if spec.n_test > 0:
-            test_feats = np.vstack([block0[spec.n_samples :], block1[spec.n_samples :]])
-            test_labels = np.concatenate(
-                [np.zeros(spec.n_test, int), np.ones(spec.n_test, int)]
-            )
-            test_tasks.append(TaskDataset(test_feats, test_labels, freqs, task_id))
+        train, test = _train_test(block0, block1, spec.n_samples, freqs, f"task{t + 1}")
+        tasks.append(train)
+        if test is not None:
+            test_tasks.append(test)
         truths.append(np.flatnonzero(np.abs(curve0 - curve1) > spec.noise_sd))
         curves.append((curve0, curve1))
 
@@ -409,22 +418,7 @@ def spectrum_to_datasets(
     block0 = monte_carlo_expand(c0, n_intermediate, per_class, sub0, two_stage=two_stage)
     block1 = monte_carlo_expand(c1, n_intermediate, per_class, sub1, two_stage=two_stage)
 
-    freqs = np.array(f0)
-    train = TaskDataset(
-        np.vstack([block0[:n_train_per_class], block1[:n_train_per_class]]),
-        np.concatenate([np.zeros(n_train_per_class, int), np.ones(n_train_per_class, int)]),
-        freqs,
-        task_id,
-    )
-    test = None
-    if n_test_per_class > 0:
-        test = TaskDataset(
-            np.vstack([block0[n_train_per_class:], block1[n_train_per_class:]]),
-            np.concatenate([np.zeros(n_test_per_class, int), np.ones(n_test_per_class, int)]),
-            freqs,
-            task_id,
-        )
-    return train, test
+    return _train_test(block0, block1, n_train_per_class, np.array(f0), task_id)
 
 
 def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:

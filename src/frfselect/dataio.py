@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +24,7 @@ from .experiment import (
     MODE_INDEPENDENT,
     MODE_MTL,
     EvaluationReport,
+    GridRow,
     GridSpec,
     TransferRow,
     grid_search,
@@ -40,9 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "write_report_bundle",
-    "emit_weight_plot_table",
-    "load_report",
-    "load_delimited_table",
 ]
 
 
@@ -450,92 +448,45 @@ def load_config(
     )
 
 
-def _report_rows(report: EvaluationReport) -> list[dict]:
-    return [
-        {
-            "window": r.window,
-            "window_start": r.window_start,
-            "window_stop": r.window_stop,
-            "task": r.task_id,
-            "mode": r.mode,
-            "f1": r.f1,
-            "gini": r.gini,
-            "epsilon": r.epsilon,
-            "xi": r.xi,
-            "n_active": len(r.active),
-        }
-        for r in report.rows
-    ]
+def write_bundle(out_dir, name: str, config_echo: dict, **sections) -> Path:
+    """Write the JSON bundle ``out_dir/name`` and return its path.
+
+    Every bundle has one layout: the config echo under ``config``, then the
+    sections in the order given, 2-space indent and a trailing newline.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(json.dumps({"config": config_echo, **sections}, indent=2) + "\n")
+    return path
 
 
-def _weight_rows(report: EvaluationReport) -> list[dict]:
-    return [
-        {
-            "freq_hz": a.freq,
-            "weight": a.weight,
-            "task": r.task_id,
-            "mode": r.mode,
-            "window": r.window,
-        }
-        for r in report.rows
-        for a in r.active
-    ]
-
-
-def _trace_dict(trace) -> dict:
-    return {
-        "terminated_by": trace.terminated_by,
-        "steps": [
-            {
-                "iteration": s.iteration,
-                "kind": s.kind,
-                "feature": s.feature,
-                "task": s.task,
-                "sign": s.sign,
-                "empirical_loss_after": s.empirical_loss_after,
-                "penalty_after": s.penalty_after,
-                "total_loss_after": s.total_loss_after,
-                "lambda_after": s.lambda_after,
-            }
-            for s in trace.steps
-        ],
-    }
-
-
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header line of ``columns``, then one line per tuple of values."""
     lines = [",".join(columns)]
     for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_weight_plot_table(report: EvaluationReport, path) -> None:
-    """Delimited table of the nonzero weights: freq_hz, weight, task, mode, window."""
-    _write_csv(
-        Path(path),
-        ["freq_hz", "weight", "task", "mode", "window"],
-        _weight_rows(report),
-    )
+def _write_table(path, cls, rows) -> None:
+    """One column per field of the dataclass ``cls``, one line per row."""
+    _write_csv(Path(path), [f.name for f in fields(cls)], map(astuple, rows))
 
 
-def write_grid_table(table, path) -> None:
-    columns = ["stage", "epsilon", "xi", "n_windows", "mean_f1", "mean_gini"]
-    _write_csv(Path(path), columns, [{c: getattr(g, c) for c in columns} for g in table])
+def write_grid_table(table: tuple[GridRow, ...], path) -> None:
+    _write_table(path, GridRow, table)
 
 
 def write_transfer_table(rows: tuple[TransferRow, ...], path) -> None:
-    _write_csv(
-        Path(path),
-        ["mode", "source_task", "window", "f1"],
-        [
-            {"mode": r.mode, "source_task": r.source_task, "window": r.window, "f1": r.f1}
-            for r in rows
-        ],
-    )
+    _write_table(path, TransferRow, rows)
+
+
+_SUMMARY_COLUMNS = (
+    "window", "window_start", "window_stop", "task", "mode", "f1", "gini", "epsilon", "xi",
+    "n_active",
+)
+_WEIGHT_COLUMNS = ("freq_hz", "weight", "task", "mode", "window")
 
 
 def write_report_bundle(
@@ -547,53 +498,29 @@ def write_report_bundle(
 
     The JSON bundle embeds the resolved config echo, so the bundle alone
     reproduces the run; it carries the solver traces when the report has
-    any. Output is deterministic: no timestamps, fixed key order, shortest
-    round-trip floats.
+    any. ``summary.csv`` and ``active_weights.csv`` (the nonzero weights)
+    hold the rows of the bundle's sections of the same names. Output is
+    deterministic: no timestamps, fixed key order, shortest round-trip
+    floats.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bundle: dict[str, Any] = {
-        "config": config_echo,
-        "summary": _report_rows(report),
-        "active_weights": _weight_rows(report),
+    tables = {
+        "summary": (_SUMMARY_COLUMNS, [
+            (r.window, r.window_start, r.window_stop, r.task_id, r.mode, r.f1, r.gini,
+             r.epsilon, r.xi, len(r.active))
+            for r in report.rows
+        ]),
+        "active_weights": (_WEIGHT_COLUMNS, [
+            (a.freq, a.weight, r.task_id, r.mode, r.window) for r in report.rows for a in r.active
+        ]),
     }
+    sections = {name: [dict(zip(cols, row)) for row in rows] for name, (cols, rows) in tables.items()}
     if report.traces:
-        bundle["traces"] = {key: _trace_dict(trace) for key, trace in report.traces}
-
-    paths = {"report": out / "report.json"}
-    paths["report"].write_text(json.dumps(bundle, indent=2) + "\n")
-
-    paths["summary"] = out / "summary.csv"
-    _write_csv(
-        paths["summary"],
-        ["window", "window_start", "window_stop", "task", "mode", "f1", "gini",
-         "epsilon", "xi", "n_active"],
-        _report_rows(report),
-    )
-    paths["active_weights"] = out / "active_weights.csv"
-    emit_weight_plot_table(report, paths["active_weights"])
+        sections["traces"] = {
+            key: {"terminated_by": t.terminated_by, "steps": [asdict(s) for s in t.steps]}
+            for key, t in report.traces
+        }
+    paths = {"report": write_bundle(out_dir, "report.json", config_echo, **sections)}
+    for name, (cols, rows) in tables.items():
+        paths[name] = paths["report"].with_name(f"{name}.csv")
+        _write_csv(paths[name], cols, rows)
     return paths
-
-
-def load_report(path) -> dict:
-    """Re-parse a report.json bundle."""
-    return json.loads(Path(path).read_text())
-
-
-def load_delimited_table(path) -> list[dict[str, str]]:
-    """Re-parse any of the emitted CSV tables into a list of string dicts."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    columns = lines[0].split(",")
-    out = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != len(columns):
-            raise DatasetFormatError(
-                f"{path}: inconsistent row width, line {lineno}"
-            )
-        out.append(dict(zip(columns, cells)))
-    return out

@@ -10,11 +10,11 @@ from frfselect import (
     SpectrumLine,
     TaskDataset,
     load_dataset,
-    load_delimited_table,
     save_dataset,
     write_spectrum,
 )
 from frfselect.cli import main
+from tables import load_delimited_table
 
 CONFIG = """
 seed: 11
@@ -399,6 +399,37 @@ class TestDataDependentChecks:
         config.write_text(text.replace(old, new, 1))
         assert main([command, "--config", str(config)]) == 1
         assert message in capsys.readouterr().err
+
+    @staticmethod
+    def unbalanced_grid_config(tmp_path, labels, folds):
+        rng = np.random.default_rng(0)
+        freqs = np.array([10.0, 20.0, 30.0])
+        data = TaskDataset(rng.normal(size=(len(labels), 3)), np.array(labels), freqs, "a")
+        save_dataset(data, tmp_path / "a.csv")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "seed: 2\nsolver: {epsilon: 0.2, xi: 0.01, max_iters: 20}\nn_windows: 1\n"
+            "tasks: [{id: a, train: a.csv}]\n"
+            f"grid: {{epsilons: [0.2], xis: [0.01], window_counts: [1], strategy: exhaustive, "
+            f"folds: {folds}}}\n"
+        )
+        return cfg
+
+    def test_folds_beyond_the_smaller_class_exit_1(self, tmp_path, capsys):
+        # 6 and 3 samples: a fourth fold would validate on class 0 alone
+        out = tmp_path / "out"
+        cfg = self.unbalanced_grid_config(tmp_path, [0] * 6 + [1] * 3, folds=4)
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.folds: 4 exceeds the 3 samples of the smaller class of task 'a'" in err
+        assert not out.exists()
+        cfg = self.unbalanced_grid_config(tmp_path, [0] * 6 + [1] * 3, folds=3)
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_single_class_task_stays_a_runtime_error(self, tmp_path, capsys):
+        cfg = self.unbalanced_grid_config(tmp_path, [1] * 4, folds=2)
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "both classes" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -15,17 +15,15 @@ from frfselect import (
     EvaluationReport,
     SolverConfig,
     TaskDataset,
-    emit_weight_plot_table,
     fit,
     load_config,
     load_dataset,
-    load_delimited_table,
-    load_report,
     save_dataset,
     write_report_bundle,
 )
 from frfselect import dataio
 from frfselect.experiment import ActiveFeature, ReportRow
+from tables import load_delimited_table, load_report
 
 
 def sample_dataset():
@@ -390,8 +388,7 @@ class TestReportBundle:
         assert rows[1]["mode"] == "mtl"
 
     def test_weight_table_lists_only_active_weights(self, tmp_path):
-        path = tmp_path / "weights.csv"
-        emit_weight_plot_table(tiny_report(), path)
+        path = write_report_bundle(tiny_report(), {}, tmp_path)["active_weights"]
         rows = load_delimited_table(path)
         assert len(rows) == 1
         assert rows[0] == {
