@@ -1,10 +1,7 @@
 """Command-line front end.
 
-Five subcommands cover the pipeline: ``generate`` materializes datasets
-from a config, ``fit`` trains the configured modes and reports test
-scores, ``grid`` runs the cross-validated hyperparameter search,
-``compare`` always runs both the per-task and the joint arm side by
-side, and ``transfer`` scores fitted models on a task they never saw.
+Each subcommand is one ``_COMMANDS`` entry: a handler, which takes the
+resolved config and returns the exit code, and its help line.
 
 Exit codes: 0 success, 1 bad usage or bad configuration, 2 a failure
 while running (unreadable data files, degenerate inputs). Output files
@@ -21,15 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import (
-    SpectrumFormatError,
-    load_spectrum,
-    spectrum_to_datasets,
-    synth_population,
-)
+from .datagen import load_spectrum, spectrum_to_datasets, synth_population
 from .dataio import (
     ConfigError,
-    DatasetFormatError,
     ExperimentConfig,
     _fmt,
     load_config,
@@ -48,7 +39,6 @@ from .experiment import (
     run_comparison,
     run_transfer,
 )
-from .solver import DegenerateLabelsError
 
 __all__ = ["main", "entry"]
 
@@ -73,22 +63,8 @@ def build_parser() -> _Parser:
 
     parser = _Parser(prog="frfselect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="write the configured datasets to files")
-    p.set_defaults(handler=cmd_generate)
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit the configured modes and score them on test data")
-    p.set_defaults(handler=cmd_fit)
-    p = sub.add_parser("grid", parents=[common],
-                       help="cross-validated (epsilon, xi, windows) search")
-    p.set_defaults(handler=cmd_grid)
-    p = sub.add_parser("compare", parents=[common],
-                       help="fit per-task and joint arms side by side")
-    p.set_defaults(handler=cmd_compare)
-    p = sub.add_parser("transfer", parents=[common],
-                       help="score fitted models on an unseen task")
-    p.set_defaults(handler=cmd_transfer)
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 
@@ -182,7 +158,7 @@ def _run_eval(cfg: ExperimentConfig, modes) -> int:
     return 0
 
 
-def cmd_generate(cfg: ExperimentConfig, args) -> int:
+def cmd_generate(cfg: ExperimentConfig) -> int:
     train, test, unseen = _materialize(cfg, unseen_file=True)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,21 +182,13 @@ def cmd_generate(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_fit(cfg: ExperimentConfig, args) -> int:
-    return _run_eval(cfg, cfg.modes)
-
-
-def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    return _run_eval(cfg, (MODE_INDEPENDENT, MODE_MTL))
-
-
-def cmd_grid(cfg: ExperimentConfig, args) -> int:
+def cmd_grid(cfg: ExperimentConfig) -> int:
     if cfg.grid is None:
         raise ConfigError("grid section is required for the grid command")
     train, _, _ = _materialize(cfg)
     n_feat = train[0].n_features
     _check_at_most("grid.window_counts", cfg.grid.window_counts, n_feat, "feature lines")
-    if cfg.grid_strategy == "staged":
+    if cfg.grid.strategy == "staged":
         _check_at_most("grid.stage_windows", [cfg.grid.stage_windows], n_feat, "feature lines")
     # folds are dealt per class from fold 0, so folds beyond a task's smaller
     # class validate on one class only; a one-class task fails later (exit 2)
@@ -239,7 +207,6 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
             mode,
             max_iters=cfg.solver.max_iters,
             lambda_floor=cfg.solver.lambda_floor,
-            strategy=cfg.grid_strategy,
             threads=cfg.threads,
         )
         table_path = out / f"grid_{mode}.csv"
@@ -257,7 +224,7 @@ def cmd_grid(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_transfer(cfg: ExperimentConfig, args) -> int:
+def cmd_transfer(cfg: ExperimentConfig) -> int:
     if cfg.transfer is None:
         raise ConfigError("transfer section is required for the transfer command")
     train, _, unseen = _materialize(cfg, unseen_file=True)
@@ -277,6 +244,18 @@ def cmd_transfer(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+# name -> (handler, help line), in help order
+_COMMANDS = {
+    "generate": (cmd_generate, "write the configured datasets to files"),
+    "fit": (lambda cfg: _run_eval(cfg, cfg.modes),
+            "fit the configured modes and score them on test data"),
+    "grid": (cmd_grid, "cross-validated (epsilon, xi, windows) search"),
+    "compare": (lambda cfg: _run_eval(cfg, (MODE_INDEPENDENT, MODE_MTL)),
+                "fit per-task and joint arms side by side"),
+    "transfer": (cmd_transfer, "score fitted models on an unseen task"),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -291,17 +270,11 @@ def main(argv=None) -> int:
             out_override=args.out,
             threads_override=args.threads,
         )
-        return args.handler(cfg, args)
-    except ConfigError as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except ConfigError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DatasetFormatError,
-        SpectrumFormatError,
-        DegenerateLabelsError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

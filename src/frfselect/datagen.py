@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TaskDataset
+from .model import TaskDataset, _check_int
 
 __all__ = [
     "SpectrumLine",
     "SpectrumFormatError",
     "coherence_std",
     "monte_carlo_expand",
-    "WindowPlan",
     "window_split",
     "ModalMode",
     "SyntheticPopulationSpec",
@@ -62,7 +61,7 @@ class SpectrumLine:
             raise ValueError("freq and h_mean must be finite")
         if not (np.isfinite(self.coherence) and 0.0 < self.coherence <= 1.0):
             raise ValueError(f"coherence must lie in (0, 1], got {self.coherence}")
-        if int(self.n_avg) < 1:
+        if _check_int("n_avg", self.n_avg) < 1:
             raise ValueError(f"n_avg must be a positive integer, got {self.n_avg}")
 
 
@@ -116,39 +115,8 @@ def monte_carlo_expand(
     return out
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    """Contiguous partition of a feature axis into near-equal windows."""
-
-    n_features: int
-    ranges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.ranges:
-            raise ValueError("a window plan needs at least one window")
-        cursor = 0
-        sizes = []
-        for start, stop in self.ranges:
-            if start != cursor or stop <= start:
-                raise ValueError(f"windows must tile the axis contiguously, got {self.ranges}")
-            sizes.append(stop - start)
-            cursor = stop
-        if cursor != self.n_features:
-            raise ValueError(f"windows cover {cursor} features, expected {self.n_features}")
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError(f"window sizes may differ by at most one, got {sizes}")
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.ranges)
-
-
-def window_split(n_features: int, n_windows: int) -> WindowPlan:
-    """Partition [0, n_features) into ``n_windows`` contiguous windows.
+def window_split(n_features: int, n_windows: int) -> tuple[tuple[int, int], ...]:
+    """Partition [0, n_features) into ``n_windows`` contiguous ``(start, stop)`` ranges.
 
     Sizes differ by at most one and the first ``n_features mod n_windows``
     windows carry the extra feature.
@@ -164,7 +132,7 @@ def window_split(n_features: int, n_windows: int) -> WindowPlan:
         size = base + (1 if w < extra else 0)
         ranges.append((start, start + size))
         start += size
-    return WindowPlan(n_features=n_features, ranges=tuple(ranges))
+    return tuple(ranges)
 
 
 @dataclass(frozen=True)

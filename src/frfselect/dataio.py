@@ -21,6 +21,7 @@ import yaml
 
 from .datagen import ModalMode, SpectrumLine, SyntheticPopulationSpec, spectrum_to_datasets
 from .experiment import (
+    GRID_STRATEGIES,
     MODE_INDEPENDENT,
     MODE_MTL,
     EvaluationReport,
@@ -182,7 +183,6 @@ class ExperimentConfig:
     synthetic: SyntheticPopulationSpec | None
     spectra: tuple[SpectrumSource, ...]
     grid: GridSpec | None
-    grid_strategy: str
     transfer: TransferSource | None
     echo: dict = field(repr=False)
 
@@ -218,7 +218,6 @@ class _Choice:
 
 _FILE = object()
 _MODE_NAMES = (MODE_INDEPENDENT, MODE_MTL)
-_STRATEGIES = ("staged", "exhaustive")  # the first is the default
 _FLOATS = _List(float)
 # Keys passed straight into a library call take that call's default.
 _EXPAND_DEFAULTS = spectrum_to_datasets.__kwdefaults__
@@ -282,7 +281,8 @@ _SCHEMA = (
         _Key("xis", _FLOATS, GridSpec.xis),
         _Key("window_counts", _List(int), GridSpec.window_counts),
         _Key("folds", int, GridSpec.folds),
-        _Key("strategy", _Choice("strategy", _STRATEGIES), _STRATEGIES[0]),
+        # the CLI searches in stages, a bare GridSpec exhaustively
+        _Key("strategy", _Choice("strategy", GRID_STRATEGIES), "staged"),
         _Key("stage_windows", int, GridSpec.stage_windows),
         _Key("refine_epsilons", _FLOATS, GridSpec.refine_epsilons),
     ), None),
@@ -404,7 +404,7 @@ def load_config(
     if "grid" in tree:
         node = tree["grid"]
         node["seed"] = seed
-        grid = _make("grid", GridSpec, **{k: v for k, v in node.items() if k != "strategy"})
+        grid = _make("grid", GridSpec, **node)
         _require(grid.pairs(), "grid: no (epsilon, xi) pairs satisfy epsilon > xi")
 
     transfer = None
@@ -442,7 +442,6 @@ def load_config(
             for s in tree.get("spectra", ())
         ),
         grid=grid,
-        grid_strategy=tree["grid"]["strategy"] if grid else _STRATEGIES[0],
         transfer=transfer,
         echo=tree,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import Standardizer, TaskDataset, sigmoid, standardized_copy
+from .model import Standardizer, TaskDataset, _check_int, sigmoid, standardized_copy
 from .solver import (
     FitResult,
     SolverConfig,
@@ -49,6 +49,7 @@ __all__ = [
 
 MODE_INDEPENDENT = "independent"
 MODE_MTL = "mtl"
+GRID_STRATEGIES = ("exhaustive", "staged")
 
 
 def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
@@ -80,7 +81,7 @@ def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter search space. Only pairs with epsilon > xi are kept."""
+    """Hyperparameter search space and strategy. Only pairs with epsilon > xi are kept."""
 
     epsilons: tuple[float, ...] = (1.0, 0.3, 0.1, 0.03)
     xis: tuple[float, ...] = (0.1, 0.01, 0.001)
@@ -89,20 +90,24 @@ class GridSpec:
     seed: int = 0
     stage_windows: int = 6
     refine_epsilons: tuple[float, ...] = ()
+    strategy: str = "exhaustive"
 
     def __post_init__(self):
+        windows = tuple(_check_int("window_counts", w) for w in self.window_counts)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "xis", tuple(float(x) for x in self.xis))
-        object.__setattr__(self, "window_counts", tuple(int(w) for w in self.window_counts))
+        object.__setattr__(self, "window_counts", windows)
         object.__setattr__(self, "refine_epsilons", tuple(float(e) for e in self.refine_epsilons))
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")
         if any(w < 1 for w in self.window_counts):
             raise ValueError("window counts must be positive")
-        if self.folds < 2:
+        if _check_int("folds", self.folds) < 2:
             raise ValueError("folds must be at least 2")
-        if self.stage_windows < 1:
+        if _check_int("stage_windows", self.stage_windows) < 1:
             raise ValueError("stage_windows must be positive")
+        if self.strategy not in GRID_STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def pairs(self) -> list[tuple[float, float]]:
         """(epsilon, xi) combinations with epsilon strictly greater than xi."""
@@ -142,26 +147,23 @@ class ModelChoice:
     def __post_init__(self):
         if self.mode not in (MODE_INDEPENDENT, MODE_MTL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_windows < 1:
+        if _check_int("n_windows", self.n_windows) < 1:
             raise ValueError("n_windows must be positive")
 
 
-def _window_fits(train_tasks, choices):
-    """Fit choices that differ only in ``xi`` on each window, in window order.
+def _window_fits(train_tasks, mode: str, n_windows: int, configs):
+    """Fit ``configs``, which differ only in ``xi``, on each window in order.
 
     Yields ``(window index, start, stop, fits)`` where ``fits[c]`` holds one
-    ``(FitResult, column)`` per task for ``choices[c]``: one fit per task
-    (independent) or one joint fit shared by all tasks (mtl). The choices
+    ``(FitResult, column)`` per task for ``configs[c]``: one fit per task
+    (independent) or one joint fit shared by all tasks (mtl). The configs
     share one solver path per fit until their tolerances pick different
     moves (``fit_xis``). Grid scoring, comparison and transfer all fit
     through here.
     """
-    first = choices[0]
-    configs = [c.solver for c in choices]
-    plan = window_split(train_tasks[0].n_features, first.n_windows)
-    for wi, (start, stop) in enumerate(plan.ranges):
+    for wi, (start, stop) in enumerate(window_split(train_tasks[0].n_features, n_windows)):
         windows = [t.window(start, stop) for t in train_tasks]
-        if first.mode == MODE_INDEPENDENT:
+        if mode == MODE_INDEPENDENT:
             per_task = [fit_xis([t], configs) for t in windows]
             fits = [[(res, 0) for res in results] for results in zip(*per_task)]
         else:
@@ -221,12 +223,12 @@ def _scored_f1(fit_result: FitResult, col: int, dataset: TaskDataset) -> float:
     return transfer_evaluate(fit_result, col, standardized_copy(dataset, std))
 
 
-def _scores(folds, choices) -> list[tuple[float, float]]:
-    """Mean validation F1 and Gini of each choice; the choices differ only in ``xi``."""
-    f1s = [[] for _ in choices]
-    ginis = [[] for _ in choices]
+def _scores(folds, mode: str, n_windows: int, configs) -> list[tuple[float, float]]:
+    """Mean validation F1 and Gini of each config; the configs differ only in ``xi``."""
+    f1s = [[] for _ in configs]
+    ginis = [[] for _ in configs]
     for fold_train, fold_val in folds:
-        for _, start, stop, fits in _window_fits(fold_train, choices):
+        for _, start, stop, fits in _window_fits(fold_train, mode, n_windows, configs):
             vals = [v.window(start, stop) for v in fold_val]
             for c, choice_fits in enumerate(fits):
                 for (res, col), val in zip(choice_fits, vals):
@@ -242,13 +244,12 @@ def grid_search(
     *,
     max_iters: int = SolverConfig.max_iters,
     lambda_floor: float = SolverConfig.lambda_floor,
-    strategy: str = "exhaustive",
     threads: int = 1,
 ) -> GridSearchResult:
     """Cross-validated hyperparameter search.
 
-    ``strategy="exhaustive"`` scores every (epsilon, xi, window-count)
-    combination. ``strategy="staged"`` scores the (epsilon, xi) pairs at
+    ``grid.strategy="exhaustive"`` scores every (epsilon, xi, window-count)
+    combination. ``grid.strategy="staged"`` scores the (epsilon, xi) pairs at
     ``grid.stage_windows`` windows, then window counts at the winning pair,
     then the ``grid.refine_epsilons`` list at the winning window count.
     The returned best row maximizes mean validation F1 over the whole
@@ -259,8 +260,6 @@ def grid_search(
         raise ValueError("grid_search requires at least one task")
     if mode not in (MODE_INDEPENDENT, MODE_MTL):
         raise ValueError(f"unknown mode {mode!r}")
-    if strategy not in ("exhaustive", "staged"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     pairs = grid.pairs()
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
@@ -280,7 +279,7 @@ def grid_search(
             fold_val.append(t.subset(tf[f]))
         folds.append((fold_train, fold_val))
 
-    evaluated: dict[tuple[float, float, int], GridRow] = {}
+    evaluated: set[tuple[float, float, int]] = set()
     table: list[GridRow] = []
 
     def run_stage(stage_name, points):
@@ -293,7 +292,7 @@ def grid_search(
         def score(group):
             (e, w), xis = group
             limits = dict(max_iters=max_iters, lambda_floor=lambda_floor)
-            return _scores(folds, [ModelChoice(mode, SolverConfig(e, x, **limits), w) for x in xis])
+            return _scores(folds, mode, w, [SolverConfig(e, x, **limits) for x in xis])
 
         items = list(groups.items())
         if threads > 1 and len(items) > 1:
@@ -306,11 +305,10 @@ def grid_search(
             for x, point_scores in zip(xis, group_scores):
                 scores[e, x, w] = point_scores
         for point in todo:
-            row = GridRow(stage_name, *point, *scores[point])
-            evaluated[point] = row
-            table.append(row)
+            evaluated.add(point)
+            table.append(GridRow(stage_name, *point, *scores[point]))
 
-    if strategy == "exhaustive":
+    if grid.strategy == "exhaustive":
         run_stage("exhaustive", [(e, x, w) for e, x in pairs for w in grid.window_counts])
     else:
         run_stage("pairs", [(e, x, grid.stage_windows) for e, x in pairs])
@@ -375,7 +373,8 @@ def run_comparison(train_tasks, test_tasks, choices, *, include_traces: bool = F
     rows = []
     traces = []
     for choice in choices:
-        for wi, start, stop, fits in _window_fits(train_tasks, [choice]):
+        plan = _window_fits(train_tasks, choice.mode, choice.n_windows, [choice.solver])
+        for wi, start, stop, fits in plan:
             for task, test, (res, col) in zip(train_tasks, test_tasks, fits[0]):
                 weights = res.weights.column(col)
                 rows.append(
@@ -422,7 +421,8 @@ def run_transfer(train_tasks, unseen: TaskDataset, choices) -> tuple[TransferRow
     )
     rows = []
     for choice in choices:
-        for wi, start, stop, fits in _window_fits(train_tasks, [choice]):
+        plan = _window_fits(train_tasks, choice.mode, choice.n_windows, [choice.solver])
+        for wi, start, stop, fits in plan:
             unseen_w = unseen.window(start, stop)
             unseen_std = standardized_copy(unseen_w, Standardizer.fit(unseen_w.features))
             for task, (res, col) in zip(train_tasks, fits[0]):

@@ -35,6 +35,14 @@ _SIGMOID_LO = float(np.nextafter(0.0, 1.0))
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
 
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; bools, floats and other non-integers raise
+    ValueError instead of being truncated. numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class TaskDataset:
     """Samples for one binary classification task.

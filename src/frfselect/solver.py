@@ -62,6 +62,7 @@ from scipy.special import expit
 from .model import (
     Standardizer,
     WeightMatrix,
+    _check_int,
     _nll_from_logits,
     _weights_2d,
     empirical_loss_mtl,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
@@ -115,7 +116,7 @@ class SolverConfig:
             raise ValueError(
                 f"step size epsilon ({self.epsilon}) must exceed tolerance xi ({self.xi})"
             )
-        if int(self.max_iters) < 1:
+        if _check_int("max_iters", self.max_iters) < 1:
             raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.lambda_floor) and self.lambda_floor >= 0):
             raise ValueError("lambda_floor must be a nonnegative real")
@@ -413,6 +414,9 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     total_before = state.empirical + lam * pen_now
     qualifying = []  # (key, gain, candidate) of the moves that qualify at xi_min
     for l in np.flatnonzero(exact_tasks):
+        # every nonzero coordinate of task l, in ascending order: the shape of
+        # the reference's scan, since the clamped kernel rounds a column subset
+        # differently from the same columns of a whole-task scan
         sel = np.flatnonzero(cols == l)
         idx = rows[sel]
         state.tally["backward_exact"] += idx.size

@@ -206,8 +206,7 @@ def test_pipeline_structure_dimensions():
     pairs = GridSpec().pairs()
     pairs_ok = len(pairs) == 10 and all(e > x for e, x in pairs)
 
-    plan = window_split(588, 6)
-    windows_ok = plan.sizes == (98,) * 6
+    windows_ok = [stop - start for start, stop in window_split(588, 6)] == [98] * 6
 
     labels = np.tile([0, 1], 750)
     folds = kfold_split(1500, labels, 5, seed=77)

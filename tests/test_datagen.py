@@ -10,7 +10,6 @@ from frfselect import (
     SpectrumFormatError,
     SpectrumLine,
     SyntheticPopulationSpec,
-    WindowPlan,
     coherence_std,
     load_spectrum,
     modal_magnitude,
@@ -61,6 +60,11 @@ class TestSpectrumLine:
     def test_rejects_bad_n_avg(self):
         with pytest.raises(ValueError):
             SpectrumLine(1.0, 1.0, 0.9, n_avg=0)
+
+    @pytest.mark.parametrize("n_avg", [2.5, 6.0, True])
+    def test_n_avg_must_be_an_integer(self, n_avg):
+        with pytest.raises(ValueError, match="n_avg must be an integer"):
+            SpectrumLine(1.0, 1.0, 0.9, n_avg=n_avg)
 
 
 SPECTRUM = [
@@ -113,21 +117,24 @@ class TestMonteCarloExpand:
             monte_carlo_expand([], 10, 5, seed=0)
 
 
+def sizes_of(ranges):
+    return tuple(stop - start for start, stop in ranges)
+
+
 class TestWindowSplit:
     def test_even_split(self):
-        plan = window_split(588, 6)
-        assert plan.sizes == (98,) * 6
-        assert plan.ranges[0] == (0, 98)
-        assert plan.ranges[-1] == (490, 588)
+        ranges = window_split(588, 6)
+        assert sizes_of(ranges) == (98,) * 6
+        assert ranges[0] == (0, 98)
+        assert ranges[-1] == (490, 588)
 
     def test_uneven_split_puts_extras_first(self):
-        plan = window_split(588, 16)
-        assert plan.sizes == (37,) * 12 + (36,) * 4
-        assert sum(plan.sizes) == 588
+        sizes = sizes_of(window_split(588, 16))
+        assert sizes == (37,) * 12 + (36,) * 4
+        assert sum(sizes) == 588
 
     def test_single_window(self):
-        plan = window_split(10, 1)
-        assert plan.ranges == ((0, 10),)
+        assert window_split(10, 1) == ((0, 10),)
 
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError):
@@ -138,27 +145,17 @@ class TestWindowSplit:
     @given(st.integers(min_value=1, max_value=200), st.data())
     def test_invariants(self, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
-        plan = window_split(n, k)
-        sizes = plan.sizes
+        ranges = window_split(n, k)
+        sizes = sizes_of(ranges)
         assert sum(sizes) == n
         assert len(sizes) == k
         assert max(sizes) - min(sizes) <= 1
         assert list(sizes) == sorted(sizes, reverse=True)
         cursor = 0
-        for start, stop in plan.ranges:
+        for start, stop in ranges:
             assert start == cursor
             cursor = stop
         assert cursor == n
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            WindowPlan(n_features=4, ranges=((0, 2), (3, 4)))  # gap
-        with pytest.raises(ValueError):
-            WindowPlan(n_features=4, ranges=((0, 2),))  # short cover
-        with pytest.raises(ValueError):
-            WindowPlan(n_features=6, ranges=((0, 4), (4, 6)))  # sizes differ by 2
-        with pytest.raises(ValueError):
-            WindowPlan(n_features=2, ranges=())
 
 
 class TestModalMagnitude:

@@ -265,7 +265,7 @@ transfer:
         cfg = load_config(self.write(tmp_path, MINIMAL + "\ngrid: {}\n"))
         assert cfg.grid is not None
         assert cfg.grid.seed == 7
-        assert cfg.grid_strategy == "staged"
+        assert cfg.grid.strategy == "staged"
         assert len(cfg.grid.pairs()) == 10
         with pytest.raises(ConfigError, match="strategy"):
             load_config(

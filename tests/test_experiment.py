@@ -100,6 +100,19 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(window_counts=(0,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("window_counts", (2.7,)),
+        ("window_counts", (2, 3.0)),
+        ("window_counts", (True,)),
+        ("folds", 2.5),
+        ("folds", True),
+        ("stage_windows", 1.5),
+        ("stage_windows", True),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GridSpec(**{field: value})
+
 
 class TestSelectBest:
     def row(self, f1, gini, e=0.1, w=1, x=0.01, stage="s"):
@@ -178,10 +191,9 @@ class TestGridSearch:
         pop = small_population()
         grid = GridSpec(
             epsilons=(0.5, 0.2), xis=(0.01,), window_counts=(1, 2), folds=2,
-            seed=0, stage_windows=1, refine_epsilons=(0.3,),
+            seed=0, stage_windows=1, refine_epsilons=(0.3,), strategy="staged",
         )
-        out = grid_search(pop.tasks, grid, "independent", max_iters=60,
-                          strategy="staged")
+        out = grid_search(pop.tasks, grid, "independent", max_iters=60)
         stages = [r.stage for r in out.table]
         assert stages == sorted(stages, key=["pairs", "windows", "refine"].index)
         points = [(r.epsilon, r.xi, r.n_windows) for r in out.table]
@@ -193,9 +205,9 @@ class TestGridSearch:
         grid = GridSpec(
             epsilons=(0.5,), xis=(0.1,), window_counts=(1,), folds=2,
             seed=0, stage_windows=1, refine_epsilons=(0.05,),  # 0.05 <= xi 0.1
+            strategy="staged",
         )
-        out = grid_search(pop.tasks, grid, "independent", max_iters=40,
-                          strategy="staged")
+        out = grid_search(pop.tasks, grid, "independent", max_iters=40)
         assert all(r.stage != "refine" for r in out.table)
 
     def test_threads_do_not_change_results(self):
@@ -213,9 +225,9 @@ class TestGridSearch:
         pop = small_population()
         grid = GridSpec(
             epsilons=(0.5, 0.2), xis=(0.1, 0.01, 0.001), window_counts=(1, 2), folds=2,
-            seed=3, stage_windows=2, refine_epsilons=(0.3,),
+            seed=3, stage_windows=2, refine_epsilons=(0.3,), strategy=strategy,
         )
-        shared = grid_search(pop.tasks, grid, mode, max_iters=60, strategy=strategy)
+        shared = grid_search(pop.tasks, grid, mode, max_iters=60)
         # the tolerances of one (epsilon, windows) reach different scores
         assert len({(r.epsilon, r.n_windows, r.mean_gini) for r in shared.table}) > len(
             {(r.epsilon, r.n_windows) for r in shared.table}
@@ -228,7 +240,7 @@ class TestGridSearch:
             return tuple(fit(tasks, c) for c in configs)
 
         monkeypatch.setattr(experiment, "fit_xis", solo_fits)
-        solo = grid_search(pop.tasks, grid, mode, max_iters=60, strategy=strategy)
+        solo = grid_search(pop.tasks, grid, mode, max_iters=60)
         assert max(group_sizes) == 3
         assert shared.table == solo.table
         assert shared.best == solo.best
@@ -241,7 +253,7 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(pop.tasks, grid, "both")
         with pytest.raises(ValueError):
-            grid_search(pop.tasks, grid, "independent", strategy="greedy")
+            GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2, strategy="greedy")
         empty = GridSpec(epsilons=(0.05,), xis=(0.1,), window_counts=(1,), folds=2)
         with pytest.raises(ValueError, match="pairs"):
             grid_search(pop.tasks, empty, "independent")
@@ -261,9 +273,9 @@ class TestRunComparison:
         assert len(report.rows) == 2 * 2 * 2  # windows x tasks x modes
         keys = {(r.window, r.task_id, r.mode) for r in report.rows}
         assert len(keys) == 8
-        plan = window_split(48, 2)
+        ranges = window_split(48, 2)
         for r in report.rows:
-            assert (r.window_start, r.window_stop) == plan.ranges[r.window]
+            assert (r.window_start, r.window_stop) == ranges[r.window]
 
     def test_separable_population_scores_perfectly_somewhere(self):
         pop = small_population()
@@ -278,9 +290,9 @@ class TestRunComparison:
     def test_active_features_use_global_indices(self):
         pop = small_population()
         report = run_comparison(pop.tasks, pop.test_tasks, self.choices())
-        plan = window_split(48, 2)
+        ranges = window_split(48, 2)
         for r in report.rows:
-            start, stop = plan.ranges[r.window]
+            start, stop = ranges[r.window]
             for a in r.active:
                 assert start <= a.index < stop
                 assert a.weight != 0.0
@@ -443,3 +455,8 @@ class TestModelChoice:
             ModelChoice("other", cfg, 1)
         with pytest.raises(ValueError):
             ModelChoice("mtl", cfg, 0)
+
+    @pytest.mark.parametrize("n_windows", [1.5, 2.0, True])
+    def test_n_windows_must_be_an_integer(self, n_windows):
+        with pytest.raises(ValueError, match="n_windows must be an integer"):
+            ModelChoice("mtl", SolverConfig(0.3, 0.01), n_windows)

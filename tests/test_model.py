@@ -250,3 +250,13 @@ class TestStandardizer:
         s = Standardizer.identity(2)
         with pytest.raises(ValueError):
             s.apply(np.ones((1, 3)))
+
+
+def test_integer_settings_accept_numpy_integers():
+    from frfselect import GridSpec, ModelChoice, SolverConfig, SpectrumLine
+
+    assert SolverConfig(0.3, 0.01, max_iters=np.int64(3)).max_iters == 3
+    grid = GridSpec(window_counts=(np.int32(2),), folds=np.int64(3), stage_windows=np.int64(2))
+    assert grid.window_counts == (2,) and type(grid.window_counts[0]) is int
+    assert ModelChoice("mtl", SolverConfig(0.3, 0.01), np.int64(2)).n_windows == 2
+    assert SpectrumLine(1.0, 1.0, 0.9, n_avg=np.int16(4)).n_avg == 4

@@ -226,6 +226,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.2, xi=0.01, lambda_floor=-0.5)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, np.float64(4.0)])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(0.3, 0.01, max_iters=max_iters)
+
 
 def separable_task(n=20, seed=5):
     rng = np.random.default_rng(seed)

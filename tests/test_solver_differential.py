@@ -9,6 +9,11 @@ that force a recheck with the clamped kernel.
 
 A ladder of tolerances per problem checks the shared path of ``fit_xis``
 against one ``fit`` per tolerance.
+
+A generated corpus (a Hypothesis strategy, derandomized by the ``ci``
+profile in ``conftest.py``) adds small problems with the same hard cases:
+duplicated, constant and power-of-two-scaled columns, separable tasks and
+raw-scale inputs, each with its own ladder, against the reference directly.
 """
 
 import dataclasses
@@ -17,6 +22,8 @@ import warnings
 import numpy as np
 import pytest
 import reference_solver
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfselect import SolverConfig, TaskDataset, fit, forward_step
 from frfselect.solver import fit_xis
@@ -301,3 +308,94 @@ def test_moves_within_rounding_of_the_current_loss_follow_the_clamped_kernel():
             assert (got.feature, got.task, got.sign) == (want.feature, want.task, want.sign)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+GEN_EPSILONS = (0.3, 0.1, 1.0, 0.05, 3.0, 0.02, 10.0, 40.0)  # simplest first
+GEN_XIS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+# a line is drawn as itself, or from an earlier line: an exact copy, a
+# constant, a power-of-two multiple (standardizes to an exact copy) or a
+# noisy copy (correlated lines make backward steps pay)
+COLUMN_KINDS = ("correlated", "normal", "copy", "constant", "pow2")
+
+
+@st.composite
+def generated_problems(draw):
+    """Tasks, ``standardize`` and a ladder of configs of one small problem."""
+    n_tasks = draw(st.integers(1, 4))
+    n = draw(st.integers(4, 16))
+    m = draw(st.integers(1, 8))
+    kinds = ["normal"] + [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(m - 1)]
+    raw = draw(st.booleans())
+    separable = [draw(st.booleans()) for _ in range(n_tasks)]
+    eps = draw(st.sampled_from(GEN_EPSILONS))
+    xis = draw(st.lists(st.sampled_from([x for x in GEN_XIS if x < eps]),
+                        min_size=1, max_size=3, unique=True))
+    max_iters = draw(st.integers(10, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    beta = rng.normal(size=m)
+    scales = 10.0 ** rng.integers(0, 3, size=m)
+    tasks = []
+    for l in range(n_tasks):
+        X = rng.normal(size=(n, m))
+        for j, kind in enumerate(kinds):
+            src = X[:, rng.integers(0, j)] if j else None
+            if kind == "copy":
+                X[:, j] = src
+            elif kind == "constant":
+                X[:, j] = rng.normal()
+            elif kind == "pow2":
+                X[:, j] = src * 2.0 ** rng.integers(-3, 4)
+            elif kind == "correlated":
+                X[:, j] = src + 0.3 * rng.normal(size=n)
+        if raw:
+            # unstandardized magnitudes: lines on scales 1 to 100 and a
+            # resonance peak near 1e3 on the last line in a few samples
+            X = X * scales
+            X[rng.integers(0, n, size=2), m - 1] += 1e3
+        z = X @ beta
+        if separable[l]:
+            y = np.zeros(n, dtype=int)
+            y[np.argsort(z, kind="stable")[n // 2:]] = 1
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))).astype(int)
+            y[0], y[1] = 0, 1
+        tasks.append(TaskDataset(X, y, np.arange(1.0, m + 1.0), f"t{l}"))
+    configs = [SolverConfig(eps, xi, max_iters=max_iters) for xi in sorted(xis)]
+    return tasks, not raw, configs
+
+
+@pytest.fixture(scope="module")
+def generated_runs():
+    """``FitStats`` of every generated problem, each checked on the way.
+
+    Hypothesis reports (and shrinks) the first problem whose ``fit`` or
+    ``fit_xis`` differs from the reference.
+    """
+    runs = []
+
+    @settings(max_examples=100)
+    @given(generated_problems())
+    def check(problem):
+        tasks, standardize, configs = problem
+        want = [reference_solver.fit(tasks, c, standardize=standardize) for c in configs]
+        solo = fit(tasks, configs[0], standardize=standardize)
+        shared = fit_xis(tasks, configs, standardize=standardize)
+        for got, ref in [(solo, want[0]), *zip(shared, want)]:
+            assert got.trace == ref.trace
+            assert np.array_equal(got.weights.values, ref.weights.values)
+            assert got.lambda_final == ref.lambda_final
+        runs.append(solo.stats)
+
+    check()
+    return runs
+
+
+def test_generated_problems_match_reference(generated_runs):
+    assert len(generated_runs) >= 50
+
+
+def test_generated_problems_reach_every_regime(generated_runs):
+    assert any(s.clamp_scans > 0 and s.fast_scans > 0 for s in generated_runs)
+    assert any(s.recheck_scans > 0 for s in generated_runs)
+    assert any(s.backward_steps > 0 for s in generated_runs)
