@@ -115,6 +115,9 @@ def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
         raise ConfigError("no data sources configured (tasks, spectra, or synthetic)")
     ids = [t.task_id for t in train]
     for k, task_id in enumerate(ids):
+        if not task_id or set(task_id) & set(",/\\\r\n"):
+            raise ConfigError(f"task id {task_id!r} must be non-empty and free of ',', '/', "
+                              "'\\' and line breaks: it names output files and table cells")
         if task_id in ids[:k]:
             raise ConfigError(
                 f"task id {task_id!r} names more than one training task "

@@ -61,8 +61,7 @@ class SpectrumLine:
             raise ValueError("freq and h_mean must be finite")
         if not (np.isfinite(self.coherence) and 0.0 < self.coherence <= 1.0):
             raise ValueError(f"coherence must lie in (0, 1], got {self.coherence}")
-        if _check_int("n_avg", self.n_avg) < 1:
-            raise ValueError(f"n_avg must be a positive integer, got {self.n_avg}")
+        _check_int("n_avg", self.n_avg, 1)
 
 
 def coherence_std(line: SpectrumLine) -> float:
@@ -95,23 +94,21 @@ def monte_carlo_expand(
     lines = tuple(spectrum)
     if not lines:
         raise ValueError("spectrum is empty")
-    if int(n_intermediate) < 2:
-        raise ValueError("n_intermediate must be at least 2")
-    if int(n_out) < 1:
-        raise ValueError("n_out must be at least 1")
+    _check_int("n_intermediate", n_intermediate, 2)
+    _check_int("n_out", n_out, 1)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(lines))
-    out = np.empty((int(n_out), len(lines)))
+    out = np.empty((n_out, len(lines)))
     for m, line in enumerate(lines):
         rng = np.random.default_rng(children[m])
         sd = coherence_std(line)
         if two_stage:
-            pool = rng.normal(line.h_mean, sd, int(n_intermediate))
+            pool = rng.normal(line.h_mean, sd, n_intermediate)
             mu = float(pool.mean())
             sd_hat = float(pool.std(ddof=1))
-            out[:, m] = rng.normal(mu, sd_hat, int(n_out))
+            out[:, m] = rng.normal(mu, sd_hat, n_out)
         else:
-            out[:, m] = rng.normal(line.h_mean, sd, int(n_out))
+            out[:, m] = rng.normal(line.h_mean, sd, n_out)
     return out
 
 
@@ -121,10 +118,8 @@ def window_split(n_features: int, n_windows: int) -> tuple[tuple[int, int], ...]
     Sizes differ by at most one and the first ``n_features mod n_windows``
     windows carry the extra feature.
     """
-    if n_windows < 1 or n_windows > n_features:
-        raise ValueError(
-            f"n_windows must lie in 1..{n_features}, got {n_windows}"
-        )
+    if not 1 <= _check_int("n_windows", n_windows) <= n_features:
+        raise ValueError(f"n_windows must lie in 1..{n_features}, got {n_windows}")
     base, extra = divmod(n_features, n_windows)
     ranges = []
     start = 0
@@ -200,6 +195,9 @@ class SyntheticPopulationSpec:
             raise ValueError(
                 f"class_shift has {len(self.class_shift)} entries for {len(self.modes)} modes"
             )
+        for name, minimum in (("n_samples", 1), ("n_tasks", 1), ("n_features", 1),
+                              ("n_test", 0), ("nuisance_modes", 0), ("seed", 0)):
+            _check_int(name, getattr(self, name), minimum)
         lo, hi = self.nuisance_band
         if self.nuisance_modes > 0 and not lo < hi:
             raise ValueError(f"nuisance_band must be an increasing pair, got {self.nuisance_band}")
@@ -208,16 +206,6 @@ class SyntheticPopulationSpec:
             raise ValueError(f"freq_range must be an increasing positive pair, got {self.freq_range}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples (per class) must be at least 1")
-        if self.n_test < 0:
-            raise ValueError("n_test must be nonnegative")
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be at least 1")
-        if self.n_features < 1:
-            raise ValueError("n_features must be at least 1")
-        if self.nuisance_modes < 0:
-            raise ValueError("nuisance_modes must be nonnegative")
         if not (0.0 < self.nuisance_damping < 1.0):
             raise ValueError("nuisance_damping must lie in (0, 1)")
         if self.nuisance_amplitude <= 0:
@@ -369,10 +357,8 @@ def spectrum_to_datasets(
     ``n_train_per_class`` rows of each class form the training set and the
     remainder the test set (None when ``n_test_per_class`` is 0).
     """
-    if n_train_per_class < 1:
-        raise ValueError("n_train_per_class must be at least 1")
-    if n_test_per_class < 0:
-        raise ValueError("n_test_per_class must be nonnegative")
+    _check_int("n_train_per_class", n_train_per_class, 1)
+    _check_int("n_test_per_class", n_test_per_class, 0)
     c0 = _crop_and_normalize(tuple(class0_lines), freq_min, freq_max, normalize)
     c1 = _crop_and_normalize(tuple(class1_lines), freq_min, freq_max, normalize)
     f0 = [ln.freq for ln in c0]
@@ -434,5 +420,5 @@ def write_spectrum(lines, path) -> None:
     """Write spectrum lines in the load_spectrum format."""
     rows = [",".join(SPECTRUM_HEADER)]
     for ln in lines:
-        rows.append(f"{ln.freq!r},{ln.h_mean!r},{ln.coherence!r}")
+        rows.append(",".join(repr(float(x)) for x in (ln.freq, ln.h_mean, ln.coherence)))
     Path(path).write_text("\n".join(rows) + "\n")

@@ -58,11 +58,11 @@ def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
     Indices of each class are shuffled and dealt round-robin, so per-fold
     class proportions match the full set within one sample.
     """
+    _check_int("n_samples", n_samples)
+    _check_int("k", k, 2)
     y = np.asarray(labels)
     if y.shape != (n_samples,):
         raise ValueError(f"labels shape {y.shape} does not match n_samples={n_samples}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
     if k > n_samples:
         raise ValueError(f"k={k} exceeds the {n_samples} available samples")
     if not np.all(np.isin(y, (0, 1))):
@@ -93,19 +93,16 @@ class GridSpec:
     strategy: str = "exhaustive"
 
     def __post_init__(self):
-        windows = tuple(_check_int("window_counts", w) for w in self.window_counts)
+        windows = tuple(_check_int("window_counts", w, 1) for w in self.window_counts)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "xis", tuple(float(x) for x in self.xis))
         object.__setattr__(self, "window_counts", windows)
         object.__setattr__(self, "refine_epsilons", tuple(float(e) for e in self.refine_epsilons))
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")
-        if any(w < 1 for w in self.window_counts):
-            raise ValueError("window counts must be positive")
-        if _check_int("folds", self.folds) < 2:
-            raise ValueError("folds must be at least 2")
-        if _check_int("stage_windows", self.stage_windows) < 1:
-            raise ValueError("stage_windows must be positive")
+        _check_int("folds", self.folds, 2)
+        _check_int("stage_windows", self.stage_windows, 1)
+        _check_int("seed", self.seed, 0)
         if self.strategy not in GRID_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -147,8 +144,7 @@ class ModelChoice:
     def __post_init__(self):
         if self.mode not in (MODE_INDEPENDENT, MODE_MTL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if _check_int("n_windows", self.n_windows) < 1:
-            raise ValueError("n_windows must be positive")
+        _check_int("n_windows", self.n_windows, 1)
 
 
 def _window_fits(train_tasks, mode: str, n_windows: int, configs):
@@ -204,7 +200,7 @@ def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDatas
     statistics for the source task's own data, the unseen task's own
     feature statistics for cross-structure transfer).
     """
-    if not 0 <= source_task_col < fitted.weights.n_tasks:
+    if _check_int("source_task_col", source_task_col, 0) >= fitted.weights.n_tasks:
         raise ValueError(
             f"source_task_col {source_task_col} outside 0..{fitted.weights.n_tasks - 1}"
         )

@@ -35,11 +35,13 @@ _SIGMOID_LO = float(np.nextafter(0.0, 1.0))
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
 
-def _check_int(name: str, value) -> int:
-    """``value`` as an int; bools, floats and other non-integers raise
-    ValueError instead of being truncated. numpy integers are accepted."""
+def _check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int of at least ``minimum``. numpy integers pass; bools,
+    floats and other non-integers raise ValueError instead of being truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
 

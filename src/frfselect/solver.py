@@ -116,8 +116,7 @@ class SolverConfig:
             raise ValueError(
                 f"step size epsilon ({self.epsilon}) must exceed tolerance xi ({self.xi})"
             )
-        if _check_int("max_iters", self.max_iters) < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_int("max_iters", self.max_iters, 1)
         if not (np.isfinite(self.lambda_floor) and self.lambda_floor >= 0):
             raise ValueError("lambda_floor must be a nonnegative real")
 

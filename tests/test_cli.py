@@ -297,6 +297,31 @@ tasks:
             assert f"error: task id {task_id!r} names more than one training task" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'tasks: [{id: "x/y", train: ok.csv, test: ok.csv}]',
+            'tasks: [{id: "a,b", train: ok.csv, test: ok.csv}]',
+            'tasks: [{id: "a\\\\b", train: ok.csv, test: ok.csv}]',
+            'tasks: [{id: "a\\nb", train: ok.csv, test: ok.csv}]',
+            # an empty tasks[] id falls back to the file name; a spectrum's cannot
+            'spectra: [{id: "", ' + SPECTRUM,
+        ],
+    )
+    def test_task_id_unfit_for_output_files_is_config_error(self, tmp_path, capsys, source):
+        # ids name output files ('/' opens a directory) and CSV cells (',')
+        (tmp_path / "ok.csv").write_text("label,10.0,20.0\n1,0.5,0.2\n0,0.1,0.4\n")
+        for name, h in (("s0.csv", 1.0), ("s1.csv", 2.0)):
+            write_spectrum([SpectrumLine(f, h, 0.9) for f in (10.0, 20.0)], tmp_path / name)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 2\nsolver: {epsilon: 0.2, xi: 0.01}\nn_windows: 1\n" + source)
+        for command in ("generate", "fit"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert "must be non-empty and free of" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_fit_and_compare_do_not_read_the_unseen_file(self, tmp_path, capsys):
         # only generate and transfer use transfer.unseen
         (tmp_path / "ok.csv").write_text("label,10.0,20.0\n1,0.5,0.2\n0,0.1,0.4\n")

@@ -58,7 +58,7 @@ class TestSpectrumLine:
             SpectrumLine(1.0, 1.0, 1.5)
 
     def test_rejects_bad_n_avg(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_avg must be at least 1, got 0"):
             SpectrumLine(1.0, 1.0, 0.9, n_avg=0)
 
     @pytest.mark.parametrize("n_avg", [2.5, 6.0, True])
@@ -109,10 +109,15 @@ class TestMonteCarloExpand:
         assert np.array_equal(out, np.tile([2.0, -1.0], (6, 1)))
 
     def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_intermediate must be at least 2, got 1"):
             monte_carlo_expand(SPECTRUM, 1, 5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_out must be at least 1, got 0"):
             monte_carlo_expand(SPECTRUM, 10, 0, seed=0)
+        for bad in (10.7, 2.5, True):
+            with pytest.raises(ValueError, match="n_intermediate must be an integer"):
+                monte_carlo_expand(SPECTRUM, bad, 3, seed=0)
+            with pytest.raises(ValueError, match="n_out must be an integer"):
+                monte_carlo_expand(SPECTRUM, 10, bad, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_expand([], 10, 5, seed=0)
 
@@ -139,8 +144,11 @@ class TestWindowSplit:
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError):
             window_split(10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"n_windows must lie in 1\.\.10, got 11"):
             window_split(10, 11)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="n_windows must be an integer"):
+                window_split(10, bad)
 
     @given(st.integers(min_value=1, max_value=200), st.data())
     def test_invariants(self, n, data):
@@ -263,11 +271,18 @@ class TestSynthPopulation:
         with pytest.raises(ValueError):
             small_spec(nuisance_band=(190.0, 130.0))
         with pytest.raises(ValueError):
-            small_spec(n_samples=0)
-        with pytest.raises(ValueError):
-            small_spec(n_tasks=0)
-        with pytest.raises(ValueError):
             small_spec(freq_range=(200.0, 5.0))
+
+    @pytest.mark.parametrize("field, minimum", [
+        ("n_samples", 1), ("n_tasks", 1), ("n_features", 1),
+        ("n_test", 0), ("nuisance_modes", 0), ("seed", 0),
+    ])
+    def test_integer_fields(self, field, minimum):
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                small_spec(**{field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be at least {minimum}"):
+            small_spec(**{field: minimum - 1})
 
 
 class TestSpectrumIO:
@@ -276,6 +291,15 @@ class TestSpectrumIO:
         write_spectrum(SPECTRUM, path)
         back = load_spectrum(path, n_avg=6)
         assert back == SPECTRUM
+
+    def test_round_trip_of_numpy_fields(self, tmp_path):
+        # population_spectrum passes a numpy coherence through
+        path = tmp_path / "spec.csv"
+        lines = [SpectrumLine(np.float64(1.0), np.float32(0.5), np.float64(0.9))]
+        lines += population_spectrum(synth_population(small_spec()), 0, 1, np.float64(0.9))
+        write_spectrum(lines, path)
+        assert path.read_text().splitlines()[1] == "1.0,0.5,0.9"
+        assert load_spectrum(path) == lines
 
     def test_header_is_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -368,6 +392,19 @@ class TestSpectrumToDatasets:
             freq_min=15.0, freq_max=25.0,
         )
         assert train.feature_freqs.tolist() == [20.0]
+
+    def test_rejects_bad_counts(self):
+        kwargs = dict(n_train_per_class=2, n_test_per_class=0, seed=1, task_id="x",
+                      n_intermediate=50)
+        cases = [
+            ("n_train_per_class", 0, "at least 1"),
+            ("n_test_per_class", -1, "at least 0"),
+            ("n_intermediate", 1, "at least 2"),
+        ]
+        for field, below, message in cases:
+            for value, expected in ((below, message), (2.5, "an integer"), (True, "an integer")):
+                with pytest.raises(ValueError, match=f"{field} must be {expected}"):
+                    spectrum_to_datasets(SPECTRUM, SPECTRUM, **{**kwargs, field: value})
 
     def test_crop_to_nothing_rejected(self):
         with pytest.raises(ValueError, match="no spectrum lines"):

@@ -67,8 +67,12 @@ class TestKfoldSplit:
 
     def test_rejects_bad_inputs(self):
         labels = balanced_labels(10)
-        with pytest.raises(ValueError):
-            kfold_split(10, labels, 1, seed=0)
+        for k, message in ((1, "at least 2"), (2.5, "an integer"), (True, "an integer")):
+            with pytest.raises(ValueError, match=f"k must be {message}"):
+                kfold_split(10, labels, k, seed=0)
+        for n_samples in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                kfold_split(n_samples, labels, 2, seed=0)
         with pytest.raises(ValueError):
             kfold_split(10, labels, 11, seed=0)
         with pytest.raises(ValueError):
@@ -95,10 +99,14 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(epsilons=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="folds must be at least 2, got 1"):
             GridSpec(folds=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window_counts must be at least 1, got 0"):
             GridSpec(window_counts=(0,))
+        with pytest.raises(ValueError, match="stage_windows must be at least 1, got 0"):
+            GridSpec(stage_windows=0)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            GridSpec(seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("window_counts", (2.7,)),
@@ -108,6 +116,8 @@ class TestGridSpec:
         ("folds", True),
         ("stage_windows", 1.5),
         ("stage_windows", True),
+        ("seed", 2.5),
+        ("seed", True),
     ])
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -444,8 +454,11 @@ class TestTransfer:
     def test_transfer_evaluate_rejects_bad_column(self):
         pop = small_population()
         res = fit(pop.tasks, SolverConfig(0.3, 0.01, max_iters=40))
-        with pytest.raises(ValueError, match="source_task_col"):
+        with pytest.raises(ValueError, match="source_task_col 5 outside 0..1"):
             transfer_evaluate(res, 5, pop.tasks[0])
+        for col, message in ((-1, "at least 0"), (2.5, "an integer"), (True, "an integer")):
+            with pytest.raises(ValueError, match=f"source_task_col must be {message}"):
+                transfer_evaluate(res, col, pop.tasks[0])
 
 
 class TestModelChoice:
@@ -453,7 +466,7 @@ class TestModelChoice:
         cfg = SolverConfig(0.3, 0.01)
         with pytest.raises(ValueError):
             ModelChoice("other", cfg, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_windows must be at least 1, got 0"):
             ModelChoice("mtl", cfg, 0)
 
     @pytest.mark.parametrize("n_windows", [1.5, 2.0, True])

@@ -15,6 +15,7 @@ from frfselect import (
     sigmoid,
     total_loss,
 )
+from frfselect.model import _check_int
 
 LN2 = math.log(2.0)
 
@@ -252,11 +253,44 @@ class TestStandardizer:
             s.apply(np.ones((1, 3)))
 
 
-def test_integer_settings_accept_numpy_integers():
-    from frfselect import GridSpec, ModelChoice, SolverConfig, SpectrumLine
+@pytest.mark.parametrize("value, minimum, message", [
+    (2.5, None, "n must be an integer, got 2.5"),
+    (3.0, 1, "n must be an integer, got 3.0"),
+    (True, 0, "n must be an integer, got True"),
+    ("3", None, "n must be an integer, got '3'"),
+    (1, 2, "n must be at least 2, got 1"),
+    (np.int64(-1), 0, "n must be at least 0, got -1"),
+])
+def test_check_int_rejects(value, minimum, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _check_int("n", value, minimum)
+
+
+def test_integer_settings_accept_numpy_integers(tiny_task):
+    from frfselect import (
+        GridSpec, ModelChoice, SolverConfig, SpectrumLine, SyntheticPopulationSpec, fit,
+        kfold_split, monte_carlo_expand, spectrum_to_datasets, transfer_evaluate, window_split,
+    )
 
     assert SolverConfig(0.3, 0.01, max_iters=np.int64(3)).max_iters == 3
-    grid = GridSpec(window_counts=(np.int32(2),), folds=np.int64(3), stage_windows=np.int64(2))
+    grid = GridSpec(window_counts=(np.int32(2),), folds=np.int64(3), stage_windows=np.int64(2),
+                    seed=np.int64(4))
     assert grid.window_counts == (2,) and type(grid.window_counts[0]) is int
     assert ModelChoice("mtl", SolverConfig(0.3, 0.01), np.int64(2)).n_windows == 2
     assert SpectrumLine(1.0, 1.0, 0.9, n_avg=np.int16(4)).n_avg == 4
+    assert len(kfold_split(np.int64(4), [0, 1, 0, 1], np.int64(2), 0)) == 2
+    res = fit([tiny_task], SolverConfig(0.3, 0.01, max_iters=5))
+    assert transfer_evaluate(res, np.int64(0), tiny_task) == transfer_evaluate(res, 0, tiny_task)
+    lines = [SpectrumLine(1.0, 1.0, 0.9), SpectrumLine(2.0, 0.5, 0.9)]
+    assert monte_carlo_expand(lines, np.int64(10), np.int32(3), 0).shape == (3, 2)
+    assert window_split(np.int64(5), np.int64(2)) == ((0, 3), (3, 5))
+    train, test = spectrum_to_datasets(
+        lines, lines, n_train_per_class=np.int64(2), n_test_per_class=np.int64(1),
+        seed=0, task_id="t", n_intermediate=np.int64(10),
+    )
+    assert (train.n_samples, test.n_samples) == (4, 2)
+    SyntheticPopulationSpec(
+        modes=(), class_shift=(), nuisance_band=(1.0, 2.0), noise_sd=0.1,
+        n_samples=np.int64(1), seed=np.int64(0), n_test=np.int64(0), n_tasks=np.int64(1),
+        n_features=np.int64(2), nuisance_modes=np.int64(0),
+    )

@@ -221,7 +221,7 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.2, xi=-1.0)
         with pytest.raises(ValueError, match="exceed"):
             SolverConfig(epsilon=0.01, xi=0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iters must be at least 1, got 0"):
             SolverConfig(epsilon=0.2, xi=0.01, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.2, xi=0.01, lambda_floor=-0.5)

@@ -25,7 +25,7 @@ import reference_solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frfselect import SolverConfig, TaskDataset, fit, forward_step
+from frfselect import SolverConfig, TaskDataset, backward_step, fit, forward_step
 from frfselect.solver import fit_xis
 
 EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
@@ -308,6 +308,26 @@ def test_moves_within_rounding_of_the_current_loss_follow_the_clamped_kernel():
             assert (got.feature, got.task, got.sign) == (want.feature, want.task, want.sign)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def test_exact_backward_ties_break_toward_low_feature_then_task():
+    # two identical tasks, and line 2 a copy of line 0 with the same weight:
+    # the four backward moves tie exactly, so only the tie-break decides
+    cfg = SolverConfig(0.3, 0.001)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(8, 40)), int(rng.integers(3, 8))
+        X = rng.normal(size=(n, m))
+        X[:, 2] = X[:, 0]
+        y = rng.integers(0, 2, size=n)
+        y[0], y[1] = 0, 1
+        tasks = [TaskDataset(X, y, np.arange(1.0, m + 1.0), f"t{l}") for l in range(2)]
+        W = np.zeros((m, 2))
+        W[0, :] = W[2, :] = 0.6
+        got = backward_step(W, tasks, cfg, 0.5)
+        want = reference_solver.backward_step(W, tasks, cfg, 0.5)
+        assert (want.feature, want.task, want.sign) == (0, 0, -1), f"seed {seed}"
+        assert got == want, f"seed {seed}"
 
 
 GEN_EPSILONS = (0.3, 0.1, 1.0, 0.05, 3.0, 0.02, 10.0, 40.0)  # simplest first
