@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TaskDataset, _check_int
+from .model import TaskDataset, _check_int, _check_real
 
 __all__ = [
     "SpectrumLine",
@@ -57,10 +57,9 @@ class SpectrumLine:
     n_avg: int = 6
 
     def __post_init__(self):
-        if not (np.isfinite(self.freq) and np.isfinite(self.h_mean)):
-            raise ValueError("freq and h_mean must be finite")
-        if not (np.isfinite(self.coherence) and 0.0 < self.coherence <= 1.0):
-            raise ValueError(f"coherence must lie in (0, 1], got {self.coherence}")
+        _check_real("freq", self.freq)
+        _check_real("h_mean", self.h_mean)
+        _check_real("coherence", self.coherence, above=0, at_most=1)
         _check_int("n_avg", self.n_avg, 1)
 
 
@@ -140,12 +139,9 @@ class ModalMode:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.natural_freq) and self.natural_freq > 0):
-            raise ValueError(f"natural_freq must be positive, got {self.natural_freq}")
-        if not (np.isfinite(self.damping) and 0.0 < self.damping < 1.0):
-            raise ValueError(f"damping ratio must lie in (0, 1), got {self.damping}")
-        if not (np.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        _check_real("natural_freq", self.natural_freq, above=0)
+        _check_real("damping", self.damping, above=0, below=1)
+        _check_real("amplitude", self.amplitude, above=0)
 
 
 def modal_magnitude(freqs, modes) -> np.ndarray:
@@ -188,9 +184,8 @@ class SyntheticPopulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "class_shift", tuple(float(s) for s in self.class_shift))
-        object.__setattr__(self, "nuisance_band", tuple(float(b) for b in self.nuisance_band))
-        object.__setattr__(self, "freq_range", tuple(float(b) for b in self.freq_range))
+        for name in ("class_shift", "nuisance_band", "freq_range"):
+            object.__setattr__(self, name, tuple(_check_real(name, x) for x in getattr(self, name)))
         if len(self.class_shift) != len(self.modes):
             raise ValueError(
                 f"class_shift has {len(self.class_shift)} entries for {len(self.modes)} modes"
@@ -202,16 +197,13 @@ class SyntheticPopulationSpec:
         if self.nuisance_modes > 0 and not lo < hi:
             raise ValueError(f"nuisance_band must be an increasing pair, got {self.nuisance_band}")
         flo, fhi = self.freq_range
-        if not (np.isfinite(flo) and np.isfinite(fhi) and 0 < flo < fhi):
+        if not 0 < flo < fhi:
             raise ValueError(f"freq_range must be an increasing positive pair, got {self.freq_range}")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
-        if not (0.0 < self.nuisance_damping < 1.0):
-            raise ValueError("nuisance_damping must lie in (0, 1)")
-        if self.nuisance_amplitude <= 0:
-            raise ValueError("nuisance_amplitude must be positive")
-        if not (0.0 < self.coherence <= 1.0):
-            raise ValueError("coherence must lie in (0, 1]")
+        _check_real("noise_sd", self.noise_sd, at_least=0)
+        _check_real("nuisance_class_shift", self.nuisance_class_shift)
+        _check_real("nuisance_damping", self.nuisance_damping, above=0, below=1)
+        _check_real("nuisance_amplitude", self.nuisance_amplitude, above=0)
+        _check_real("coherence", self.coherence, above=0, at_most=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +351,9 @@ def spectrum_to_datasets(
     """
     _check_int("n_train_per_class", n_train_per_class, 1)
     _check_int("n_test_per_class", n_test_per_class, 0)
+    for name, bound in (("freq_min", freq_min), ("freq_max", freq_max)):
+        if bound is not None:
+            _check_real(name, bound)
     c0 = _crop_and_normalize(tuple(class0_lines), freq_min, freq_max, normalize)
     c1 = _crop_and_normalize(tuple(class1_lines), freq_min, freq_max, normalize)
     f0 = [ln.freq for ln in c0]

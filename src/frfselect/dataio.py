@@ -31,7 +31,7 @@ from .experiment import (
     grid_search,
     run_comparison,
 )
-from .model import TaskDataset
+from .model import TaskDataset, _check_int, _check_real
 from .solver import SolverConfig
 
 __all__ = [
@@ -88,7 +88,7 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
     freqs = []
     for k, name in enumerate(header[1:], start=1):
         try:
-            freqs.append(float(name))
+            freqs.append(_check_real("frequency", float(name)))
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: malformed header, line 1: column {k} name {name!r} is not a frequency"
@@ -292,7 +292,7 @@ _SCHEMA = (
     ), None),
 )
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {bool: "true or false", str: "a string"}
 
 
 def _require(cond: bool, msg: str):
@@ -300,7 +300,7 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _walk(kind, value, where: str, base: Path):
+def _walk(kind, value, where: str, base: Path, minimum: int | None = None):
     """Check one raw value against its kind; return it in echo form."""
     if isinstance(kind, tuple):
         return _walk_mapping(kind, value, where, base)
@@ -320,13 +320,13 @@ def _walk(kind, value, where: str, base: Path):
         p = base / value  # an absolute value replaces the base
         _require(p.is_file(), f"{where}: file not found: {p}")
         return str(p)
-    # bool is a subclass of int; it is never accepted as a number
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    _require(
-        ok and (kind is bool or not isinstance(value, bool)),
-        f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}",
-    )
-    return float(value) if kind is float else value
+    if kind is int or kind is float:
+        try:
+            return _check_int(where, value, minimum) if kind is int else _check_real(where, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    _require(isinstance(value, kind), f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _walk_mapping(keys, node, where: str, base: Path) -> dict:
@@ -341,9 +341,7 @@ def _walk_mapping(keys, node, where: str, base: Path) -> dict:
             _require(key.default is not _REQUIRED, f"{path} is required")
             value = key.default
         if value is not None:
-            value = _walk(key.kind, value, path, base)
-            if key.minimum is not None:
-                _require(value >= key.minimum, f"{path} must be at least {key.minimum}")
+            value = _walk(key.kind, value, path, base, key.minimum)
         section = isinstance(key.kind, (tuple, _List))
         if not (section and key.default is None and not value):
             out[key.name] = value
@@ -370,7 +368,8 @@ def load_config(
     All referenced files must exist; the seed is mandatory (command-line
     overrides are applied before validation and appear in the echo).
     Values of the wrong type are rejected, never coerced, except that an
-    integer is accepted where a number is expected.
+    integer is accepted where a number is expected; nan and ±inf are not
+    numbers here.
     """
     cfg_path = Path(path)
     _require(cfg_path.is_file(), f"config file not found: {cfg_path}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import Standardizer, TaskDataset, _check_int, sigmoid, standardized_copy
+from .model import Standardizer, TaskDataset, _check_int, _check_real, sigmoid, standardized_copy
 from .solver import (
     FitResult,
     SolverConfig,
@@ -94,10 +94,10 @@ class GridSpec:
 
     def __post_init__(self):
         windows = tuple(_check_int("window_counts", w, 1) for w in self.window_counts)
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "xis", tuple(float(x) for x in self.xis))
         object.__setattr__(self, "window_counts", windows)
-        object.__setattr__(self, "refine_epsilons", tuple(float(e) for e in self.refine_epsilons))
+        for name in ("epsilons", "xis", "refine_epsilons"):
+            values = tuple(_check_real(name, x, above=0) for x in getattr(self, name))
+            object.__setattr__(self, name, values)
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")
         _check_int("folds", self.folds, 2)
@@ -254,6 +254,7 @@ def grid_search(
     train_tasks = tuple(train_tasks)
     if not train_tasks:
         raise ValueError("grid_search requires at least one task")
+    _check_int("threads", threads, 1)
     if mode not in (MODE_INDEPENDENT, MODE_MTL):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = grid.pairs()

@@ -10,6 +10,7 @@ statistics only) and the standardization is carried around explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,21 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value, *, above=-math.inf, at_least=-math.inf, below=math.inf,
+                at_most=math.inf) -> float:
+    """``value`` as a finite float inside the given bounds. ints and numpy numbers
+    pass; bools, strings, nan and ±inf raise ValueError instead of being coerced."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    # nan fails every comparison and ±inf the default bounds
+    if not (above < x < below and at_least <= x <= at_most):
+        bounds = (("above", above), ("at least", at_least), ("below", below), ("at most", at_most))
+        words = " and".join(f" {word} {b}" for word, b in bounds if math.isfinite(b))
+        raise ValueError(f"{name} must be a finite number{words}, got {x}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,11 +302,10 @@ def l21_norm(weights) -> float:
 
 def total_loss(weights, tasks, lam: float) -> LossBreakdown:
     """Penalised loss: empirical average plus ``lam`` times the group norm."""
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be a nonnegative real, got {lam}")
+    lam = _check_real("lam", lam, at_least=0)
     arr = _weights_2d(weights)
     empirical = empirical_loss_mtl(arr, tasks)
     penalty = l21_norm(arr)
     return LossBreakdown(
-        empirical=empirical, penalty=penalty, lam=float(lam), total=empirical + lam * penalty
+        empirical=empirical, penalty=penalty, lam=lam, total=empirical + lam * penalty
     )

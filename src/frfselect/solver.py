@@ -63,6 +63,7 @@ from .model import (
     Standardizer,
     WeightMatrix,
     _check_int,
+    _check_real,
     _nll_from_logits,
     _weights_2d,
     empirical_loss_mtl,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
@@ -108,17 +109,14 @@ class SolverConfig:
     lambda_floor: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a positive real, got {self.epsilon}")
-        if not (np.isfinite(self.xi) and self.xi > 0):
-            raise ValueError(f"xi must be a positive real, got {self.xi}")
+        _check_real("epsilon", self.epsilon, above=0)
+        _check_real("xi", self.xi, above=0)
         if not self.epsilon > self.xi:
             raise ValueError(
                 f"step size epsilon ({self.epsilon}) must exceed tolerance xi ({self.xi})"
             )
         _check_int("max_iters", self.max_iters, 1)
-        if not (np.isfinite(self.lambda_floor) and self.lambda_floor >= 0):
-            raise ValueError("lambda_floor must be a nonnegative real")
+        _check_real("lambda_floor", self.lambda_floor, at_least=0)
 
 
 @dataclass(frozen=True)
@@ -475,8 +473,7 @@ def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandi
     empirical loss wins (ties toward low feature then task index).
     Returns None when no move qualifies.
     """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be a nonnegative real, got {lam}")
+    _check_real("lam", lam, at_least=0)
     tasks = tuple(tasks)
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
     if not np.any(W != 0.0):

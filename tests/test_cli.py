@@ -369,6 +369,23 @@ def file_config(tmp_path):
     return path
 
 
+# nan, inf and out-of-range reals; each exits 1 at load time and names its key
+NUMBER_MISTAKES = [
+    ("synthetic", "xi: 0.01", "xi: .nan", "solver.xi"),
+    ("synthetic", "xi: 0.01", "xi: .inf", "solver.xi"),
+    ("synthetic", "[130.0, 190.0]", "[130.0, .inf]", "synthetic.nuisance_band"),
+    ("synthetic", "[130.0, 190.0]", "[.nan, 190.0]", "synthetic.nuisance_band"),
+    ("synthetic", "[4.0, -5.0]", "[.nan, -5.0]", "synthetic.class_shift"),
+    ("synthetic", "[4.0, -5.0]", "[4.0, -.inf]", "synthetic.class_shift"),
+    ("synthetic", "n_features: 32", "n_features: 32\n  nuisance_amplitude: .nan",
+     "synthetic.nuisance_amplitude"),
+    ("files", "normalize: true", "normalize: true, freq_min: .nan", "spectra[0].freq_min"),
+    ("files", "normalize: true", "normalize: true, freq_min: .inf", "spectra[0].freq_min"),
+    ("synthetic", "epsilons: [0.5, 0.2]", "epsilons: [.nan, 0.2]", "grid.epsilons"),
+    ("synthetic", "xis: [0.01]", "xis: [-0.01]", "grid: xis"),
+]
+
+
 class TestConfigTypes:
     """A value of the wrong type is a config error, never coerced."""
 
@@ -388,6 +405,7 @@ class TestConfigTypes:
             ("files", "normalize: true", 'normalize: "false"', "spectra[0].normalize"),
             ("files", "id: a,", "id: 1,", "tasks[0].id"),
             ("synthetic", "epsilons: [0.5, 0.2]", "epsilons: 0.3", "grid.epsilons"),
+            *NUMBER_MISTAKES,
         ],
     )
     def test_wrong_type_exits_1(self, request, tmp_path, base, old, new, key, capsys):
@@ -398,7 +416,22 @@ class TestConfigTypes:
         command = "grid" if key.startswith("grid.") else "generate"
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("base, old, new, key", NUMBER_MISTAKES)
+    def test_bad_number_is_one_error_line(self, request, tmp_path, base, old, new, key, capsys):
+        path = request.getfixturevalue("config" if base == "synthetic" else "file_config")
+        path.write_text(path.read_text().replace(old, new, 1))
+        for command in ("fit", "grid"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+            assert not out.exists()
 
 
 class TestDataDependentChecks:

@@ -88,6 +88,17 @@ class TestDatasetErrors:
         with pytest.raises(DatasetFormatError, match="not a frequency"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name", ["nan", "inf", "-inf", "1e999"])
+    def test_header_frequencies_must_be_finite(self, tmp_path, name):
+        # nan compares false, so it would pass the strictly-increasing test
+        path = self.write(tmp_path, f"label,10.0,{name},30.0\n1,0.5,0.5,0.5\n")
+        with pytest.raises(
+            DatasetFormatError,
+            match=f"^{re.escape(str(path))}: malformed header, line 1: column 2 name '{name}' "
+            "is not a frequency$",
+        ):
+            load_dataset(path)
+
     def test_header_frequencies_must_increase(self, tmp_path):
         path = self.write(tmp_path, "label,20.0,10.0\n1,0.5,0.5\n")
         with pytest.raises(DatasetFormatError, match="strictly increasing"):

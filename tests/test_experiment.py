@@ -188,6 +188,18 @@ class TestGridSearch:
         assert row.mean_f1 == np.mean(f1s)
         assert row.mean_gini == np.mean(ginis)
 
+    @pytest.mark.parametrize("threads, message", [
+        (True, "threads must be an integer, got True"),
+        (2.5, "threads must be an integer, got 2.5"),
+        ("2", "threads must be an integer, got '2'"),
+        (0, "threads must be at least 1, got 0"),
+        (-3, "threads must be at least 1, got -3"),
+    ])
+    def test_threads_follow_the_integer_rule(self, tiny_task, threads, message):
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search([tiny_task], grid, "independent", threads=threads)
+
     def test_exhaustive_covers_the_product(self):
         pop = small_population()
         grid = GridSpec(epsilons=(0.5, 0.2), xis=(0.01,), window_counts=(1, 2),

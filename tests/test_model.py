@@ -6,16 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frfselect import (
+    GridSpec,
+    ModalMode,
+    SolverConfig,
+    SpectrumLine,
     Standardizer,
+    SyntheticPopulationSpec,
     TaskDataset,
     WeightMatrix,
+    backward_step,
     empirical_loss_mtl,
     empirical_loss_single,
     l21_norm,
     sigmoid,
+    spectrum_to_datasets,
     total_loss,
 )
-from frfselect.model import _check_int
+from frfselect.model import _check_int, _check_real
 
 LN2 = math.log(2.0)
 
@@ -294,3 +301,119 @@ def test_integer_settings_accept_numpy_integers(tiny_task):
         n_samples=np.int64(1), seed=np.int64(0), n_test=np.int64(0), n_tasks=np.int64(1),
         n_features=np.int64(2), nuisance_modes=np.int64(0),
     )
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    (True, {}, "x must be a real number, got True"),
+    ("1", {}, "x must be a real number, got '1'"),
+    (None, {}, "x must be a real number, got None"),
+    (np.bool_(True), {}, "x must be a real number, got np.True_"),
+    (math.nan, {}, "x must be a finite number, got nan"),
+    (math.inf, {}, "x must be a finite number, got inf"),
+    (np.float64(-math.inf), {"above": 0}, "x must be a finite number above 0, got -inf"),
+    (0, {"above": 0}, "x must be a finite number above 0, got 0.0"),
+    (-1e-300, {"at_least": 0}, "x must be a finite number at least 0, got -1e-300"),
+    (np.int64(1), {"above": 0, "below": 1},
+     "x must be a finite number above 0 and below 1, got 1.0"),
+    (1.5, {"above": 0, "at_most": 1}, "x must be a finite number above 0 and at most 1, got 1.5"),
+])
+def test_check_real_rejects(value, bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _check_real("x", value, **bounds)
+
+
+def test_check_real_returns_a_float():
+    for value in (3, np.int64(3), np.float32(3.0), np.float64(3.0), 3.0):
+        assert _check_real("x", value, above=0, at_most=3) == 3.0
+        assert type(_check_real("x", value)) is float
+    assert _check_real("x", 0, at_least=0) == 0.0
+
+
+def _spec(**kw):
+    base = dict(modes=(ModalMode(40.0, 0.04),), class_shift=(4.0,), nuisance_band=(130.0, 190.0),
+                noise_sd=0.05, n_samples=2, seed=0)
+    return SyntheticPopulationSpec(**{**base, **kw})
+
+
+def _expand(**kw):
+    lines = [SpectrumLine(0.25, 1.0, 0.9), SpectrumLine(0.5, 0.5, 0.9)]
+    return spectrum_to_datasets(lines, lines, n_train_per_class=1, n_test_per_class=0, seed=0,
+                                task_id="t", **kw)
+
+
+# every real-valued setting of the library: (the name its ValueError gives, a call
+# that passes v to it, valid for v = 0.5)
+_REAL_SETTINGS = {
+    "SolverConfig.epsilon": ("epsilon", lambda v, task: SolverConfig(v, 0.01)),
+    "SolverConfig.xi": ("xi", lambda v, task: SolverConfig(1.0, v)),
+    "SolverConfig.lambda_floor": (
+        "lambda_floor", lambda v, task: SolverConfig(0.3, 0.01, lambda_floor=v)),
+    "backward_step.lam": ("lam", lambda v, task: backward_step(
+        np.zeros((task.n_features, 1)), [task], SolverConfig(0.3, 0.01), v)),
+    "total_loss.lam": ("lam", lambda v, task: total_loss(np.zeros(task.n_features), [task], v)),
+    "SpectrumLine.freq": ("freq", lambda v, task: SpectrumLine(v, 1.0, 0.9)),
+    "SpectrumLine.h_mean": ("h_mean", lambda v, task: SpectrumLine(1.0, v, 0.9)),
+    "SpectrumLine.coherence": ("coherence", lambda v, task: SpectrumLine(1.0, 1.0, v)),
+    "ModalMode.natural_freq": ("natural_freq", lambda v, task: ModalMode(v, 0.04)),
+    "ModalMode.damping": ("damping", lambda v, task: ModalMode(40.0, v)),
+    "ModalMode.amplitude": ("amplitude", lambda v, task: ModalMode(40.0, 0.04, v)),
+    "spec.class_shift": ("class_shift", lambda v, task: _spec(class_shift=(v,))),
+    "spec.nuisance_band": ("nuisance_band", lambda v, task: _spec(nuisance_band=(v, 190.0))),
+    "spec.freq_range": ("freq_range", lambda v, task: _spec(freq_range=(v, 200.0))),
+    "spec.noise_sd": ("noise_sd", lambda v, task: _spec(noise_sd=v)),
+    "spec.nuisance_class_shift": (
+        "nuisance_class_shift", lambda v, task: _spec(nuisance_class_shift=v)),
+    "spec.nuisance_damping": ("nuisance_damping", lambda v, task: _spec(nuisance_damping=v)),
+    "spec.nuisance_amplitude": ("nuisance_amplitude", lambda v, task: _spec(nuisance_amplitude=v)),
+    "spec.coherence": ("coherence", lambda v, task: _spec(coherence=v)),
+    "GridSpec.epsilons": ("epsilons", lambda v, task: GridSpec(epsilons=(0.3, v))),
+    "GridSpec.xis": ("xis", lambda v, task: GridSpec(xis=(v,))),
+    "GridSpec.refine_epsilons": ("refine_epsilons", lambda v, task: GridSpec(refine_epsilons=(v,))),
+    "spectrum_to_datasets.freq_min": ("freq_min", lambda v, task: _expand(freq_min=v)),
+    "spectrum_to_datasets.freq_max": ("freq_max", lambda v, task: _expand(freq_max=v)),
+}
+
+
+@pytest.mark.parametrize("setting", _REAL_SETTINGS)
+def test_real_settings_reject_non_reals(tiny_task, setting):
+    name, call = _REAL_SETTINGS[setting]
+    call(0.5, tiny_task)  # a valid value passes
+    for value in (True, "1", math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be a (real|finite) number"):
+            call(value, tiny_task)
+
+
+def test_real_settings_accept_numpy_numbers(tiny_task):
+    cfg = SolverConfig(np.float64(0.3), np.float64(0.01), lambda_floor=np.int64(0))
+    assert (cfg.epsilon, cfg.xi, cfg.lambda_floor) == (0.3, 0.01, 0)
+    assert cfg == SolverConfig(0.3, 0.01)
+    weights = np.array([[0.3], [0.0]])
+    assert backward_step(weights, [tiny_task], cfg, np.float64(0.5)) == backward_step(
+        weights, [tiny_task], cfg, 0.5
+    )
+    loss = total_loss(weights, [tiny_task], np.int64(2))
+    assert loss == total_loss(weights, [tiny_task], 2.0) and type(loss.lam) is float
+    line = SpectrumLine(np.float64(1.5), np.int64(2), np.float64(0.9))
+    assert (line.freq, line.h_mean, line.coherence) == (1.5, 2, 0.9)
+    mode = ModalMode(np.int64(40), np.float64(0.04), np.int64(2))
+    assert mode == ModalMode(40.0, 0.04, 2.0)
+    grid = GridSpec(epsilons=(np.float64(0.3), np.int64(1)), xis=(np.float32(0.5), 1),
+                    refine_epsilons=(np.int64(2),))
+    assert grid.epsilons == (0.3, 1.0) and grid.xis == (0.5, 1.0) and grid.refine_epsilons == (2.0,)
+    assert all(type(x) is float for x in grid.epsilons + grid.xis + grid.refine_epsilons)
+    spec = SyntheticPopulationSpec(
+        modes=(mode,), class_shift=(np.int64(4),), nuisance_band=(np.float64(130.0), 190),
+        noise_sd=np.float64(0.05), n_samples=2, seed=0, freq_range=(np.int64(5), np.float64(200.0)),
+        nuisance_class_shift=np.int64(1), nuisance_damping=np.float64(0.05),
+        nuisance_amplitude=np.int64(1), coherence=np.float64(0.95),
+    )
+    assert spec.class_shift == (4.0,) and spec.nuisance_band == (130.0, 190.0)
+    assert spec.freq_range == (5.0, 200.0)
+    assert all(type(x) is float for x in spec.class_shift + spec.nuisance_band + spec.freq_range)
+    lines = [SpectrumLine(1.0, 1.0, 0.9), SpectrumLine(2.0, 0.5, 0.9), SpectrumLine(3.0, 0.2, 0.9)]
+    kw = dict(n_train_per_class=2, n_test_per_class=0, seed=0, task_id="t", n_intermediate=10)
+    numpy_band, _ = spectrum_to_datasets(
+        lines, lines, freq_min=np.int64(2), freq_max=np.float64(3), **kw)
+    float_band, _ = spectrum_to_datasets(lines, lines, freq_min=2.0, freq_max=3.0, **kw)
+    assert numpy_band.feature_freqs.tolist() == [2.0, 3.0]
+    assert np.array_equal(numpy_band.features, float_band.features)
