@@ -74,33 +74,34 @@ def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
     ``transfer.unseen`` is read only with ``unseen_file``; without it the
     unseen task is the held-out synthetic one, if any.
     """
+    echo = cfg.echo
     train: list = []
     test: list = []
     unseen = None
-    for files in cfg.tasks:
-        train.append(load_dataset(files.train, files.task_id))
-        test.append(load_dataset(files.test, files.task_id) if files.test else None)
-    for i, src in enumerate(cfg.spectra):
-        class0 = load_spectrum(src.class0, src.n_avg)
-        class1 = load_spectrum(src.class1, src.n_avg)
+    for t in echo.get("tasks", ()):
+        train.append(load_dataset(t["train"], t["id"]))
+        test.append(load_dataset(t["test"], t["id"]) if t["test"] else None)
+    sampling = echo["sampling"]
+    for i, src in enumerate(echo.get("spectra", ())):
         tr, te = spectrum_to_datasets(
-            class0,
-            class1,
-            n_train_per_class=src.n_train_per_class,
-            n_test_per_class=src.n_test_per_class,
-            seed=np.random.SeedSequence([cfg.seed, i]),
-            task_id=src.task_id,
-            n_intermediate=cfg.n_intermediate,
-            two_stage=cfg.sampling_mode == "two-stage",
-            normalize=src.normalize,
-            freq_min=src.freq_min,
-            freq_max=src.freq_max,
+            load_spectrum(src["class0"], src["n_avg"]),
+            load_spectrum(src["class1"], src["n_avg"]),
+            n_train_per_class=src["n_train_per_class"],
+            n_test_per_class=src["n_test_per_class"],
+            seed=np.random.SeedSequence([echo["seed"], i]),
+            task_id=src["id"],
+            n_intermediate=sampling["n_intermediate"],
+            two_stage=sampling["mode"] == "two-stage",
+            normalize=src["normalize"],
+            freq_min=src["freq_min"],
+            freq_max=src["freq_max"],
         )
         train.append(tr)
         test.append(te)
+    transfer = echo.get("transfer")
     if cfg.synthetic is not None:
         spec = cfg.synthetic
-        hold_out = cfg.transfer is not None and cfg.transfer.extra_synthetic_task
+        hold_out = transfer is not None and transfer["extra_synthetic_task"]
         if hold_out:
             spec = dataclasses.replace(spec, n_tasks=spec.n_tasks + 1)
         pop = synth_population(spec)
@@ -123,8 +124,8 @@ def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
                 f"task id {task_id!r} names more than one training task "
                 "(tasks, spectra and synthetic ids must be distinct)"
             )
-    if unseen_file and cfg.transfer is not None and cfg.transfer.unseen is not None:
-        unseen = load_dataset(cfg.transfer.unseen)
+    if unseen_file and transfer is not None and transfer["unseen"] is not None:
+        unseen = load_dataset(transfer["unseen"])
     return train, test, unseen
 
 
@@ -141,17 +142,18 @@ def _require_tests(test_tasks):
 
 
 def _choices(cfg: ExperimentConfig, modes, train) -> list[ModelChoice]:
-    _check_at_most("n_windows", [cfg.n_windows], train[0].n_features, "feature lines")
-    return [ModelChoice(mode, cfg.solver, cfg.n_windows) for mode in modes]
+    n_windows = cfg.echo["n_windows"]
+    _check_at_most("n_windows", [n_windows], train[0].n_features, "feature lines")
+    return [ModelChoice(mode, cfg.solver, n_windows) for mode in modes]
 
 
 def _run_eval(cfg: ExperimentConfig, modes) -> int:
     train, test, _ = _materialize(cfg)
     report = run_comparison(
         train, _require_tests(test), _choices(cfg, modes, train),
-        include_traces=cfg.include_traces,
+        include_traces=cfg.echo["include_traces"],
     )
-    paths = write_report_bundle(report, cfg.echo, cfg.output_dir)
+    paths = write_report_bundle(report, cfg.echo, cfg.echo["output_dir"])
     for r in report.rows:
         print(
             f"window={r.window} task={r.task_id} mode={r.mode} "
@@ -163,7 +165,7 @@ def _run_eval(cfg: ExperimentConfig, modes) -> int:
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
     train, test, unseen = _materialize(cfg, unseen_file=True)
-    out = Path(cfg.output_dir)
+    out = Path(cfg.echo["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for tr, te in zip(train, test):
@@ -200,17 +202,17 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
         if n_minor:
             _check_at_most("grid.folds", [cfg.grid.folds], n_minor,
                            f"samples of the smaller class of task {t.task_id!r}")
-    out = Path(cfg.output_dir)
+    out = Path(cfg.echo["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     results = {}
-    for mode in cfg.modes:
+    for mode in cfg.echo["modes"]:
         result = grid_search(
             train,
             cfg.grid,
             mode,
             max_iters=cfg.solver.max_iters,
             lambda_floor=cfg.solver.lambda_floor,
-            threads=cfg.threads,
+            threads=cfg.echo["threads"],
         )
         table_path = out / f"grid_{mode}.csv"
         write_grid_table(result.table, table_path)
@@ -228,14 +230,14 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
 
 
 def cmd_transfer(cfg: ExperimentConfig) -> int:
-    if cfg.transfer is None:
+    if "transfer" not in cfg.echo:
         raise ConfigError("transfer section is required for the transfer command")
     train, _, unseen = _materialize(cfg, unseen_file=True)
     if unseen is None:
         raise ConfigError("transfer: no unseen task available")
-    rows = run_transfer(train, unseen, _choices(cfg, cfg.modes, train))
+    rows = run_transfer(train, unseen, _choices(cfg, cfg.echo["modes"], train))
     json_path = write_bundle(
-        cfg.output_dir, "transfer.json", cfg.echo,
+        cfg.echo["output_dir"], "transfer.json", cfg.echo,
         unseen_task=unseen.task_id, rows=[dataclasses.asdict(r) for r in rows],
     )
     write_transfer_table(rows, json_path.with_name("transfer.csv"))
@@ -250,7 +252,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> int:
 # name -> (handler, help line), in help order
 _COMMANDS = {
     "generate": (cmd_generate, "write the configured datasets to files"),
-    "fit": (lambda cfg: _run_eval(cfg, cfg.modes),
+    "fit": (lambda cfg: _run_eval(cfg, cfg.echo["modes"]),
             "fit the configured modes and score them on test data"),
     "grid": (cmd_grid, "cross-validated (epsilon, xi, windows) search"),
     "compare": (lambda cfg: _run_eval(cfg, (MODE_INDEPENDENT, MODE_MTL)),

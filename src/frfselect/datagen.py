@@ -185,7 +185,11 @@ class SyntheticPopulationSpec:
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         for name in ("class_shift", "nuisance_band", "freq_range"):
-            object.__setattr__(self, name, tuple(_check_real(name, x) for x in getattr(self, name)))
+            entries = enumerate(getattr(self, name))
+            values = tuple(_check_real(f"{name}[{i}]", x) for i, x in entries)
+            if name != "class_shift" and len(values) != 2:
+                raise ValueError(f"{name} must be a pair of numbers, got {values}")
+            object.__setattr__(self, name, values)
         if len(self.class_shift) != len(self.modes):
             raise ValueError(
                 f"class_shift has {len(self.class_shift)} entries for {len(self.modes)} modes"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -141,50 +142,15 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
 
 
 @dataclass(frozen=True)
-class TaskFiles:
-    task_id: str
-    train: Path
-    test: Path | None
-
-
-@dataclass(frozen=True)
-class SpectrumSource:
-    task_id: str
-    class0: Path
-    class1: Path
-    n_avg: int
-    n_train_per_class: int
-    n_test_per_class: int
-    normalize: bool
-    freq_min: float | None
-    freq_max: float | None
-
-
-@dataclass(frozen=True)
-class TransferSource:
-    unseen: Path | None            # dataset file, or None when synthetic
-    extra_synthetic_task: bool     # generate one extra synthetic task as the unseen one
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run configuration; ``echo`` reproduces the run."""
+    """A validated run configuration. ``echo`` is the resolved config tree,
+    which every report embeds and the CLI runs from; the sections the
+    library takes as objects are also built once here."""
 
-    seed: int
-    output_dir: Path
-    solver: SolverConfig
-    n_windows: int
-    modes: tuple[str, ...]
-    threads: int
-    include_traces: bool
-    sampling_mode: str
-    n_intermediate: int
-    tasks: tuple[TaskFiles, ...]
-    synthetic: SyntheticPopulationSpec | None
-    spectra: tuple[SpectrumSource, ...]
-    grid: GridSpec | None
-    transfer: TransferSource | None
     echo: dict = field(repr=False)
+    solver: SolverConfig
+    synthetic: SyntheticPopulationSpec | None
+    grid: GridSpec | None
 
 
 _REQUIRED = object()
@@ -221,6 +187,9 @@ _MODE_NAMES = (MODE_INDEPENDENT, MODE_MTL)
 _FLOATS = _List(float)
 # Keys passed straight into a library call take that call's default.
 _EXPAND_DEFAULTS = spectrum_to_datasets.__kwdefaults__
+# The echo repeats the top-level seed in these sections; load_config accepts
+# it there only when it equals the file's seed, so an echo loads back.
+_ECHOED_SEED = _Key("seed", int, None)
 
 # The config schema in echo order. Every key the loader accepts is here.
 _SCHEMA = (
@@ -264,6 +233,7 @@ _SCHEMA = (
         _Key("nuisance_damping", float, SyntheticPopulationSpec.nuisance_damping),
         _Key("nuisance_amplitude", float, SyntheticPopulationSpec.nuisance_amplitude),
         _Key("coherence", float, SyntheticPopulationSpec.coherence),
+        _ECHOED_SEED,
     ), None),
     _Key("spectra", _List((
         _Key("id", str),
@@ -285,6 +255,7 @@ _SCHEMA = (
         _Key("strategy", _Choice("strategy", GRID_STRATEGIES), "staged"),
         _Key("stage_windows", int, GridSpec.stage_windows),
         _Key("refine_epsilons", _FLOATS, GridSpec.refine_epsilons),
+        _ECHOED_SEED,
     ), None),
     _Key("transfer", (
         _Key("unseen", _FILE, None),
@@ -349,11 +320,18 @@ def _walk_mapping(keys, node, where: str, base: Path) -> dict:
 
 
 def _make(where: str, cls, **kwargs):
-    """Build a typed config object; its validation errors become ConfigError."""
+    """Build a typed config object; its validation errors become ConfigError.
+
+    An error about one setting starts ``<field>[<i>] must be``, as the number
+    rule words it, and is given the key path; an error relating settings is
+    given the section as a prefix.
+    """
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        one = re.match(r"(\w+)(\[\d+\])* must be ", str(exc))
+        sep = "." if one and one[1] in kwargs else ": "
+        raise ConfigError(f"{where}{sep}{exc}") from None
 
 
 def load_config(
@@ -375,25 +353,34 @@ def load_config(
     _require(cfg_path.is_file(), f"config file not found: {cfg_path}")
     try:
         raw = yaml.safe_load(cfg_path.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4,300 digits
         raise ConfigError(f"{cfg_path}: invalid YAML: {exc}") from None
     _require(isinstance(raw, dict), "config must be a mapping")
+    file_seed = raw.get("seed")
     overrides = {"seed": seed_override, "output_dir": out_override, "threads": threads_override}
     raw.update((k, v) for k, v in overrides.items() if v is not None)
     tree = _walk_mapping(_SCHEMA, raw, "", cfg_path.parent)
 
-    seed = tree["seed"]
     _require(len(set(tree["modes"])) == len(tree["modes"]), "modes must not repeat")
     _require(
         not ("tasks" in tree and "synthetic" in tree),
         "give either file-backed tasks or a synthetic population, not both",
     )
+    for i, node in enumerate(tree.get("spectra", ())):
+        lo, hi = node["freq_min"], node["freq_max"]
+        _require(lo is None or hi is None or lo <= hi,
+                 f"spectra[{i}]: freq_min {lo} is above freq_max {hi}")
+    for name in ("synthetic", "grid"):
+        if name in tree:
+            node = tree[name]
+            _require(node["seed"] in (None, file_seed),
+                     f"{name}.seed must equal the top-level seed {file_seed}, got {node['seed']}")
+            node["seed"] = tree["seed"]
     solver = _make("solver", SolverConfig, **tree["solver"])
 
     synthetic = None
     if "synthetic" in tree:
         node = tree["synthetic"]
-        node["seed"] = seed
         modes = tuple(
             _make(f"synthetic.modes[{i}]", ModalMode, **m) for i, m in enumerate(node["modes"])
         )
@@ -401,12 +388,9 @@ def load_config(
 
     grid = None
     if "grid" in tree:
-        node = tree["grid"]
-        node["seed"] = seed
-        grid = _make("grid", GridSpec, **node)
+        grid = _make("grid", GridSpec, **tree["grid"])
         _require(grid.pairs(), "grid: no (epsilon, xi) pairs satisfy epsilon > xi")
 
-    transfer = None
     if "transfer" in tree:
         node = tree["transfer"]
         extra = node["extra_synthetic_task"]
@@ -415,35 +399,7 @@ def load_config(
             "transfer: give exactly one of 'unseen' (a dataset file) or extra_synthetic_task: true",
         )
         _require(not (extra and synthetic is None), "transfer: extra_synthetic_task needs a synthetic population")
-        transfer = TransferSource(node["unseen"] and Path(node["unseen"]), extra)
-
-    return ExperimentConfig(
-        seed=seed,
-        output_dir=Path(tree["output_dir"]),
-        solver=solver,
-        n_windows=tree["n_windows"],
-        modes=tuple(tree["modes"]),
-        threads=tree["threads"],
-        include_traces=tree["include_traces"],
-        sampling_mode=tree["sampling"]["mode"],
-        n_intermediate=tree["sampling"]["n_intermediate"],
-        tasks=tuple(
-            TaskFiles(t["id"], Path(t["train"]), t["test"] and Path(t["test"]))
-            for t in tree.get("tasks", ())
-        ),
-        synthetic=synthetic,
-        spectra=tuple(
-            SpectrumSource(
-                s["id"], Path(s["class0"]), Path(s["class1"]), s["n_avg"],
-                s["n_train_per_class"], s["n_test_per_class"], s["normalize"],
-                s["freq_min"], s["freq_max"],
-            )
-            for s in tree.get("spectra", ())
-        ),
-        grid=grid,
-        transfer=transfer,
-        echo=tree,
-    )
+    return ExperimentConfig(tree, solver, synthetic, grid)
 
 
 def write_bundle(out_dir, name: str, config_echo: dict, **sections) -> Path:

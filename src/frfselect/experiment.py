@@ -93,10 +93,13 @@ class GridSpec:
     strategy: str = "exhaustive"
 
     def __post_init__(self):
-        windows = tuple(_check_int("window_counts", w, 1) for w in self.window_counts)
+        windows = tuple(
+            _check_int(f"window_counts[{i}]", w, 1) for i, w in enumerate(self.window_counts)
+        )
         object.__setattr__(self, "window_counts", windows)
         for name in ("epsilons", "xis", "refine_epsilons"):
-            values = tuple(_check_real(name, x, above=0) for x in getattr(self, name))
+            entries = enumerate(getattr(self, name))
+            values = tuple(_check_real(f"{name}[{i}]", x, above=0) for i, x in entries)
             object.__setattr__(self, name, values)
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")

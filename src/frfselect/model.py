@@ -52,7 +52,10 @@ def _check_real(name: str, value, *, above=-math.inf, at_least=-math.inf, below=
     pass; bools, strings, nan and ±inf raise ValueError instead of being coerced."""
     if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf if value > 0 else -math.inf
     # nan fails every comparison and ±inf the default bounds
     if not (above < x < below and at_least <= x <= at_most):
         bounds = (("above", above), ("at least", at_least), ("below", below), ("at most", at_most))

@@ -370,6 +370,7 @@ def file_config(tmp_path):
 
 
 # nan, inf and out-of-range reals; each exits 1 at load time and names its key
+# path, also when the check that fails is a constructor's
 NUMBER_MISTAKES = [
     ("synthetic", "xi: 0.01", "xi: .nan", "solver.xi"),
     ("synthetic", "xi: 0.01", "xi: .inf", "solver.xi"),
@@ -382,7 +383,16 @@ NUMBER_MISTAKES = [
     ("files", "normalize: true", "normalize: true, freq_min: .nan", "spectra[0].freq_min"),
     ("files", "normalize: true", "normalize: true, freq_min: .inf", "spectra[0].freq_min"),
     ("synthetic", "epsilons: [0.5, 0.2]", "epsilons: [.nan, 0.2]", "grid.epsilons"),
-    ("synthetic", "xis: [0.01]", "xis: [-0.01]", "grid: xis"),
+    ("synthetic", "xis: [0.01]", "xis: [-0.01]", "grid.xis[0]"),
+    ("synthetic", "xi: 0.01", "xi: -0.5", "solver.xi must be a finite number above 0, got -0.5"),
+    ("synthetic", "damping: 0.04", "damping: 1.5",
+     "synthetic.modes[0].damping must be a finite number above 0 and below 1, got 1.5"),
+    pytest.param("synthetic", "epsilon: 0.2", "epsilon: " + "9" * 320,
+                 "solver.epsilon must be a finite number, got inf", id="epsilon-320-digits"),
+    ("synthetic", "[130.0, 190.0]", "[130.0]",
+     "synthetic.nuisance_band must be a pair of numbers, got (130.0,)"),
+    ("synthetic", "n_features: 32", "n_features: 32\n  freq_range: [5.0, 100.0, 200.0]",
+     "synthetic.freq_range must be a pair of numbers, got (5.0, 100.0, 200.0)"),
 ]
 
 
@@ -483,6 +493,14 @@ class TestDataDependentChecks:
         assert not out.exists()
         cfg = self.unbalanced_grid_config(tmp_path, [0] * 6 + [1] * 3, folds=3)
         assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_spectrum_band_upside_down_exits_1_at_load_time(self, file_config, tmp_path, capsys):
+        text = file_config.read_text()
+        file_config.write_text(text.replace("normalize: true", "freq_min: 25.0, freq_max: 15.0"))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(file_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: spectra[0]: freq_min 25.0 is above freq_max 15.0\n"
+        assert not out.exists()
 
     def test_single_class_task_stays_a_runtime_error(self, tmp_path, capsys):
         cfg = self.unbalanced_grid_config(tmp_path, [1] * 4, folds=2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,15 @@ class TestSynthPopulation:
             small_spec(nuisance_band=(190.0, 130.0))
         with pytest.raises(ValueError):
             small_spec(freq_range=(200.0, 5.0))
+
+    @pytest.mark.parametrize("name, value", [
+        ("nuisance_band", (130.0,)), ("nuisance_band", (130.0, 150.0, 190.0)),
+        ("freq_range", (5.0,)), ("freq_range", (5.0, 100.0, 200.0)),
+    ])
+    def test_band_and_range_are_pairs(self, name, value):
+        message = re.escape(f"{name} must be a pair of numbers, got {value}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_spec(**{name: value})
 
     @pytest.mark.parametrize("field, minimum", [
         ("n_samples", 1), ("n_tasks", 1), ("n_features", 1),

@@ -161,17 +161,17 @@ class TestLoadConfig:
 
     def test_minimal_config_resolves_defaults(self, tmp_path):
         cfg = load_config(self.write(tmp_path, MINIMAL))
-        assert cfg.seed == 7
+        assert cfg.echo["seed"] == 7
         assert cfg.solver.epsilon == 0.2
         assert cfg.solver.max_iters == 2000
-        assert cfg.n_windows == 1
-        assert cfg.modes == ("independent", "mtl")
-        assert cfg.threads == 1
-        assert cfg.sampling_mode == "two-stage"
-        assert cfg.n_intermediate == 10_000
+        assert cfg.echo["n_windows"] == 1
+        assert cfg.echo["modes"] == ["independent", "mtl"]
+        assert cfg.echo["threads"] == 1
+        assert cfg.echo["sampling"]["mode"] == "two-stage"
+        assert cfg.echo["sampling"]["n_intermediate"] == 10_000
         assert cfg.synthetic.seed == 7
         assert cfg.grid is None
-        assert cfg.transfer is None
+        assert "transfer" not in cfg.echo
 
     def test_echo_reproduces_resolved_values(self, tmp_path):
         cfg = load_config(self.write(tmp_path, MINIMAL))
@@ -199,11 +199,22 @@ class TestLoadConfig:
             out_override="elsewhere",
             threads_override=4,
         )
-        assert cfg.seed == 99
-        assert str(cfg.output_dir) == "elsewhere"
-        assert cfg.threads == 4
+        assert cfg.echo["seed"] == 99
+        assert cfg.echo["output_dir"] == "elsewhere"
+        assert cfg.echo["threads"] == 4
         assert cfg.synthetic.seed == 99
         assert cfg.echo["seed"] == 99
+
+    def test_section_seeds_must_repeat_the_file_seed(self, tmp_path):
+        # the echo repeats the seed in synthetic and grid; --seed overrides all three
+        text = MINIMAL.replace("n_samples: 10", "n_samples: 10\n  seed: 7") + "grid: {seed: 7}\n"
+        cfg = load_config(self.write(tmp_path, text), seed_override=99)
+        assert (cfg.synthetic.seed, cfg.grid.seed, cfg.echo["seed"]) == (99, 99, 99)
+        for section, wrong in (("synthetic", text.replace("  seed: 7", "  seed: 8")),
+                               ("grid", text.replace("grid: {seed: 7}", "grid: {seed: 8}"))):
+            with pytest.raises(ConfigError, match=rf"^{section}\.seed must equal the top-level "
+                                                  "seed 7, got 8$"):
+                load_config(self.write(tmp_path, wrong), seed_override=99)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -224,6 +235,9 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.yaml")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(self.write(tmp_path, "a: [unclosed"))
+        # an int of 5,000 digits is more than Python converts from a string
+        with pytest.raises(ConfigError, match="invalid YAML: Exceeds the limit"):
+            load_config(self.write(tmp_path, "seed: " + "1" * 5000))
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):
@@ -248,8 +262,8 @@ tasks:
   - {id: a, train: a_train.csv}
 """
         cfg = load_config(self.write(tmp_path, text))
-        assert cfg.tasks[0].train == tmp_path / "a_train.csv"
-        assert cfg.tasks[0].test is None
+        assert cfg.echo["tasks"][0]["train"] == str(tmp_path / "a_train.csv")
+        assert cfg.echo["tasks"][0]["test"] is None
 
     def test_tasks_and_synthetic_are_exclusive(self, tmp_path):
         save_dataset(sample_dataset(), tmp_path / "a_train.csv")
@@ -318,6 +332,22 @@ class TestEchoGolden:
             (tmp_path / rel).write_text("")
         text = self.echo_text(tmp_path / name)
         assert text == (GOLDEN / name.replace(".yaml", ".json")).read_text()
+
+    @pytest.mark.parametrize("name", ["pipeline.yaml", *sorted(GOLDEN_DATA_FILES)])
+    def test_echo_loads_back_as_the_same_config(self, tmp_path, name):
+        src = REPO / "demos" / "configs" / name if name == "pipeline.yaml" else GOLDEN / name
+        shutil.copy(src, tmp_path / name)
+        for rel in GOLDEN_DATA_FILES.get(name, ()):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("")
+        cfg = load_config(tmp_path / name)
+        # another directory, so resolved paths must come back unchanged
+        (tmp_path / "echo").mkdir()
+        echo_path = tmp_path / "echo" / "echo.yaml"
+        echo_path.write_text(yaml.safe_dump(cfg.echo, sort_keys=False))
+        again = load_config(echo_path)
+        assert json.dumps(again.echo, indent=2) == json.dumps(cfg.echo, indent=2)
+        assert (again.solver, again.synthetic, again.grid) == (cfg.solver, cfg.synthetic, cfg.grid)
 
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestGridSpec:
             GridSpec(epsilons=())
         with pytest.raises(ValueError, match="folds must be at least 2, got 1"):
             GridSpec(folds=1)
-        with pytest.raises(ValueError, match="window_counts must be at least 1, got 0"):
+        with pytest.raises(ValueError, match=r"window_counts\[0\] must be at least 1, got 0"):
             GridSpec(window_counts=(0,))
         with pytest.raises(ValueError, match="stage_windows must be at least 1, got 0"):
             GridSpec(stage_windows=0)
@@ -120,7 +122,9 @@ class TestGridSpec:
         ("seed", True),
     ])
     def test_integer_fields_reject_non_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        # a list entry is named by its index; the bad entry is the last one
+        name = f"{field}[{len(value) - 1}]" if isinstance(value, tuple) else field
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
             GridSpec(**{field: value})
 
 

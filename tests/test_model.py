@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,8 @@ def test_integer_settings_accept_numpy_integers(tiny_task):
     (np.int64(1), {"above": 0, "below": 1},
      "x must be a finite number above 0 and below 1, got 1.0"),
     (1.5, {"above": 0, "at_most": 1}, "x must be a finite number above 0 and at most 1, got 1.5"),
+    (10**400, {}, "x must be a finite number, got inf"),
+    (-10**400, {"above": 0}, "x must be a finite number above 0, got -inf"),
 ])
 def test_check_real_rejects(value, bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -357,18 +360,18 @@ _REAL_SETTINGS = {
     "ModalMode.natural_freq": ("natural_freq", lambda v, task: ModalMode(v, 0.04)),
     "ModalMode.damping": ("damping", lambda v, task: ModalMode(40.0, v)),
     "ModalMode.amplitude": ("amplitude", lambda v, task: ModalMode(40.0, 0.04, v)),
-    "spec.class_shift": ("class_shift", lambda v, task: _spec(class_shift=(v,))),
-    "spec.nuisance_band": ("nuisance_band", lambda v, task: _spec(nuisance_band=(v, 190.0))),
-    "spec.freq_range": ("freq_range", lambda v, task: _spec(freq_range=(v, 200.0))),
+    "spec.class_shift": ("class_shift[0]", lambda v, task: _spec(class_shift=(v,))),
+    "spec.nuisance_band": ("nuisance_band[0]", lambda v, task: _spec(nuisance_band=(v, 190.0))),
+    "spec.freq_range": ("freq_range[0]", lambda v, task: _spec(freq_range=(v, 200.0))),
     "spec.noise_sd": ("noise_sd", lambda v, task: _spec(noise_sd=v)),
     "spec.nuisance_class_shift": (
         "nuisance_class_shift", lambda v, task: _spec(nuisance_class_shift=v)),
     "spec.nuisance_damping": ("nuisance_damping", lambda v, task: _spec(nuisance_damping=v)),
     "spec.nuisance_amplitude": ("nuisance_amplitude", lambda v, task: _spec(nuisance_amplitude=v)),
     "spec.coherence": ("coherence", lambda v, task: _spec(coherence=v)),
-    "GridSpec.epsilons": ("epsilons", lambda v, task: GridSpec(epsilons=(0.3, v))),
-    "GridSpec.xis": ("xis", lambda v, task: GridSpec(xis=(v,))),
-    "GridSpec.refine_epsilons": ("refine_epsilons", lambda v, task: GridSpec(refine_epsilons=(v,))),
+    "GridSpec.epsilons": ("epsilons[1]", lambda v, task: GridSpec(epsilons=(0.3, v))),
+    "GridSpec.xis": ("xis[0]", lambda v, task: GridSpec(xis=(v,))),
+    "GridSpec.refine_epsilons": ("refine_epsilons[0]", lambda v, task: GridSpec(refine_epsilons=(v,))),
     "spectrum_to_datasets.freq_min": ("freq_min", lambda v, task: _expand(freq_min=v)),
     "spectrum_to_datasets.freq_max": ("freq_max", lambda v, task: _expand(freq_max=v)),
 }
@@ -379,7 +382,7 @@ def test_real_settings_reject_non_reals(tiny_task, setting):
     name, call = _REAL_SETTINGS[setting]
     call(0.5, tiny_task)  # a valid value passes
     for value in (True, "1", math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"^{name} must be a (real|finite) number"):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a (real|finite) number"):
             call(value, tiny_task)
 
 
