@@ -22,7 +22,6 @@ from .datagen import load_spectrum, spectrum_to_datasets, synth_population
 from .dataio import (
     ConfigError,
     ExperimentConfig,
-    _fmt,
     load_config,
     load_dataset,
     save_dataset,
@@ -39,6 +38,7 @@ from .experiment import (
     run_comparison,
     run_transfer,
 )
+from .model import _fmt
 
 __all__ = ["main", "entry"]
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .model import TaskDataset, _check_int, _check_real
+from .model import TaskDataset, _check_int, _check_real, _read_table, _write_table
 
 __all__ = [
     "SpectrumLine",
@@ -376,25 +375,14 @@ def spectrum_to_datasets(
 
 def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:
     """Parse a delimited spectrum file with header freq_hz,h_mean,coherence."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise SpectrumFormatError(f"{path}: empty file")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
-    if header != SPECTRUM_HEADER:
+    table = _read_table(path, SpectrumFormatError)
+    if tuple(cell.strip() for cell in next(table)) != SPECTRUM_HEADER:
         raise SpectrumFormatError(
             f"{path}: malformed header, line 1: expected {','.join(SPECTRUM_HEADER)}"
         )
     out = []
     prev_freq = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 3:
-            raise SpectrumFormatError(
-                f"{path}: inconsistent row width, line {lineno}: expected 3 cells, got {len(cells)}"
-            )
+    for lineno, cells in table:
         try:
             freq, h_mean, coh = (float(c) for c in cells)
         except ValueError:
@@ -410,14 +398,10 @@ def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:
             out.append(SpectrumLine(freq, h_mean, coh, n_avg))
         except ValueError as exc:
             raise SpectrumFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not out:
-        raise SpectrumFormatError(f"{path}: no data rows")
     return out
 
 
 def write_spectrum(lines, path) -> None:
     """Write spectrum lines in the load_spectrum format."""
-    rows = [",".join(SPECTRUM_HEADER)]
-    for ln in lines:
-        rows.append(",".join(repr(float(x)) for x in (ln.freq, ln.h_mean, ln.coherence)))
-    Path(path).write_text("\n".join(rows) + "\n")
+    rows = [(float(ln.freq), float(ln.h_mean), float(ln.coherence)) for ln in lines]
+    _write_table(path, SPECTRUM_HEADER, rows)

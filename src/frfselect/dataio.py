@@ -32,7 +32,7 @@ from .experiment import (
     grid_search,
     run_comparison,
 )
-from .model import TaskDataset, _check_int, _check_real
+from .model import TaskDataset, _check_int, _check_real, _read_table, _write_table
 from .solver import SolverConfig
 
 __all__ = [
@@ -54,17 +54,10 @@ class ConfigError(ValueError):
     """A run configuration is structurally invalid or references missing files."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_dataset(data: TaskDataset, path) -> None:
     """Write a dataset in the delimited text format (see load_dataset)."""
-    header = "label," + ",".join(_fmt(f) for f in data.feature_freqs)
-    lines = [header]
-    for label, row in zip(data.labels, data.features):
-        lines.append(str(int(label)) + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [[label, *row] for label, row in zip(data.labels.tolist(), data.features.tolist())]
+    _write_table(path, ["label", *data.feature_freqs.tolist()], rows)
 
 
 def load_dataset(path, task_id: str | None = None) -> TaskDataset:
@@ -75,11 +68,8 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
     the offending 1-based line.
     """
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    table = _read_table(path, DatasetFormatError)
+    header = next(table)
     if header[0] != "label":
         raise DatasetFormatError(
             f"{path}: malformed header, line 1: first column must be 'label'"
@@ -99,18 +89,9 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
             f"{path}: malformed header, line 1: frequencies must be strictly increasing"
         )
 
-    width = len(header)
     labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != width:
-            raise DatasetFormatError(
-                f"{path}: inconsistent row width, line {lineno}: "
-                f"expected {width} cells, got {len(cells)}"
-            )
+    for lineno, cells in table:
         try:
             label = int(cells[0])
         except ValueError:
@@ -134,8 +115,6 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
             values.append(v)
         labels.append(label)
         rows.append(values)
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
     return TaskDataset(
         np.array(rows), np.array(labels), np.array(freqs), task_id or path.stem
     )
@@ -334,6 +313,19 @@ def _make(where: str, cls, **kwargs):
         raise ConfigError(f"{where}{sep}{exc}") from None
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.safe_load``, but a value its type cannot hold (an integer of more
+    digits than ``int()`` takes, a date such as 2023-02-30) is a YAML error at
+    its line."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as exc:
+            problem = str(exc).partition(";")[0]  # drop Python's advice to raise the limit
+            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
+
+
 def load_config(
     path,
     *,
@@ -352,8 +344,8 @@ def load_config(
     cfg_path = Path(path)
     _require(cfg_path.is_file(), f"config file not found: {cfg_path}")
     try:
-        raw = yaml.safe_load(cfg_path.read_text())
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4,300 digits
+        raw = yaml.load(cfg_path.read_text(), Loader=_Loader)
+    except yaml.YAMLError as exc:
         raise ConfigError(f"{cfg_path}: invalid YAML: {exc}") from None
     _require(isinstance(raw, dict), "config must be a mapping")
     file_seed = raw.get("seed")
@@ -415,25 +407,12 @@ def write_bundle(out_dir, name: str, config_echo: dict, **sections) -> Path:
     return path
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """A header line of ``columns``, then one line per tuple of values."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_table(path, cls, rows) -> None:
-    """One column per field of the dataclass ``cls``, one line per row."""
-    _write_csv(Path(path), [f.name for f in fields(cls)], map(astuple, rows))
-
-
 def write_grid_table(table: tuple[GridRow, ...], path) -> None:
-    _write_table(path, GridRow, table)
+    _write_table(path, [f.name for f in fields(GridRow)], map(astuple, table))
 
 
 def write_transfer_table(rows: tuple[TransferRow, ...], path) -> None:
-    _write_table(path, TransferRow, rows)
+    _write_table(path, [f.name for f in fields(TransferRow)], map(astuple, rows))
 
 
 _SUMMARY_COLUMNS = (
@@ -476,5 +455,5 @@ def write_report_bundle(
     paths = {"report": write_bundle(out_dir, "report.json", config_echo, **sections)}
     for name, (cols, rows) in tables.items():
         paths[name] = paths["report"].with_name(f"{name}.csv")
-        _write_csv(paths[name], cols, rows)
+        _write_table(paths[name], cols, rows)
     return paths

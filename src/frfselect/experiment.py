@@ -93,13 +93,15 @@ class GridSpec:
     strategy: str = "exhaustive"
 
     def __post_init__(self):
-        windows = tuple(
-            _check_int(f"window_counts[{i}]", w, 1) for i, w in enumerate(self.window_counts)
-        )
-        object.__setattr__(self, "window_counts", windows)
-        for name in ("epsilons", "xis", "refine_epsilons"):
+        for name in ("window_counts", "epsilons", "xis", "refine_epsilons"):
             entries = enumerate(getattr(self, name))
-            values = tuple(_check_real(f"{name}[{i}]", x, above=0) for i, x in entries)
+            values = tuple(
+                _check_int(f"{name}[{i}]", x, 1) if name == "window_counts"
+                else _check_real(f"{name}[{i}]", x, above=0) for i, x in entries
+            )
+            for i, x in enumerate(values):
+                if x in values[:i]:
+                    raise ValueError(f"{name}[{i}] must be unique, got {x} again")
             object.__setattr__(self, name, values)
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")

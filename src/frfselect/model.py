@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -62,6 +63,41 @@ def _check_real(name: str, value, *, above=-math.inf, at_least=-math.inf, below=
         words = " and".join(f" {word} {b}" for word, b in bounds if math.isfinite(b))
         raise ValueError(f"{name} must be a finite number{words}, got {x}")
     return x
+
+
+def _fmt(x) -> str:
+    """Shortest round-trip decimal, so a save/load cycle is bit-exact."""
+    return repr(float(x))
+
+
+def _write_table(path, header, rows) -> None:
+    """Comma-delimited text: the header cells, then one line per row; floats by ``_fmt``."""
+    lines = (",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+             for row in (header, *rows))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_table(path, error):
+    """Yield the header's cells, then ``(1-based line number, cells)`` for each
+    non-blank row. Rows are split as the caller asks for them, so a fault the
+    caller finds in one row is reported before any in a later row. Raises
+    ``error`` for an empty file, no data rows or a row of the wrong width."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise error(f"{path}: empty file")
+    header = lines[0].split(",")
+    yield header
+    rows = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    if not rows:
+        raise error(f"{path}: no data rows")
+    for lineno, raw in rows:
+        cells = raw.split(",")
+        if len(cells) != len(header):
+            raise error(
+                f"{path}: inconsistent row width, line {lineno}: "
+                f"expected {len(header)} cells, got {len(cells)}"
+            )
+        yield lineno, cells
 
 
 @dataclass(frozen=True, eq=False)

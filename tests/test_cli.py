@@ -443,6 +443,15 @@ class TestConfigTypes:
             assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
             assert not out.exists()
 
+    def test_repeated_grid_entry_is_one_error_line(self, config, tmp_path, capsys):
+        config.write_text(config.read_text().replace("epsilons: [0.5, 0.2]", "epsilons: [0.5, 0.5]"))
+        out = tmp_path / "out"
+        assert main(["grid", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: grid.epsilons[1] must be unique, got 0.5 again\n")
+        assert not out.exists()
+
 
 class TestDataDependentChecks:
     """Settings that do not fit the materialized data exit 1 before any fit."""

@@ -350,6 +350,28 @@ class TestSpectrumIO:
         with pytest.raises(SpectrumFormatError, match="no data rows"):
             load_spectrum(path)
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # a bad cell on line 2 comes before a short row on line 3
+        path = tmp_path / "bad.csv"
+        path.write_text("freq_hz,h_mean,coherence\n1.0,oops,0.9\n2.0,1.0\n")
+        with pytest.raises(SpectrumFormatError,
+                           match=f"^{re.escape(str(path))}: non-numeric value, line 2$"):
+            load_spectrum(path)
+
+    def test_bad_header_without_rows_names_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("freq,h,c\n")
+        with pytest.raises(SpectrumFormatError, match="malformed header, line 1"):
+            load_spectrum(path)
+
+    def test_written_bytes(self, tmp_path):
+        # numpy fields and ints are written as the shortest repr of their float
+        path = tmp_path / "spec.csv"
+        write_spectrum([SpectrumLine(np.float32(10.1), 2, 0.9),
+                        SpectrumLine(20.0, np.float64(1e-20), np.float32(0.3), 4)], path)
+        assert path.read_bytes() == (b"freq_hz,h_mean,coherence\n10.100000381469727,2.0,0.9\n"
+                                     b"20.0,1e-20,0.30000001192092896\n")
+
     def test_population_spectrum_matches_curve(self):
         pop = synth_population(small_spec())
         lines = population_spectrum(pop, task=0, label=1, coherence=0.9)

@@ -137,6 +137,21 @@ class TestDatasetErrors:
         with pytest.raises(DatasetFormatError, match="no data rows"):
             load_dataset(path)
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # a bad cell on line 2 comes before a short row on line 3; blank lines count
+        path = self.write(tmp_path, "label,10.0,20.0\n1,0.5,oops\n0,0.5\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: non-numeric value, line 2, column 2$"):
+            load_dataset(path)
+        path = self.write(tmp_path, "label,10.0\n\n \n1,0.5\nx,0.5\n0\n")
+        with pytest.raises(DatasetFormatError, match=r"non-numeric label, line 5$"):
+            load_dataset(path)
+
+    def test_bad_header_without_rows_names_the_header(self, tmp_path):
+        path = self.write(tmp_path, "lbl,10.0\n\n")
+        with pytest.raises(DatasetFormatError, match=r"malformed header, line 1: first column"):
+            load_dataset(path)
+
 
 MINIMAL = """
 seed: 7
@@ -235,9 +250,17 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.yaml")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(self.write(tmp_path, "a: [unclosed"))
-        # an int of 5,000 digits is more than Python converts from a string
-        with pytest.raises(ConfigError, match="invalid YAML: Exceeds the limit"):
+        # an int of 5,000 digits is more than Python converts from a string; the
+        # error names its line, not Python's advice to raise the limit
+        with pytest.raises(ConfigError, match="invalid YAML: Exceeds the limit") as err:
             load_config(self.write(tmp_path, "seed: " + "1" * 5000))
+        assert "line 1, column 7" in str(err.value)
+        assert "set_int_max_str_digits" not in str(err.value)
+        with pytest.raises(ConfigError, match=r"line 4, column 12:") as err:
+            load_config(self.write(tmp_path, MINIMAL.replace("epsilon: 0.2", "epsilon: " + "9" * 5000)))
+        assert "set_int_max_str_digits" not in str(err.value)
+        with pytest.raises(ConfigError, match=r"day is out of range for month\n.* line 2, column 7"):
+            load_config(self.write(tmp_path, "seed: 1\ndate: 2023-02-30\n"))
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):

@@ -110,6 +110,16 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             GridSpec(seed=-1)
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("epsilons", (0.3, 0.1, 0.3), "epsilons[2]"),
+        ("xis", (0.01, 0.01), "xis[1]"),
+        ("window_counts", (2, np.int64(2)), "window_counts[1]"),
+        ("refine_epsilons", (1, 1.0), "refine_epsilons[1]"),  # compared as numbers
+    ])
+    def test_repeated_entries_rejected(self, field, value, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be unique, got "):
+            GridSpec(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("window_counts", (2.7,)),
         ("window_counts", (2, 3.0)),
