@@ -116,6 +116,7 @@ def window_split(n_features: int, n_windows: int) -> tuple[tuple[int, int], ...]
     Sizes differ by at most one and the first ``n_features mod n_windows``
     windows carry the extra feature.
     """
+    n_features = _check_int("n_features", n_features, 1)
     if not 1 <= _check_int("n_windows", n_windows) <= n_features:
         raise ValueError(f"n_windows must lie in 1..{n_features}, got {n_windows}")
     base, extra = divmod(n_features, n_windows)
@@ -307,6 +308,11 @@ def population_spectrum(pop: SyntheticPopulation, task: int, label: int,
     stands in; this makes the Monte-Carlo expansion path exercisable
     without instrument data.
     """
+    n_tasks = len(pop.class_curves)
+    if not 0 <= _check_int("task", task) < n_tasks:
+        raise ValueError(f"task must lie in 0..{n_tasks - 1}, got {task}")
+    if _check_int("label", label) not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
     curve = pop.class_curves[task][label]
     return [
         SpectrumLine(float(f), float(h), coherence, n_avg)

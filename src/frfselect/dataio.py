@@ -326,6 +326,16 @@ class _Loader(yaml.SafeLoader):
             raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from None
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """The problem of a YAML error, its context and its line and column, on
+    one line; PyYAML's own text spans several, with snippets of the file."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:  # a reader error: a character YAML does not allow
+        return f"unacceptable character #x{exc.character:04x}: {exc.reason}, position {exc.position}"
+    context = f" ({exc.context})" if exc.context else ""
+    return f"{exc.problem}{context}, line {mark.line + 1}, column {mark.column + 1}"
+
+
 def load_config(
     path,
     *,
@@ -346,7 +356,7 @@ def load_config(
     try:
         raw = yaml.load(cfg_path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{cfg_path}: invalid YAML: {exc}") from None
+        raise ConfigError(f"{cfg_path}: invalid YAML: {_yaml_problem(exc)}") from None
     _require(isinstance(raw, dict), "config must be a mapping")
     file_seed = raw.get("seed")
     overrides = {"seed": seed_override, "output_dir": out_override, "threads": threads_override}

@@ -70,9 +70,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _text_cell(v) -> str:
+    if isinstance(v, str) and any(c in v for c in ",\r\n"):
+        raise ValueError(f"cannot write the text cell {v!r}: it holds a comma or a line break")
+    return str(v)
+
+
 def _write_table(path, header, rows) -> None:
-    """Comma-delimited text: the header cells, then one line per row; floats by ``_fmt``."""
-    lines = (",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+    """Comma-delimited text: the header cells, then one line per row; floats by
+    ``_fmt``. A text cell holding a comma or a line break is a ValueError, and
+    then nothing is written."""
+    lines = (",".join([_fmt(v) if isinstance(v, float) else _text_cell(v) for v in row])
              for row in (header, *rows))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -11,10 +11,11 @@ norm, which makes a step on a feature row that is already active in
 another task cheaper per unit of penalty; that discount is what pulls the
 tasks toward a shared support.
 
-Implementation: one fit keeps a private path state holding the weights,
-each task's logits ``X_l @ W[:, l]`` and loss, the weight rows' l2 norms and
-the penalty. An accepted step recomputes only the touched task's logits and
-loss, from scratch, so every loss in the trace is exactly what a full
+Implementation: a path has one iterate, a private path state holding the
+lattice counts and weights, each task's logits ``X_l @ W[:, l]`` and loss,
+the cross-task loss sums, the row norms, the penalty, the level, the steps
+and the tally. An accepted step recomputes only the touched task's logits
+and loss, from scratch, so every loss in the trace is exactly what a full
 recomputation gives.
 
 Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
@@ -43,7 +44,7 @@ in the clamp regime, all its candidates are evaluated exactly.
 Shared paths: ``xi`` only decides which backward moves qualify, so
 ``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
 each backward decision once for all of them, and forks the path where they
-pick different moves.
+pick different moves; a fork is a copy of the iterate.
 
 ``FitResult.stats`` (a ``FitStats``) counts the accepted steps by kind, the
 backward candidates and how many were evaluated exactly, and the task scans
@@ -202,15 +203,6 @@ _SCREEN_SLACK = 1e-9
 _ULP = float(np.finfo(float).eps)
 
 
-def _cross_task_sums(per_task_losses):
-    # exact "sum of the other tasks" terms, computed directly so that a
-    # candidate on task l compares by its own loss without cancellation noise
-    return [
-        sum(per_task_losses[m] for m in range(len(per_task_losses)) if m != l)
-        for l in range(len(per_task_losses))
-    ]
-
-
 class _TaskTerms:
     """One task's data and its part of the iterate: logits, loss, gradient."""
 
@@ -283,12 +275,18 @@ class _TaskTerms:
 
 
 class _PathState:
-    """The iterate of one path: weights, per-task terms, row norms, penalty."""
+    """The whole iterate of one path from zero weights: counts, weights, task
+    terms, level, steps and tally. Built from given ``weights`` it is a step
+    function's probe: searched, never stepped, and without counts."""
 
-    def __init__(self, tasks, weights, epsilon: float):
+    def __init__(self, tasks, epsilon: float, weights=None):
         self.eps = epsilon
-        self.W = np.array(weights, dtype=float)
+        shape = (tasks[0].n_features, len(tasks))
+        self.W = np.zeros(shape) if weights is None else np.array(weights, dtype=float)
+        self.counts = np.zeros(shape, dtype=np.int64) if weights is None else None
         self.tasks = [_TaskTerms(t, self.W[:, l], epsilon) for l, t in enumerate(tasks)]
+        self.lam = None
+        self.steps = []
         self.tally = Counter()  # FitStats field -> count
         self._buf = np.empty(max(t.X.size for t in self.tasks))
         self._refresh_totals()
@@ -296,6 +294,11 @@ class _PathState:
     def _refresh_totals(self):
         self.losses = [t.loss for t in self.tasks]
         self.empirical = sum(self.losses) / len(self.losses)
+        # exact "sum of the other tasks" terms, computed directly so that a
+        # candidate on task l compares by its own loss without cancellation noise
+        self.others = [
+            sum(x for m, x in enumerate(self.losses) if m != l) for l in range(len(self.losses))
+        ]
         # the same operations as model.l21_norm, so the penalty is bit-identical
         self.row_norms = np.sqrt((self.W * self.W).sum(axis=1))
         self.penalty = float(self.row_norms.sum())
@@ -314,10 +317,20 @@ class _PathState:
                 slack[l] = _SCREEN_SLACK + 2.0 * terms.error_bound()
         return gradients, slack
 
-    def set_weight(self, feature: int, task: int, value: float):
-        self.W[feature, task] = value
-        self.tasks[task].update(self.W[:, task])
+    def apply(self, kind: str, j: int, l: int, sign: int):
+        """Move weight (j, l) one lattice step by ``sign`` and record the step."""
+        emp_before, pen_before = self.empirical, self.penalty
+        self.counts[j, l] += sign
+        self.W[j, l] = self.counts[j, l] * self.eps
+        self.tasks[l].update(self.W[:, l])
         self._refresh_totals()
+        self.tally[kind + "_steps"] += 1
+        emp, pen, lam = self.empirical, self.penalty, self.lam
+        if kind == "forward":
+            lam = self.lam = lambda_schedule_update(lam, emp_before, emp, pen_before, pen)
+        self.steps.append(
+            StepRecord(len(self.steps) + 1, kind, j, l, sign, emp, pen, emp + lam * pen, lam)
+        )
 
     def scan(self, task: int, recheck: bool = False):
         """Forward candidate losses of one task: (plus, minus, error bound)."""
@@ -332,17 +345,19 @@ class _PathState:
         return terms.scan_clamped()
 
     def copy(self) -> "_PathState":
-        """An independent iterate. Task terms are replaced, never changed in
-        place, on an update, so their arrays stay shared."""
+        """An independent iterate: a fork of the path. Task terms are replaced,
+        never changed in place, on an update, so their arrays stay shared."""
         twin = copy.copy(self)
         twin.W = self.W.copy()
+        twin.counts = self.counts.copy()
         twin.tasks = [copy.copy(t) for t in self.tasks]
+        twin.steps = list(self.steps)
         twin.tally = Counter(self.tally)
         return twin
 
 
 def _forward_move(state: _PathState):
-    """Best forward move as (feature, task, sign, empirical loss after), or None.
+    """Best forward move as ("forward", feature, task, sign, loss after), or None.
 
     The winner is the lowest post-move empirical loss over all
     2 * n_features * n_tasks candidates, ties broken toward the lowest
@@ -350,7 +365,7 @@ def _forward_move(state: _PathState):
     the loss of the task it touches.
     """
     L = len(state.tasks)
-    others = _cross_task_sums(state.losses)
+    others = state.others
     cand = np.empty((state.W.shape[0], L, 2))
     scans = [None] * L
 
@@ -373,7 +388,7 @@ def _forward_move(state: _PathState):
             j, l, s = np.unravel_index(int(np.argmin(cand)), cand.shape)
     if not scans[l][s][j] < state.losses[l]:
         return None
-    return int(j), int(l), 1 if s == 0 else -1, float(cand[j, l, s])
+    return "forward", int(j), int(l), 1 if s == 0 else -1, float(cand[j, l, s])
 
 
 def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | None]:
@@ -407,7 +422,7 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     exact_tasks = np.zeros(L, dtype=bool)
     exact_tasks[cols[gain_bound > xi_min - slack[cols]]] = True
 
-    others = _cross_task_sums(state.losses)
+    others = state.others
     total_before = state.empirical + lam * pen_now
     qualifying = []  # (key, gain, candidate) of the moves that qualify at xi_min
     for l in np.flatnonzero(exact_tasks):
@@ -446,11 +461,11 @@ def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
     """
     tasks = tuple(tasks)
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
-    state = _PathState(tasks, W, config.epsilon)
+    state = _PathState(tasks, config.epsilon, W)
     move = _forward_move(state)
     if move is None:
         return None
-    j, l, sign, empirical_after = move
+    _, j, l, sign, empirical_after = move
     row = W[j, :]
     r_old = float(np.sqrt(row @ row))
     w_new = row[l] + sign * config.epsilon
@@ -478,7 +493,7 @@ def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandi
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
     if not np.any(W != 0.0):
         return None
-    return _backward_moves(_PathState(tasks, W, config.epsilon), [config.xi], lam)[0]
+    return _backward_moves(_PathState(tasks, config.epsilon, W), [config.xi], lam)[0]
 
 
 def lambda_schedule_update(
@@ -537,26 +552,6 @@ def fit(tasks, config: SolverConfig, *, standardize: bool = True) -> FitResult:
     return fit_xis(tasks, [config], standardize=standardize)[0]
 
 
-@dataclass
-class _Branch:
-    """One path of ``fit_xis``: the configs still on it and its iterate.
-
-    ``preset`` is a backward move already chosen for the next iteration.
-    """
-
-    members: list[int]
-    state: _PathState
-    counts: np.ndarray
-    lam: float | None
-    steps: list[StepRecord]
-    preset: tuple | None = None
-
-    def fork(self, members, preset) -> "_Branch":
-        return _Branch(
-            members, self.state.copy(), self.counts.copy(), self.lam, list(self.steps), preset
-        )
-
-
 def fit_xis(tasks, configs, *, standardize: bool = True) -> tuple[FitResult, ...]:
     """``fit`` for configs that differ only in ``xi``, sharing one path.
 
@@ -583,70 +578,54 @@ def fit_xis(tasks, configs, *, standardize: bool = True) -> tuple[FitResult, ...
         standardizers = tuple(Standardizer.identity(n_feat) for _ in tasks)
     std_tasks = tuple(standardized_copy(t, std) for std, t in zip(standardizers, tasks))
 
-    counts = np.zeros((n_feat, len(tasks)), dtype=np.int64)
-    state = _PathState(std_tasks, counts * base.epsilon, base.epsilon)
-    pending = [_Branch(list(range(len(configs))), state, counts, None, [])]
+    pending = [(list(range(len(configs))), _PathState(std_tasks, base.epsilon), None)]
     results: list[FitResult | None] = [None] * len(configs)
     while pending:
-        branch = pending.pop()
-        terminated = _run_branch(branch, configs, pending)
+        members, state, preset = pending.pop()
+        terminated, members = _run_path(state, members, preset, configs, pending)
         result = FitResult(
-            weights=WeightMatrix(branch.counts * base.epsilon),
-            trace=SolverTrace(tuple(branch.steps), terminated),
-            lambda_final=branch.lam if branch.lam is not None else 0.0,
+            weights=WeightMatrix(state.counts * base.epsilon),
+            trace=SolverTrace(tuple(state.steps), terminated),
+            lambda_final=state.lam if state.lam is not None else 0.0,
             standardization=standardizers,
-            stats=FitStats(**branch.state.tally),
+            stats=FitStats(**state.tally),
         )
-        for i in branch.members:
+        for i in members:
             results[i] = result
     return tuple(results)
 
 
-def _run_branch(branch: _Branch, configs, pending: list) -> str:
-    """Advance one branch to its end; returns the termination reason.
+def _run_path(state: _PathState, members, step, configs, pending: list):
+    """Advance one path to its end from the move ``step`` (None: search);
+    returns the termination reason and the configs that end on it.
 
-    Where the branch's configs pick different moves, the ones that go
-    forward stay (or else the first backward move's), and every other move
-    starts a new branch on ``pending``.
+    Where the path's configs pick different moves, the ones that go forward
+    stay (or else the first backward move's), and every other move starts a
+    new path on ``pending`` with a copy of the iterate.
     """
-    base = configs[branch.members[0]]
-    eps = base.epsilon
-    state, counts = branch.state, branch.counts
-    while len(branch.steps) < base.max_iters:
-        step, branch.preset = branch.preset, None
-        if step is None and branch.lam is not None and counts.any():
-            moves = _backward_moves(state, [configs[i].xi for i in branch.members], branch.lam)
+    base = configs[0]
+    while len(state.steps) < base.max_iters:
+        if step is None and state.lam is not None and state.counts.any():
+            moves = _backward_moves(state, [configs[i].xi for i in members], state.lam)
             groups: dict = {}  # move -> members choosing it; None goes forward
-            for i, cand in zip(branch.members, moves):
+            for i, cand in zip(members, moves):
                 move = None if cand is None else ("backward", cand.feature, cand.task, cand.sign)
                 groups.setdefault(move, []).append(i)
             if None in groups:
-                branch.members = groups.pop(None)
+                members = groups.pop(None)
             else:
                 step = next(iter(groups))
-                branch.members = groups.pop(step)
-            for move, members in groups.items():
-                pending.append(branch.fork(members, move))
-        emp_before, pen_before = state.empirical, state.penalty
+                members = groups.pop(step)
+            for move, group in groups.items():
+                pending.append((group, state.copy(), move))
+        step = step or _forward_move(state)
         if step is None:
-            move = _forward_move(state)
-            if move is None:
-                return TERMINATED_NO_IMPROVING_STEP
-            step = ("forward", *move[:3])
-        kind, j, l, sign = step
-        counts[j, l] += sign
-        state.set_weight(j, l, counts[j, l] * eps)
-        state.tally[kind + "_steps"] += 1
-        emp, pen = state.empirical, state.penalty
-        if kind == "forward":
-            branch.lam = lambda_schedule_update(branch.lam, emp_before, emp, pen_before, pen)
-        lam = branch.lam
-        branch.steps.append(
-            StepRecord(len(branch.steps) + 1, kind, j, l, sign, emp, pen, emp + lam * pen, lam)
-        )
-        if lam <= base.lambda_floor:
-            return TERMINATED_LAMBDA_FLOOR
-    return TERMINATED_MAX_ITERS
+            return TERMINATED_NO_IMPROVING_STEP, members
+        state.apply(*step[:4])
+        step = None
+        if state.lam <= base.lambda_floor:
+            return TERMINATED_LAMBDA_FLOOR, members
+    return TERMINATED_MAX_ITERS, members
 
 
 def validate_trace(result: FitResult, config: SolverConfig) -> None:

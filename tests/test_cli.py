@@ -443,6 +443,30 @@ class TestConfigTypes:
             assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a: [unclosed", "expected ',' or ']', but got '<stream end>' "
+             "(while parsing a flow sequence), line 1, column 13"),
+            ("seed: 1\ndate: 2023-02-30\n", "day is out of range for month, line 2, column 7"),
+            ("seed: 1\nsolver:\n  epsilon: " + "9" * 5000 + "\n",
+             "Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 5000 digits, line 3, column 12"),
+            ("seed: 1\n a: b: c\n", "mapping values are not allowed here, line 2, column 3"),
+            ('seed: 1\na: "\x01"\n', "unacceptable character #x0001: "
+             "special characters are not allowed, position 12"),
+        ],
+        ids=["unclosed", "bad-date", "5000-digits", "mapping", "control-char"],
+    )
+    def test_invalid_yaml_is_one_error_line(self, tmp_path, text, problem, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: invalid YAML: {problem}\n")
+        assert not out.exists()
+
     def test_repeated_grid_entry_is_one_error_line(self, config, tmp_path, capsys):
         config.write_text(config.read_text().replace("epsilons: [0.5, 0.2]", "epsilons: [0.5, 0.5]"))
         out = tmp_path / "out"

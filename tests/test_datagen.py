@@ -150,6 +150,12 @@ class TestWindowSplit:
         for bad in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="n_windows must be an integer"):
                 window_split(10, bad)
+        for bad in (10.5, 10.0, True, "10"):
+            with pytest.raises(ValueError, match="n_features must be an integer"):
+                window_split(bad, 1)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"n_features must be at least 1, got {bad}"):
+                window_split(bad, 1)
 
     @given(st.integers(min_value=1, max_value=200), st.data())
     def test_invariants(self, n, data):
@@ -379,6 +385,21 @@ class TestSpectrumIO:
         assert [ln.freq for ln in lines] == pop.freqs.tolist()
         assert [ln.h_mean for ln in lines] == pop.class_curves[0][1].tolist()
         assert all(ln.coherence == 0.9 for ln in lines)
+
+    def test_population_spectrum_rejects_bad_task_and_label(self):
+        pop = synth_population(small_spec())
+        n_tasks = len(pop.class_curves)
+        for task in (-1, n_tasks):
+            with pytest.raises(ValueError, match=rf"task must lie in 0\.\.{n_tasks - 1}, got {task}"):
+                population_spectrum(pop, task, 1)
+        for label in (-1, 2):
+            with pytest.raises(ValueError, match=f"label must be 0 or 1, got {label}"):
+                population_spectrum(pop, 0, label)
+        for name, args in (("task", (True, 1)), ("task", (0.0, 1)), ("label", (0, True)),
+                           ("label", (0, 1.0))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                population_spectrum(pop, *args)
+        assert population_spectrum(pop, np.int64(0), np.int64(1)) == population_spectrum(pop, 0, 1)
 
 
 class TestSpectrumToDatasets:

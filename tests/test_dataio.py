@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -256,10 +257,10 @@ class TestLoadConfig:
             load_config(self.write(tmp_path, "seed: " + "1" * 5000))
         assert "line 1, column 7" in str(err.value)
         assert "set_int_max_str_digits" not in str(err.value)
-        with pytest.raises(ConfigError, match=r"line 4, column 12:") as err:
+        with pytest.raises(ConfigError, match=r"value has 5000 digits, line 4, column 12$") as err:
             load_config(self.write(tmp_path, MINIMAL.replace("epsilon: 0.2", "epsilon: " + "9" * 5000)))
         assert "set_int_max_str_digits" not in str(err.value)
-        with pytest.raises(ConfigError, match=r"day is out of range for month\n.* line 2, column 7"):
+        with pytest.raises(ConfigError, match=r"day is out of range for month, line 2, column 7$"):
             load_config(self.write(tmp_path, "seed: 1\ndate: 2023-02-30\n"))
 
     def test_unknown_mode_rejected(self, tmp_path):
@@ -468,6 +469,13 @@ class TestReportBundle:
         assert list(bundle["traces"]) == ["mtl/window0"]
         assert bundle["traces"]["mtl/window0"]["terminated_by"] == trace.terminated_by
         assert len(bundle["traces"]["mtl/window0"]["steps"]) == len(trace.steps) > 0
+
+    @pytest.mark.parametrize("task_id", ["a,b", "x\ny", "x\rz"])
+    def test_text_cell_that_would_break_a_row_is_refused(self, tmp_path, task_id):
+        rows = tuple(dataclasses.replace(r, task_id=task_id) for r in tiny_report().rows)
+        with pytest.raises(ValueError, match=re.escape(f"text cell {task_id!r}")):
+            write_report_bundle(EvaluationReport(rows=rows), {}, tmp_path)
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_delimited_reader_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,15 +1,19 @@
-"""The package names the benchmark reaches for still exist.
+"""The package names the benchmark reaches for still exist and take its calls.
 
 ``perfbench/tracing.py`` wraps module attributes listed in ``_PATCHES`` and
 skips any it cannot find, and ``perfbench/workloads.py`` calls into the
 package through module aliases. A deletion in ``src/`` that drops one of
 those names would quietly lose a traced span or break a workload's set-up,
-so both files are read here (with ``ast``, nothing is imported from them).
+and a changed signature would break the replay probe or a workload, so both
+files are read here (with ``ast``, nothing is imported from them).
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +60,31 @@ def test_every_workload_attribute_resolves():
     assert ("fdatagen", "write_spectrum") in used
     missing = [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["tracing.py", "workloads.py"])
+def test_every_package_call_binds_to_its_signature(name):
+    tree = parse(name)
+    modules = package_aliases(tree)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in modules
+    ]
+    assert len(calls) >= 4
+    unbound = []
+    for call in calls:
+        # no *args or **kwargs, so placeholders stand for every argument
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        target = getattr(modules[call.func.value.id], call.func.attr)
+        try:
+            inspect.signature(target).bind(
+                *[None] * len(call.args), **{kw.arg: None for kw in call.keywords}
+            )
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {ast.unparse(call.func)}: {exc}")
+    assert unbound == []

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from test_solver_differential import LADDER, _problem
 
 from frfselect import (
     DegenerateLabelsError,
@@ -23,6 +26,7 @@ from frfselect.solver import (
     TERMINATED_LAMBDA_FLOOR,
     TERMINATED_MAX_ITERS,
     TERMINATED_NO_IMPROVING_STEP,
+    fit_xis,
 )
 
 
@@ -406,6 +410,56 @@ class TestFitStats:
     def test_results_built_without_stats_default_to_zero_counts(self):
         res = _result_with([], [[0.0]], 0.5)
         assert res.stats == FitStats()
+
+    # FitStats(forward_steps, backward_steps, backward_candidates,
+    # backward_exact, fast_scans, clamp_scans, recheck_scans), pinned so that
+    # any change in what a path tallies, or where a fork copies it, shows
+    @pytest.mark.parametrize(
+        "family,seed,counts",
+        [
+            (None, 0, (52, 4, 624, 558, 159, 0, 0)),
+            ("separable", 103, (119, 4, 1827, 1521, 470, 10, 0)),
+            ("duplicate", 302, (148, 2, 1824, 803, 444, 0, 78)),
+        ],
+    )
+    def test_solo_fit_stats_are_pinned(self, family, seed, counts):
+        if family is None:
+            cfg = SolverConfig(epsilon=0.3, xi=1e-4, max_iters=200)
+            res = fit(logistic_instance(np.random.default_rng(seed), 8, 3, 50), cfg)
+        else:
+            tasks, cfg, standardize = _problem(seed, family)
+            res = fit(tasks, cfg, standardize=standardize)
+        assert res.stats == FitStats(*counts)
+
+    @pytest.mark.parametrize(
+        "limits,counts",
+        [
+            (
+                {},
+                [
+                    (140, 10, 1259, 441, 420, 0, 0),
+                    (143, 7, 1303, 366, 429, 0, 0),
+                    (150, 0, 1383, 18, 450, 0, 0),
+                ],
+            ),
+            (
+                {"lambda_floor": 0.02, "max_iters": 40},
+                [
+                    (36, 4, 186, 86, 108, 0, 0),
+                    (36, 4, 188, 77, 108, 0, 0),
+                    (40, 0, 197, 18, 120, 0, 0),
+                ],
+            ),
+        ],
+    )
+    def test_forking_ladder_stats_are_pinned(self, limits, counts):
+        # a problem whose three tolerances end on three different paths
+        tasks, cfg, standardize = _problem(410, "shared")
+        base = dataclasses.replace(cfg, **limits)
+        configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+        results = fit_xis(tasks, configs, standardize=standardize)
+        assert len({id(r) for r in results}) == 3
+        assert [r.stats for r in results] == [FitStats(*c) for c in counts]
 
 
 def _result_with(steps, weights, eps):
