@@ -32,7 +32,7 @@ from .experiment import (
     grid_search,
     run_comparison,
 )
-from .model import TaskDataset, _check_int, _check_real, _read_table, _write_table
+from .model import TaskDataset, _check_int, _check_real, _read_table, _table_text, _write_table
 from .solver import SolverConfig
 
 __all__ = [
@@ -354,7 +354,10 @@ def load_config(
     cfg_path = Path(path)
     _require(cfg_path.is_file(), f"config file not found: {cfg_path}")
     try:
-        raw = yaml.load(cfg_path.read_text(), Loader=_Loader)
+        raw = yaml.load(cfg_path.read_text(encoding="utf-8"), Loader=_Loader)
+    except UnicodeDecodeError as exc:
+        problem = f"{exc.reason} at byte {exc.start}"
+        raise ConfigError(f"{cfg_path}: not UTF-8 text ({problem})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{cfg_path}: invalid YAML: {_yaml_problem(exc)}") from None
     _require(isinstance(raw, dict), "config must be a mapping")
@@ -444,7 +447,8 @@ def write_report_bundle(
     any. ``summary.csv`` and ``active_weights.csv`` (the nonzero weights)
     hold the rows of the bundle's sections of the same names. Output is
     deterministic: no timestamps, fixed key order, shortest round-trip
-    floats.
+    floats. A text cell the tables refuse is a ValueError raised before any
+    file is written.
     """
     tables = {
         "summary": (_SUMMARY_COLUMNS, [
@@ -462,8 +466,9 @@ def write_report_bundle(
             key: {"terminated_by": t.terminated_by, "steps": [asdict(s) for s in t.steps]}
             for key, t in report.traces
         }
+    texts = {name: _table_text(cols, rows) for name, (cols, rows) in tables.items()}
     paths = {"report": write_bundle(out_dir, "report.json", config_echo, **sections)}
-    for name, (cols, rows) in tables.items():
+    for name, text in texts.items():
         paths[name] = paths["report"].with_name(f"{name}.csv")
-        _write_table(paths[name], cols, rows)
+        paths[name].write_text(text)
     return paths

@@ -226,16 +226,19 @@ def _scored_f1(fit_result: FitResult, col: int, dataset: TaskDataset) -> float:
 
 def _scores(folds, mode: str, n_windows: int, configs) -> list[tuple[float, float]]:
     """Mean validation F1 and Gini of each config; the configs differ only in ``xi``."""
-    f1s = [[] for _ in configs]
-    ginis = [[] for _ in configs]
+    scores = [[] for _ in configs]  # per config: the (F1, Gini) of each fitted column
     for fold_train, fold_val in folds:
         for _, start, stop, fits in _window_fits(fold_train, mode, n_windows, configs):
             vals = [v.window(start, stop) for v in fold_val]
+            scored = {}  # configs on an unforked path share one result, scored once
             for c, choice_fits in enumerate(fits):
                 for (res, col), val in zip(choice_fits, vals):
-                    f1s[c].append(_scored_f1(res, col, val))
-                    ginis[c].append(gini_index(res.weights.column(col)))
-    return [(float(np.mean(f)), float(np.mean(g))) for f, g in zip(f1s, ginis)]
+                    key = (id(res), col)  # fits holds res, so no other result has its id
+                    if key not in scored:
+                        weights = res.weights.column(col)
+                        scored[key] = (_scored_f1(res, col, val), gini_index(weights))
+                    scores[c].append(scored[key])
+    return [tuple(float(np.mean(x)) for x in zip(*pairs)) for pairs in scores]
 
 
 def grid_search(

@@ -76,13 +76,17 @@ def _text_cell(v) -> str:
     return str(v)
 
 
-def _write_table(path, header, rows) -> None:
+def _table_text(header, rows) -> str:
     """Comma-delimited text: the header cells, then one line per row; floats by
-    ``_fmt``. A text cell holding a comma or a line break is a ValueError, and
-    then nothing is written."""
+    ``_fmt``. A text cell holding a comma or a line break is a ValueError."""
     lines = (",".join([_fmt(v) if isinstance(v, float) else _text_cell(v) for v in row])
              for row in (header, *rows))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_table(path, header, rows) -> None:
+    """``_table_text`` to ``path``; on a ValueError nothing is written."""
+    Path(path).write_text(_table_text(header, rows))
 
 
 def _read_table(path, error):
@@ -165,18 +169,30 @@ class TaskDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    @classmethod
+    def _from_checked(cls, features, labels, freqs, task_id) -> "TaskDataset":
+        """A dataset from parts of validated ones, not validated again; arrays become read-only."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "task_id", task_id)
+        for name, arr in (("features", features), ("labels", labels), ("feature_freqs", freqs)):
+            arr.setflags(write=False)
+            object.__setattr__(data, name, arr)
+        return data
+
     def subset(self, indices) -> "TaskDataset":
         """New dataset holding the given sample rows."""
         idx = np.asarray(indices, dtype=int)
-        return TaskDataset(self.features[idx], self.labels[idx], self.feature_freqs, self.task_id)
+        # an empty or multi-dimensional selection fails the constructor's checks
+        make = TaskDataset._from_checked if idx.ndim == 1 and idx.size else TaskDataset
+        return make(self.features[idx], self.labels[idx], self.feature_freqs, self.task_id)
 
     def window(self, start: int, stop: int) -> "TaskDataset":
         """New dataset restricted to the feature columns [start, stop)."""
         if not (0 <= start < stop <= self.n_features):
             raise ValueError(f"window [{start}, {stop}) outside 0..{self.n_features}")
-        return TaskDataset(
-            self.features[:, start:stop], self.labels, self.feature_freqs[start:stop], self.task_id
-        )
+        features = np.array(self.features[:, start:stop])  # C-ordered, as the constructor's
+        freqs = self.feature_freqs[start:stop]
+        return TaskDataset._from_checked(features, self.labels, freqs, self.task_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +279,10 @@ class Standardizer:
 
 def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskDataset:
     """The same dataset with its features pushed through a standardizer."""
-    return TaskDataset(
-        standardizer.apply(task.features), task.labels, task.feature_freqs, task.task_id
-    )
+    features = standardizer.apply(task.features)
+    # only the new features can fail a check: a tiny scale can overflow them
+    make = TaskDataset._from_checked if np.isfinite(features).all() else TaskDataset
+    return make(features, task.labels, task.feature_freqs, task.task_id)
 
 
 def sigmoid(z):
@@ -291,8 +308,13 @@ def _nll_from_logits(logits, labels):
     evaluated at once; the labels vector is shared and the result is a
     scalar or a (k,) array accordingly.
     """
-    p = expit(logits)
-    np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    return _nll_from_probs(expit(logits), labels)
+
+
+def _nll_from_probs(p, labels):
+    """``_nll_from_logits`` given ``p = expit(logits)``; clamps ``p`` in place."""
+    np.maximum(p, PROB_CLAMP, out=p)
+    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
     ll = labels @ np.log(p) + (1.0 - labels) @ np.log(1.0 - p)
     return -ll / labels.shape[0]
 

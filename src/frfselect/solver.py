@@ -12,16 +12,20 @@ another task cheaper per unit of penalty; that discount is what pulls the
 tasks toward a shared support.
 
 Implementation: a path has one iterate, a private path state holding the
-lattice counts and weights, each task's logits ``X_l @ W[:, l]`` and loss,
-the cross-task loss sums, the row norms, the penalty, the level, the steps
-and the tally. An accepted step recomputes only the touched task's logits
-and loss, from scratch, so every loss in the trace is exactly what a full
-recomputation gives.
+lattice counts and weights, each task's logits ``X_l @ W[:, l]``, loss and
+residual ``expit(z) - y``, the cross-task loss sums, the row norms, the
+penalty, the backward screening terms (each task's gradient and slack), the
+level, the steps and the tally. An accepted step recomputes the touched
+task's logits, loss, residual and screening terms from scratch, and the
+touched row's norm, so every loss in the trace is exactly what a full
+recomputation gives. A fork copies the iterate's arrays.
 
 Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 ``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
-all features are the column means of ``log1p(exp(s*z + ±eps * s * X))``,
-computed in one reused buffer: one ``exp`` and one ``log1p`` per element,
+all features are the column means of ``log1p(exp(s*z + ±eps * s * X))``.
+Both signs are computed in one pass over a reused ``(2, n, p)`` buffer: the
+products ``±eps * s * X`` are fixed per task and formed once, and a scan
+adds ``s*z`` and takes one ``exp`` and one ``log1p`` per element,
 where the clamped cross-entropy of ``model._nll_from_logits`` takes
 ``expit``, a clip and two ``log`` calls. The two agree only while no logit
 can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
@@ -65,7 +69,7 @@ from .model import (
     WeightMatrix,
     _check_int,
     _check_real,
-    _nll_from_logits,
+    _nll_from_probs,
     _weights_2d,
     empirical_loss_mtl,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     standardized_copy,
@@ -204,7 +208,7 @@ _ULP = float(np.finfo(float).eps)
 
 
 class _TaskTerms:
-    """One task's data and its part of the iterate: logits, loss, gradient."""
+    """One task's data and its part of the iterate: logits, loss, residual."""
 
     def __init__(self, task, w, epsilon: float):
         self.X = task.features
@@ -212,16 +216,18 @@ class _TaskTerms:
         self.s = 1.0 - 2.0 * self.y
         self.eps = epsilon
         self.eps_x_max = epsilon * float(np.abs(self.X).max())
-        self._eps_s = (epsilon * self.s)[:, None]
+        # the fused kernel's fixed part: X times eps * s (+ moves) and -eps * s (- moves)
+        self._eps_s_X = self.X * np.array([epsilon * self.s, -(epsilon * self.s)])[:, :, None]
         self.update(w)
 
     def update(self, w):
-        """Recompute logits and loss from scratch for the weight column ``w``."""
+        """Recompute logits, loss and residual from scratch for the weight column ``w``."""
         self.z = self.X @ w
-        self.loss = float(_nll_from_logits(self.z, self.y))
+        p = expit(self.z)
+        self.residual = p - self.y
+        self.loss = float(_nll_from_probs(p, self.y))
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.abs(self.z).max()) + self.eps_x_max
-        self._gradient = None
         self._bound = None
 
     @property
@@ -238,46 +244,41 @@ class _TaskTerms:
         ``reach + 1``.
         """
         if self._bound is None:
-            margins = float(np.exp(self.s * self.z).mean()) * np.exp(self.eps_x_max)
-            self._bound = _ULP * (8.0 * margins + 2.0 * self.z.shape[0] * (self.reach + 1.0))
+            n = self.z.shape[0]
+            # the sum and division of .mean(), without its overhead
+            margins = float(np.add.reduce(np.exp(self.s * self.z)) / n) * np.exp(self.eps_x_max)
+            self._bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
         return self._bound
 
     def scan_fused(self, buf):
-        """Losses of the + and - moves of every feature, and the error bound."""
-        buf = buf[: self.X.size].reshape(self.X.shape)
-        sz = (self.s * self.z)[:, None]
-        losses = []
-        for eps_s in (self._eps_s, -self._eps_s):
-            np.multiply(self.X, eps_s, out=buf)
-            np.add(buf, sz, out=buf)
-            np.exp(buf, out=buf)
-            np.log1p(buf, out=buf)
-            losses.append(buf.mean(axis=0))
-        return losses[0], losses[1], self.error_bound()
+        """Losses of the + and - moves of every feature as the rows of a
+        (2, n_features) array, both signs in one pass; and the error bound."""
+        buf = buf[: self._eps_s_X.size].reshape(self._eps_s_X.shape)
+        np.add(self._eps_s_X, (self.s * self.z)[:, None], out=buf)
+        np.exp(buf, out=buf)
+        np.log1p(buf, out=buf)
+        return np.add.reduce(buf, axis=1) / self.X.shape[0], self.error_bound()
 
     def scan_clamped(self):
         """The same as ``scan_fused`` with the clamped kernel; no error."""
-        return (
-            _nll_from_logits(self.z[:, None] + self.eps * self.X, self.y),
-            _nll_from_logits(self.z[:, None] - self.eps * self.X, self.y),
-            0.0,
-        )
+        z = self.z[:, None]
+        moves = (z + self.eps * self.X, z - self.eps * self.X)
+        return np.array([_nll_from_probs(expit(Z), self.y) for Z in moves]), 0.0
 
     def gradient(self):
-        if self._gradient is None:
-            self._gradient = self.X.T @ (expit(self.z) - self.y) / self.z.shape[0]
-        return self._gradient
+        return self.X.T @ self.residual / self.z.shape[0]
 
     def moved_losses(self, idx, signs):
         """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``."""
         Z = self.z[:, None] + (self.eps * signs)[None, :] * self.X[:, idx]
-        return np.atleast_1d(_nll_from_logits(Z, self.y))
+        return _nll_from_probs(expit(Z), self.y)
 
 
 class _PathState:
     """The whole iterate of one path from zero weights: counts, weights, task
-    terms, level, steps and tally. Built from given ``weights`` it is a step
-    function's probe: searched, never stepped, and without counts."""
+    terms, screening terms, level, steps and tally. Built from given
+    ``weights`` it is a step function's probe: searched, never stepped, and
+    without counts."""
 
     def __init__(self, tasks, epsilon: float, weights=None):
         self.eps = epsilon
@@ -285,10 +286,18 @@ class _PathState:
         self.W = np.zeros(shape) if weights is None else np.array(weights, dtype=float)
         self.counts = np.zeros(shape, dtype=np.int64) if weights is None else None
         self.tasks = [_TaskTerms(t, self.W[:, l], epsilon) for l, t in enumerate(tasks)]
+        # backward screening terms: each task's loss gradient (one row per
+        # task) and slack, refreshed for the task a step touches
+        self.gradients = np.empty(shape[::-1])
+        self.slack = np.empty(len(tasks))
+        for l in range(len(tasks)):
+            self._screen(l)
+        # the same operations as model.l21_norm, so the penalty is bit-identical
+        self.row_norms = np.sqrt((self.W * self.W).sum(axis=1))
         self.lam = None
         self.steps = []
         self.tally = Counter()  # FitStats field -> count
-        self._buf = np.empty(max(t.X.size for t in self.tasks))
+        self._buf = np.empty(2 * max(t.X.size for t in self.tasks))
         self._refresh_totals()
 
     def _refresh_totals(self):
@@ -296,26 +305,15 @@ class _PathState:
         self.empirical = sum(self.losses) / len(self.losses)
         # exact "sum of the other tasks" terms, computed directly so that a
         # candidate on task l compares by its own loss without cancellation noise
-        self.others = [
-            sum(x for m, x in enumerate(self.losses) if m != l) for l in range(len(self.losses))
-        ]
-        # the same operations as model.l21_norm, so the penalty is bit-identical
-        self.row_norms = np.sqrt((self.W * self.W).sum(axis=1))
+        self.others = [sum(self.losses[:l] + self.losses[l + 1:]) for l in range(len(self.losses))]
         self.penalty = float(self.row_norms.sum())
 
-    def screening_terms(self):
-        """Per-task gradients (n_features, n_tasks) and backward screening slack.
-
-        A clamp-regime task gets a zero gradient and an infinite slack, so
-        every one of its candidates is evaluated exactly.
-        """
-        gradients = np.zeros(self.W.shape)
-        slack = np.full(len(self.tasks), np.inf)
-        for l, terms in enumerate(self.tasks):
-            if terms.clamp_free:
-                gradients[:, l] = terms.gradient()
-                slack[l] = _SCREEN_SLACK + 2.0 * terms.error_bound()
-        return gradients, slack
+    def _screen(self, l: int):
+        """Task l's screening terms; in the clamp regime a zero gradient and an
+        infinite slack, so that all its candidates are evaluated exactly."""
+        terms = self.tasks[l]
+        self.gradients[l] = terms.gradient() if terms.clamp_free else 0.0
+        self.slack[l] = _SCREEN_SLACK + 2.0 * terms.error_bound() if terms.clamp_free else np.inf
 
     def apply(self, kind: str, j: int, l: int, sign: int):
         """Move weight (j, l) one lattice step by ``sign`` and record the step."""
@@ -323,6 +321,8 @@ class _PathState:
         self.counts[j, l] += sign
         self.W[j, l] = self.counts[j, l] * self.eps
         self.tasks[l].update(self.W[:, l])
+        self._screen(l)
+        self.row_norms[j] = np.sqrt((self.W[j] * self.W[j]).sum())
         self._refresh_totals()
         self.tally[kind + "_steps"] += 1
         emp, pen, lam = self.empirical, self.penalty, self.lam
@@ -333,7 +333,8 @@ class _PathState:
         )
 
     def scan(self, task: int, recheck: bool = False):
-        """Forward candidate losses of one task: (plus, minus, error bound)."""
+        """Forward candidate losses of one task: ((2, n_features) losses of the
+        + and - moves, error bound)."""
         terms = self.tasks[task]
         if recheck:
             self.tally["recheck_scans"] += 1
@@ -348,8 +349,8 @@ class _PathState:
         """An independent iterate: a fork of the path. Task terms are replaced,
         never changed in place, on an update, so their arrays stay shared."""
         twin = copy.copy(self)
-        twin.W = self.W.copy()
-        twin.counts = self.counts.copy()
+        for name in ("W", "counts", "gradients", "slack", "row_norms"):
+            setattr(twin, name, getattr(self, name).copy())
         twin.tasks = [copy.copy(t) for t in self.tasks]
         twin.steps = list(self.steps)
         twin.tally = Counter(self.tally)
@@ -365,30 +366,24 @@ def _forward_move(state: _PathState):
     the loss of the task it touches.
     """
     L = len(state.tasks)
-    others = state.others
-    cand = np.empty((state.W.shape[0], L, 2))
-    scans = [None] * L
-
-    def fill(l, recheck=False):
-        scans[l] = plus, minus, bound = state.scan(l, recheck)
-        cand[:, l, 0] = (others[l] + plus) / L
-        cand[:, l, 1] = (others[l] + minus) / L
-        return bound
-
-    bounds = np.array([fill(l) for l in range(L)])
-    # C-order argmin realizes the (feature, task, +before-) tie-break
-    j, l, s = np.unravel_index(int(np.argmin(cand)), cand.shape)
-    if bounds.any():
-        close = cand <= cand[j, l, s] + ((bounds + bounds[l]) / L)[None, :, None]
-        close[j, l, s] = False
-        near_current = abs(scans[l][s][j] - state.losses[l]) <= bounds[l]
-        if close.any() or near_current:
-            for m in np.flatnonzero(bounds):
-                fill(m, recheck=True)
-            j, l, s = np.unravel_index(int(np.argmin(cand)), cand.shape)
-    if not scans[l][s][j] < state.losses[l]:
+    scans = [state.scan(l) for l in range(L)]
+    while True:
+        # cand[l, s, j]: the empirical loss after moving (j, l) by sign s; the
+        # argmin over its (j, l, s) view realizes the tie-break
+        cand = np.array([o + losses for o, (losses, _) in zip(state.others, scans)]) / L
+        i = int(np.argmin(cand.transpose(2, 0, 1)))
+        j, l, s = i // (2 * L), i // 2 % L, i % 2
+        bounds = np.array([bound for _, bound in scans])
+        if not bounds.any():
+            break
+        # recheck when another candidate or the current loss is within rounding
+        near = cand <= cand[l, s, j] + ((bounds + bounds[l]) / L)[:, None, None]
+        if np.count_nonzero(near) == 1 and abs(scans[l][0][s, j] - state.losses[l]) > bounds[l]:
+            break
+        scans = [state.scan(m, recheck=True) if b else scans[m] for m, b in enumerate(bounds)]
+    if not scans[l][0][s, j] < state.losses[l]:
         return None
-    return "forward", int(j), int(l), 1 if s == 0 else -1, float(cand[j, l, s])
+    return "forward", j, l, 1 - 2 * s, float(cand[l, s, j])
 
 
 def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | None]:
@@ -406,7 +401,7 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     eps = state.eps
     xi_min = min(xis)
     pen_now = state.penalty
-    rows, cols = np.nonzero(state.W)
+    rows, cols = state.W.nonzero()
     w_vals = state.W[rows, cols]
     signs = -np.sign(w_vals)
     w_new = w_vals + eps * signs
@@ -417,10 +412,11 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
 
     # Convexity: a move changes its task's loss by at least eps * sign * g,
     # which bounds the penalised-loss gain. No bound in the clamp regime.
-    gradients, slack = state.screening_terms()
-    gain_bound = -(eps * signs) * gradients[rows, cols] / L + lam * (pen_now - pen_after)
+    gain_bound = -(eps * signs) * state.gradients[cols, rows] / L + lam * (pen_now - pen_after)
     exact_tasks = np.zeros(L, dtype=bool)
-    exact_tasks[cols[gain_bound > xi_min - slack[cols]]] = True
+    exact_tasks[cols[gain_bound > xi_min - state.slack[cols]]] = True
+    if not exact_tasks.any():
+        return [None] * len(xis)
 
     others = state.others
     total_before = state.empirical + lam * pen_now

@@ -467,6 +467,16 @@ class TestConfigTypes:
         assert (captured.out, captured.err) == ("", f"error: {path}: invalid YAML: {problem}\n")
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"a: \xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: not UTF-8 text (invalid start byte at byte 3)\n")
+        assert not out.exists()
+
     def test_repeated_grid_entry_is_one_error_line(self, config, tmp_path, capsys):
         config.write_text(config.read_text().replace("epsilons: [0.5, 0.2]", "epsilons: [0.5, 0.5]"))
         out = tmp_path / "out"

@@ -475,7 +475,7 @@ class TestReportBundle:
         rows = tuple(dataclasses.replace(r, task_id=task_id) for r in tiny_report().rows)
         with pytest.raises(ValueError, match=re.escape(f"text cell {task_id!r}")):
             write_report_bundle(EvaluationReport(rows=rows), {}, tmp_path)
-        assert not (tmp_path / "summary.csv").exists()
+        assert list(tmp_path.iterdir()) == []  # not even report.json
 
     def test_delimited_reader_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from frfselect import (
     window_split,
 )
 from frfselect import experiment
-from frfselect.experiment import GridRow, _select_best
+from frfselect.experiment import MODE_INDEPENDENT, MODE_MTL, GridRow, _select_best
 from frfselect.model import Standardizer
 
 
@@ -293,6 +295,73 @@ class TestGridSearch:
         empty = GridSpec(epsilons=(0.05,), xis=(0.1,), window_counts=(1,), folds=2)
         with pytest.raises(ValueError, match="pairs"):
             grid_search(pop.tasks, empty, "independent")
+
+
+def benchmark_grid_case():
+    """The grid-cv benchmark's inputs for case 3: 2 tasks, 196 lines, 30
+    samples per class; 2 epsilons x 2 xis x 2 window counts x 3 folds."""
+    spec = SyntheticPopulationSpec(
+        modes=(ModalMode(40.0, 0.04), ModalMode(90.0, 0.03)), class_shift=(4.0, -5.0),
+        nuisance_band=(130.0, 190.0), noise_sd=0.3, n_samples=30, seed=3, n_tasks=2,
+        n_features=196,
+    )
+    grid = GridSpec(epsilons=(1.0, 0.3), xis=(0.1, 0.01), window_counts=(2, 4), folds=3, seed=3)
+    return synth_population(spec).tasks, grid
+
+
+@pytest.fixture(scope="module")
+def instrumented_grid():
+    """Per mode: the (result, column) of every ``_scored_f1`` call, and the
+    per-field ``FitStats`` sums over the distinct results of every fit."""
+    tasks, grid = benchmark_grid_case()
+    real_f1, real_fits = experiment._scored_f1, experiment.fit_xis
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for mode in (MODE_INDEPENDENT, MODE_MTL):
+            scored, sums = [], Counter()
+
+            def counted_f1(res, col, data, scored=scored):
+                scored.append((res, col))  # holds res, so its id stays unique
+                return real_f1(res, col, data)
+
+            def summed_fits(tasks, configs, sums=sums, **kwargs):
+                results = real_fits(tasks, configs, **kwargs)
+                for res in {id(r): r for r in results}.values():
+                    sums.update(dataclasses.asdict(res.stats))
+                return results
+
+            mp.setattr(experiment, "_scored_f1", counted_f1)
+            mp.setattr(experiment, "fit_xis", summed_fits)
+            grid_search(tasks, grid, mode, max_iters=40)
+            runs[mode] = scored, dict(sums)
+    return runs
+
+
+class TestGridGlue:
+    def test_each_shared_result_is_scored_once(self, instrumented_grid):
+        calls = [scored for scored, _ in instrumented_grid.values()]
+        for scored in calls:
+            assert len({(id(res), col) for res, col in scored}) == len(scored)
+        # 83 independent and 84 joint paths: configs on an unforked path
+        # share one result, which 288 scorings would repeat
+        assert [len(scored) for scored in calls] == [83, 84]
+
+    # per-field sums over the grid's distinct paths, recorded before the
+    # screening terms moved onto the path state; a drift in what grid-style
+    # paths screen, scan or recheck shows here
+    @pytest.mark.parametrize(
+        "mode,sums",
+        [
+            (MODE_INDEPENDENT, dict(forward_steps=3161, backward_steps=12,
+                                    backward_candidates=38427, backward_exact=11933,
+                                    fast_scans=2865, clamp_scans=306, recheck_scans=0)),
+            (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
+                            backward_exact=6666, fast_scans=3338, clamp_scans=10,
+                            recheck_scans=0)),
+        ],
+    )
+    def test_grid_fit_stats_are_pinned(self, instrumented_grid, mode, sums):
+        assert instrumented_grid[mode][1] == sums
 
 
 class TestRunComparison:

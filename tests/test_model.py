@@ -21,6 +21,7 @@ from frfselect import (
     l21_norm,
     sigmoid,
     spectrum_to_datasets,
+    standardized_copy,
     total_loss,
 )
 from frfselect.model import _check_int, _check_real
@@ -215,6 +216,44 @@ class TestTaskDataset:
         with pytest.raises(ValueError):
             data.window(0, 5)
 
+    @staticmethod
+    def assert_same_dataset(got, want):
+        assert got.task_id == want.task_id
+        for name in ("features", "labels", "feature_freqs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.flags.c_contiguous == b.flags.c_contiguous, name
+            assert not a.flags.writeable, name
+
+    def test_window_and_subset_equal_validated_datasets(self):
+        rng = np.random.default_rng(4)
+        data = make_task(rng.normal(size=(9, 7)), rng.integers(0, 2, 9), task_id="w")
+        win = data.window(2, 6)
+        self.assert_same_dataset(win, TaskDataset(
+            data.features[:, 2:6], data.labels, data.feature_freqs[2:6], "w"))
+        assert not np.shares_memory(win.features, data.features)
+        idx = [8, 0, 3, 3]
+        sub = data.subset(idx)
+        self.assert_same_dataset(sub, TaskDataset(
+            data.features[idx], data.labels[idx], data.feature_freqs, "w"))
+        self.assert_same_dataset(sub.window(1, 2), TaskDataset(
+            data.features[idx][:, 1:2], data.labels[idx], data.feature_freqs[1:2], "w"))
+
+    def test_bad_windows_and_subsets_raise_as_before(self):
+        data = make_task([[1.0, 2.0], [3.0, 4.0]], [1, 0])
+        for start, stop in ((1, 1), (0, 3), (-1, 1), (2, 1)):
+            message = re.escape(f"window [{start}, {stop}) outside 0..2")
+            with pytest.raises(ValueError, match=message):
+                data.window(start, stop)
+        with pytest.raises(ValueError, match="at least one sample and one feature"):
+            data.subset([])
+        with pytest.raises(ValueError, match="features must be 2-D, got ndim=3"):
+            data.subset([[0, 1]])
+        with pytest.raises(ValueError, match="features must be 2-D, got ndim=1"):
+            data.subset(1)
+        with pytest.raises(IndexError):
+            data.subset([2])
+
 
 class TestWeightMatrix:
     def test_vector_becomes_single_column(self):
@@ -259,6 +298,15 @@ class TestStandardizer:
         s = Standardizer.identity(2)
         with pytest.raises(ValueError):
             s.apply(np.ones((1, 3)))
+
+    def test_standardized_copy_equals_a_validated_dataset(self):
+        data = make_task(np.random.default_rng(5).normal(size=(6, 3)), [1, 0, 1, 1, 0, 0])
+        std = Standardizer.fit(data.features)
+        TestTaskDataset.assert_same_dataset(standardized_copy(data, std), TaskDataset(
+            std.apply(data.features), data.labels, data.feature_freqs, data.task_id))
+        tiny = Standardizer(np.zeros(2), np.full(2, 1e-310))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            standardized_copy(make_task([[1e10, 1.0]], [1]), tiny)
 
 
 @pytest.mark.parametrize("value, minimum, message", [

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from reference_solver import _nll_from_logits as reference_nll
+from scipy.special import expit
 from test_solver_differential import LADDER, _problem
 
 from frfselect import (
@@ -21,11 +23,13 @@ from frfselect import (
     lambda_schedule_update,
     validate_trace,
 )
+from frfselect.model import _nll_from_logits, _nll_from_probs
 from frfselect.solver import (
     StepRecord,
     TERMINATED_LAMBDA_FLOOR,
     TERMINATED_MAX_ITERS,
     TERMINATED_NO_IMPROVING_STEP,
+    _TaskTerms,
     fit_xis,
 )
 
@@ -460,6 +464,72 @@ class TestFitStats:
         results = fit_xis(tasks, configs, standardize=standardize)
         assert len({id(r) for r in results}) == 3
         assert [r.stats for r in results] == [FitStats(*c) for c in counts]
+
+
+def two_pass_scan(X, y, z, eps):
+    """The fused scan as it was written before it took both signs in one
+    pass: one ``(n, p)`` buffer per sign and ``.mean(axis=0)``."""
+    s = 1.0 - 2.0 * y
+    eps_s = (eps * s)[:, None]
+    sz = (s * z)[:, None]
+    buf = np.empty(X.shape)
+    losses = []
+    for step in (eps_s, -eps_s):
+        np.multiply(X, step, out=buf)
+        np.add(buf, sz, out=buf)
+        np.exp(buf, out=buf)
+        np.log1p(buf, out=buf)
+        losses.append(buf.mean(axis=0))
+    return losses
+
+
+def kernel_case(seed):
+    """Task terms on a random shape, n up to 400 and p up to 200, whose
+    logits reach the clamp regime on every odd seed."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(2, 401)), int(rng.integers(1, 201))
+    eps = (0.02, 0.3, 1.0)[seed % 3]
+    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 3.0, size=p)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = 0, 1
+    w = rng.normal(size=p) * (40.0 if seed % 2 else 0.3) / np.sqrt(p)
+    terms = _TaskTerms(TaskDataset(X, y, np.arange(1.0, p + 1.0)), w, eps)
+    return rng, terms
+
+
+class TestKernelBits:
+    """The rewritten kernels return the bits of the code they replaced."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_pass_scan_equals_two_pass_scan(self, seed):
+        _, terms = kernel_case(seed)
+        losses, _ = terms.scan_fused(np.empty(2 * terms.X.size))
+        plus, minus = two_pass_scan(terms.X, terms.y, terms.z, terms.eps)
+        assert np.array_equal(losses[0], plus) and np.array_equal(losses[1], minus)
+        clamped, _ = terms.scan_clamped()
+        z = terms.z[:, None]
+        assert np.array_equal(clamped[0], reference_nll(z + terms.eps * terms.X, terms.y))
+        assert np.array_equal(clamped[1], reference_nll(z - terms.eps * terms.X, terms.y))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_loss_helper_equals_clipped_loss(self, seed):
+        rng, terms = kernel_case(seed)
+        assert terms.loss == float(reference_nll(terms.z, terms.y))
+        Z = rng.normal(size=(terms.z.shape[0], 5)) * np.array([0.1, 1.0, 10.0, 30.0, 60.0])
+        assert np.array_equal(_nll_from_logits(Z, terms.y), reference_nll(Z, terms.y))
+        for logits in (Z[:, 3], Z):
+            want = reference_nll(logits, terms.y)
+            assert np.array_equal(_nll_from_probs(expit(logits), terms.y), want)
+        idx = rng.integers(0, terms.X.shape[1], size=4)
+        signs = rng.choice([-1.0, 1.0], size=4)
+        Z = terms.z[:, None] + (terms.eps * signs)[None, :] * terms.X[:, idx]
+        assert np.array_equal(terms.moved_losses(idx, signs), reference_nll(Z, terms.y))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_gradient_from_kept_residual(self, seed):
+        _, terms = kernel_case(seed)
+        want = terms.X.T @ (expit(terms.z) - terms.y) / terms.z.shape[0]
+        assert np.array_equal(terms.gradient(), want)
 
 
 def _result_with(steps, weights, eps):
