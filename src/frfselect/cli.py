@@ -83,19 +83,22 @@ def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
         test.append(load_dataset(t["test"], t["id"]) if t["test"] else None)
     sampling = echo["sampling"]
     for i, src in enumerate(echo.get("spectra", ())):
-        tr, te = spectrum_to_datasets(
-            load_spectrum(src["class0"], src["n_avg"]),
-            load_spectrum(src["class1"], src["n_avg"]),
-            n_train_per_class=src["n_train_per_class"],
-            n_test_per_class=src["n_test_per_class"],
-            seed=np.random.SeedSequence([echo["seed"], i]),
-            task_id=src["id"],
-            n_intermediate=sampling["n_intermediate"],
-            two_stage=sampling["mode"] == "two-stage",
-            normalize=src["normalize"],
-            freq_min=src["freq_min"],
-            freq_max=src["freq_max"],
-        )
+        classes = [load_spectrum(src[name], src["n_avg"]) for name in ("class0", "class1")]
+        try:
+            tr, te = spectrum_to_datasets(
+                *classes,
+                n_train_per_class=src["n_train_per_class"],
+                n_test_per_class=src["n_test_per_class"],
+                seed=np.random.SeedSequence([echo["seed"], i]),
+                task_id=src["id"],
+                n_intermediate=sampling["n_intermediate"],
+                two_stage=sampling["mode"] == "two-stage",
+                normalize=src["normalize"],
+                freq_min=src["freq_min"],
+                freq_max=src["freq_max"],
+            )
+        except ValueError as exc:  # name the entry among several
+            raise ValueError(f"spectra[{i}] ({src['id']!r}): {exc}") from None
         train.append(tr)
         test.append(te)
     transfer = echo.get("transfer")

@@ -26,7 +26,6 @@ __all__ = [
     "SyntheticPopulationSpec",
     "SyntheticPopulation",
     "synth_population",
-    "modal_magnitude",
     "population_spectrum",
     "spectrum_to_datasets",
     "load_spectrum",

@@ -315,8 +315,20 @@ def _make(where: str, cls, **kwargs):
 
 class _Loader(yaml.SafeLoader):
     """``yaml.safe_load``, but a value its type cannot hold (an integer of more
-    digits than ``int()`` takes, a date such as 2023-02-30) is a YAML error at
-    its line."""
+    digits than ``int()`` takes, a date such as 2023-02-30) and a key repeated
+    in one mapping are YAML errors at their line. A ``<<`` merge key is left
+    as PyYAML treats it: the mapping's own keys override merged ones."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list: a YAML key may be unhashable
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
 
     def construct_object(self, node, deep=False):
         try:
@@ -416,7 +428,8 @@ def write_bundle(out_dir, name: str, config_echo: dict, **sections) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    path.write_text(json.dumps({"config": config_echo, **sections}, indent=2) + "\n")
+    text = json.dumps({"config": config_echo, **sections}, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -470,5 +483,5 @@ def write_report_bundle(
     paths = {"report": write_bundle(out_dir, "report.json", config_echo, **sections)}
     for name, text in texts.items():
         paths[name] = paths["report"].with_name(f"{name}.csv")
-        paths[name].write_text(text)
+        paths[name].write_text(text, encoding="utf-8")
     return paths

@@ -17,10 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import Standardizer, TaskDataset, _check_int, _check_real, sigmoid, standardized_copy
+from .model import Standardizer, TaskDataset, _check_int, _check_real, standardized_copy
 from .solver import (
     FitResult,
     SolverConfig,
@@ -214,8 +215,7 @@ def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDatas
         raise ValueError(
             f"unseen task has {unseen.n_features} features, weights have {w.shape[0]}"
         )
-    probs = sigmoid(unseen.features @ w)
-    preds = np.where(np.atleast_1d(probs) >= 0.5, 1, 0)
+    preds = np.where(expit(unseen.features @ w) >= 0.5, 1, 0)
     return f1_score(unseen.labels, preds)
 
 

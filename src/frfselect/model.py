@@ -1,4 +1,4 @@
-"""Logistic prediction, empirical losses, and sparsity-inducing norms.
+"""Datasets, logistic losses, and sparsity-inducing norms.
 
 A single-task model is a weight vector scoring each frequency line; the
 multi-task model stacks one column per task into a shared matrix and is
@@ -22,19 +22,12 @@ __all__ = [
     "WeightMatrix",
     "Standardizer",
     "standardized_copy",
-    "sigmoid",
-    "empirical_loss_single",
-    "empirical_loss_mtl",
-    "l21_norm",
     "total_loss",
 ]
 
 # Predicted probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP]
 # before taking logs so saturated predictions keep the loss finite.
 PROB_CLAMP = 1e-12
-
-_SIGMOID_LO = float(np.nextafter(0.0, 1.0))
-_SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> int:
@@ -86,7 +79,7 @@ def _table_text(header, rows) -> str:
 
 def _write_table(path, header, rows) -> None:
     """``_table_text`` to ``path``; on a ValueError nothing is written."""
-    Path(path).write_text(_table_text(header, rows))
+    Path(path).write_text(_table_text(header, rows), encoding="utf-8")
 
 
 def _read_table(path, error):
@@ -94,7 +87,10 @@ def _read_table(path, error):
     non-blank row. Rows are split as the caller asks for them, so a fault the
     caller finds in one row is reported before any in a later row. Raises
     ``error`` for an empty file, no data rows or a row of the wrong width."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines:
         raise error(f"{path}: empty file")
     header = lines[0].split(",")
@@ -285,34 +281,10 @@ def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskData
     return make(features, task.labels, task.feature_freqs, task.task_id)
 
 
-def sigmoid(z):
-    """Logistic function ``1 / (1 + exp(-z))``.
-
-    Accepts a scalar or an array; scalars come back as float. Outputs are
-    nudged into the open interval (0, 1) so saturated logits never return
-    exactly 0 or 1.
-    """
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sigmoid requires finite input")
-    out = np.clip(expit(arr), _SIGMOID_LO, _SIGMOID_HI)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
-
-
-def _nll_from_logits(logits, labels):
-    """Clamped mean cross-entropy from logits.
-
-    ``logits`` may be (n,) for one model or (n, k) for k candidate models
-    evaluated at once; the labels vector is shared and the result is a
-    scalar or a (k,) array accordingly.
-    """
-    return _nll_from_probs(expit(logits), labels)
-
-
 def _nll_from_probs(p, labels):
-    """``_nll_from_logits`` given ``p = expit(logits)``; clamps ``p`` in place."""
+    """Clamped mean cross-entropy given ``p = expit(logits)``, clamped in place:
+    a scalar for ``p`` of shape (n,), one model, and a (k,) array for (n, k),
+    k candidate models sharing the labels."""
     np.maximum(p, PROB_CLAMP, out=p)
     np.minimum(p, 1.0 - PROB_CLAMP, out=p)
     ll = labels @ np.log(p) + (1.0 - labels) @ np.log(1.0 - p)
@@ -327,7 +299,7 @@ def empirical_loss_single(weights, data: TaskDataset) -> float:
             f"weights length {w.shape} does not match {data.n_features} features"
         )
     z = data.features @ w
-    return float(_nll_from_logits(z, data.labels.astype(float)))
+    return float(_nll_from_probs(expit(z), data.labels.astype(float)))
 
 
 def _weights_2d(weights, shape: tuple[int, int] | None = None) -> np.ndarray:

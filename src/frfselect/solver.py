@@ -25,10 +25,11 @@ Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 all features are the column means of ``log1p(exp(s*z + ±eps * s * X))``.
 Both signs are computed in one pass over a reused ``(2, n, p)`` buffer: the
 products ``±eps * s * X`` are fixed per task and formed once, and a scan
-adds ``s*z`` and takes one ``exp`` and one ``log1p`` per element,
-where the clamped cross-entropy of ``model._nll_from_logits`` takes
-``expit``, a clip and two ``log`` calls. The two agree only while no logit
-can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
+adds ``s*z`` and takes one ``exp`` and one ``log1p`` per element. The
+clamped kernel, ``_TaskTerms.moved_losses``, takes ``expit`` of the moved
+logits, a clamp and two ``log`` calls (``model._nll_from_probs``) and scores
+both clamped scans and backward candidates. The two agree only while no
+logit can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
 ``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped kernel
 instead; below that no ``exp`` can overflow. They also differ by rounding:
 the clamped kernel's ``log(1 - p)`` loses digits on confidently
@@ -48,7 +49,8 @@ in the clamp regime, all its candidates are evaluated exactly.
 Shared paths: ``xi`` only decides which backward moves qualify, so
 ``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
 each backward decision once for all of them, and forks the path where they
-pick different moves; a fork is a copy of the iterate.
+pick different moves; a fork is a copy of the iterate that has taken its
+move when it is made.
 
 ``FitResult.stats`` (a ``FitStats``) counts the accepted steps by kind, the
 backward candidates and how many were evaluated exactly, and the task scans
@@ -84,7 +86,6 @@ __all__ = [
     "FitResult",
     "forward_step",
     "backward_step",
-    "lambda_schedule_update",
     "fit",
     "validate_trace",
 ]
@@ -261,16 +262,15 @@ class _TaskTerms:
 
     def scan_clamped(self):
         """The same as ``scan_fused`` with the clamped kernel; no error."""
-        z = self.z[:, None]
-        moves = (z + self.eps * self.X, z - self.eps * self.X)
-        return np.array([_nll_from_probs(expit(Z), self.y) for Z in moves]), 0.0
+        return np.array([self.moved_losses(slice(None), sign) for sign in (1.0, -1.0)]), 0.0
 
     def gradient(self):
         return self.X.T @ self.residual / self.z.shape[0]
 
     def moved_losses(self, idx, signs):
-        """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``."""
-        Z = self.z[:, None] + (self.eps * signs)[None, :] * self.X[:, idx]
+        """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``;
+        ``idx`` may be a slice and ``signs`` one sign for all of them."""
+        Z = self.z[:, None] + self.eps * signs * self.X[:, idx]
         return _nll_from_probs(expit(Z), self.y)
 
 
@@ -331,6 +331,12 @@ class _PathState:
         self.steps.append(
             StepRecord(len(self.steps) + 1, kind, j, l, sign, emp, pen, emp + lam * pen, lam)
         )
+
+    def penalty_after(self, j, l, w_new):
+        """The penalty once weight (j, l) is ``w_new``; scalars or arrays of moves."""
+        norms = self.row_norms[j]
+        w = self.W[j, l]
+        return self.penalty - norms + np.sqrt(np.maximum(norms**2 - w**2 + w_new**2, 0.0))
 
     def scan(self, task: int, recheck: bool = False):
         """Forward candidate losses of one task: ((2, n_features) losses of the
@@ -404,10 +410,7 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     rows, cols = state.W.nonzero()
     w_vals = state.W[rows, cols]
     signs = -np.sign(w_vals)
-    w_new = w_vals + eps * signs
-    norms = state.row_norms[rows]
-    r_new = np.sqrt(np.maximum(norms**2 - w_vals**2 + w_new**2, 0.0))
-    pen_after = pen_now - norms + r_new
+    pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
     state.tally["backward_candidates"] += rows.size
 
     # Convexity: a move changes its task's loss by at least eps * sign * g,
@@ -462,17 +465,8 @@ def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
     if move is None:
         return None
     _, j, l, sign, empirical_after = move
-    row = W[j, :]
-    r_old = float(np.sqrt(row @ row))
-    w_new = row[l] + sign * config.epsilon
-    r_new = float(np.sqrt(max(r_old**2 - row[l] ** 2 + w_new**2, 0.0)))
-    return StepCandidate(
-        feature=j,
-        task=l,
-        sign=sign,
-        empirical_after=empirical_after,
-        penalty_after=state.penalty - r_old + r_new,
-    )
+    penalty_after = float(state.penalty_after(j, l, W[j, l] + sign * config.epsilon))
+    return StepCandidate(j, l, sign, empirical_after, penalty_after)
 
 
 def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandidate | None:
@@ -574,11 +568,11 @@ def fit_xis(tasks, configs, *, standardize: bool = True) -> tuple[FitResult, ...
         standardizers = tuple(Standardizer.identity(n_feat) for _ in tasks)
     std_tasks = tuple(standardized_copy(t, std) for std, t in zip(standardizers, tasks))
 
-    pending = [(list(range(len(configs))), _PathState(std_tasks, base.epsilon), None)]
+    pending = [(list(range(len(configs))), _PathState(std_tasks, base.epsilon))]
     results: list[FitResult | None] = [None] * len(configs)
     while pending:
-        members, state, preset = pending.pop()
-        terminated, members = _run_path(state, members, preset, configs, pending)
+        members, state = pending.pop()
+        terminated, members = _run_path(state, members, configs, pending)
         result = FitResult(
             weights=WeightMatrix(state.counts * base.epsilon),
             trace=SolverTrace(tuple(state.steps), terminated),
@@ -591,34 +585,33 @@ def fit_xis(tasks, configs, *, standardize: bool = True) -> tuple[FitResult, ...
     return tuple(results)
 
 
-def _run_path(state: _PathState, members, step, configs, pending: list):
-    """Advance one path to its end from the move ``step`` (None: search);
-    returns the termination reason and the configs that end on it.
+def _run_path(state: _PathState, members, configs, pending: list):
+    """Advance one path to its end; returns the termination reason and the
+    configs that end on it.
 
     Where the path's configs pick different moves, the ones that go forward
-    stay (or else the first backward move's), and every other move starts a
-    new path on ``pending`` with a copy of the iterate.
+    stay (or else the first backward move's), and every other move forks the
+    path: a copy of the iterate takes that move and goes on ``pending``.
     """
     base = configs[0]
     while len(state.steps) < base.max_iters:
-        if step is None and state.lam is not None and state.counts.any():
+        move = None
+        if state.lam is not None and state.counts.any():
             moves = _backward_moves(state, [configs[i].xi for i in members], state.lam)
             groups: dict = {}  # move -> members choosing it; None goes forward
             for i, cand in zip(members, moves):
                 move = None if cand is None else ("backward", cand.feature, cand.task, cand.sign)
                 groups.setdefault(move, []).append(i)
-            if None in groups:
-                members = groups.pop(None)
-            else:
-                step = next(iter(groups))
-                members = groups.pop(step)
-            for move, group in groups.items():
-                pending.append((group, state.copy(), move))
-        step = step or _forward_move(state)
-        if step is None:
+            move = None if None in groups else next(iter(groups))
+            members = groups.pop(move)
+            for other, group in groups.items():
+                fork = state.copy()
+                fork.apply(*other)
+                pending.append((group, fork))
+        move = move or _forward_move(state)
+        if move is None:
             return TERMINATED_NO_IMPROVING_STEP, members
-        state.apply(*step[:4])
-        step = None
+        state.apply(*move[:4])
         if state.lam <= base.lambda_floor:
             return TERMINATED_LAMBDA_FLOOR, members
     return TERMINATED_MAX_ITERS, members

@@ -477,6 +477,27 @@ class TestConfigTypes:
             "", f"error: {path}: not UTF-8 text (invalid start byte at byte 3)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        [
+            ("output_dir:", "seed: 12\noutput_dir:", "'seed', line 3, column 1"),
+            ("  xi: 0.01\n", "  xi: 0.01\n  xi: 0.02\n", "'xi', line 7, column 3"),
+            ("n_windows:", "solver: {epsilon: 0.5, xi: 0.01}\nn_windows:",
+             "'solver', line 8, column 1"),
+        ],
+        ids=["top-level", "nested", "section"],
+    )
+    def test_repeated_key_is_one_error_line(self, config, tmp_path, old, new, problem, capsys):
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {config}: invalid YAML: found duplicate key {problem}\n")
+        assert not out.exists()
+
     def test_repeated_grid_entry_is_one_error_line(self, config, tmp_path, capsys):
         config.write_text(config.read_text().replace("epsilons: [0.5, 0.2]", "epsilons: [0.5, 0.5]"))
         out = tmp_path / "out"
@@ -544,6 +565,34 @@ class TestDataDependentChecks:
         assert main(["fit", "--config", str(file_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: spectra[0]: freq_min 25.0 is above freq_max 15.0\n"
         assert not out.exists()
+
+    def test_data_file_that_is_not_utf8_is_one_error_line(self, file_config, tmp_path, capsys):
+        (tmp_path / "a.csv").write_bytes(b"label,10.0,20.0\n1,0.5,\xff\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(file_config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {tmp_path / 'a.csv'}: not UTF-8 text (invalid start byte at byte 22)\n")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("class1: s2.csv", "class spectra must share the same frequency lines"),
+            ("class1: s1.csv, freq_min: 100.0",
+             "no spectrum lines remain inside the analysed band"),
+        ],
+    )
+    def test_spectrum_error_names_its_entry(self, file_config, tmp_path, bad, message, capsys):
+        write_spectrum([SpectrumLine(f, 2.0, 0.9) for f in (10.0, 20.0, 40.0)],
+                       tmp_path / "s2.csv")
+        file_config.write_text(file_config.read_text() + (
+            "  - {id: bad, class0: s0.csv, " + bad + ", n_train_per_class: 4}\n"))
+        for command in ("fit", "generate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(file_config), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: spectra[1] ('bad'): {message}\n")
+            assert not out.exists()
 
     def test_single_class_task_stays_a_runtime_error(self, tmp_path, capsys):
         cfg = self.unbalanced_grid_config(tmp_path, [1] * 4, folds=2)

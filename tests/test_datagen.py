@@ -13,7 +13,6 @@ from frfselect import (
     SyntheticPopulationSpec,
     coherence_std,
     load_spectrum,
-    modal_magnitude,
     monte_carlo_expand,
     population_spectrum,
     spectrum_to_datasets,
@@ -21,6 +20,7 @@ from frfselect import (
     window_split,
     write_spectrum,
 )
+from frfselect.datagen import modal_magnitude
 
 
 class TestCoherenceStd:
@@ -316,6 +316,13 @@ class TestSpectrumIO:
         write_spectrum(lines, path)
         assert path.read_text().splitlines()[1] == "1.0,0.5,0.9"
         assert load_spectrum(path) == lines
+
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"freq_hz,h_mean,coherence\n1.0,\xff,0.9\n")
+        with pytest.raises(SpectrumFormatError) as err:
+            load_spectrum(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte at byte 29)"
 
     def test_header_is_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -74,6 +74,13 @@ class TestDatasetErrors:
         path.write_text(text)
         return path
 
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,10.0,20.0\n1,0.5,\xff\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte at byte 22)"
+
     def test_header_must_start_with_label(self, tmp_path):
         path = self.write(tmp_path, "lbl,10.0\n1,0.5\n")
         with pytest.raises(DatasetFormatError, match="line 1"):
@@ -262,6 +269,11 @@ class TestLoadConfig:
         assert "set_int_max_str_digits" not in str(err.value)
         with pytest.raises(ConfigError, match=r"day is out of range for month, line 2, column 7$"):
             load_config(self.write(tmp_path, "seed: 1\ndate: 2023-02-30\n"))
+
+    def test_merge_key_is_overridden_by_own_keys(self, tmp_path):
+        text = "seed: 1\nsolver:\n  <<: {epsilon: 0.2, xi: 0.01}\n  xi: 0.02\n"
+        cfg = load_config(self.write(tmp_path, text))
+        assert (cfg.solver.epsilon, cfg.solver.xi) == (0.2, 0.02)
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):

@@ -4,14 +4,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from frfselect import (
+    FitResult,
     GridSpec,
     ModalMode,
     ModelChoice,
     SolverConfig,
+    SolverTrace,
     SyntheticPopulationSpec,
     TaskDataset,
+    WeightMatrix,
+    f1_score,
     fit,
     grid_search,
     gini_index,
@@ -454,6 +459,16 @@ class TestRunComparison:
 
 
 class TestTransfer:
+    @pytest.mark.parametrize("z", [0.0, 1e-17, -1e-17, 1e-300, -1e-300, 800.0, -800.0])
+    def test_threshold_matches_the_clipped_logistic(self, z):
+        # expit(z) >= 0.5 predicts what the former expit clipped into (0, 1)
+        # predicted; z >= 0 would not, for z in about (-1.1e-16, 0)
+        res = FitResult(WeightMatrix([[1.0]]), SolverTrace((), "no_improving_step"), 0.0, ())
+        unseen = TaskDataset([[z], [z]], [0, 1], [1.0], "unseen")
+        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        pred = int(np.clip(expit(z), lo, hi) >= 0.5)
+        assert transfer_evaluate(res, 0, unseen) == f1_score([0, 1], [pred, pred])
+
     def test_zero_weight_model_scores_the_positive_rate(self):
         # all-zero weights predict probability one half everywhere, which the
         # threshold maps to class 1: F1 = 2p / (p + 1) at positive fraction p

@@ -16,15 +16,17 @@ from frfselect import (
     TaskDataset,
     WeightMatrix,
     backward_step,
-    empirical_loss_mtl,
-    empirical_loss_single,
-    l21_norm,
-    sigmoid,
     spectrum_to_datasets,
     standardized_copy,
     total_loss,
 )
-from frfselect.model import _check_int, _check_real
+from frfselect.model import (
+    _check_int,
+    _check_real,
+    empirical_loss_mtl,
+    empirical_loss_single,
+    l21_norm,
+)
 
 LN2 = math.log(2.0)
 
@@ -33,43 +35,6 @@ def make_task(features, labels, task_id="t"):
     features = np.asarray(features, dtype=float)
     freqs = np.arange(1.0, features.shape[1] + 1.0)
     return TaskDataset(features, np.asarray(labels), freqs, task_id)
-
-
-class TestSigmoid:
-    def test_midpoint(self):
-        assert sigmoid(0.0) == 0.5
-
-    def test_frozen_values(self):
-        # 1/(1+exp(-ln 3)) = 3/4 exactly; sigmoid(1) to full double precision
-        assert sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
-        assert sigmoid(1.0) == pytest.approx(0.7310585786300049, abs=1e-16)
-
-    def test_saturation_stays_inside_open_interval(self):
-        assert 0.0 < sigmoid(-1e6) < sigmoid(1e6) < 1.0
-
-    def test_scalar_comes_back_as_float(self):
-        assert isinstance(sigmoid(0.3), float)
-
-    def test_array_shape_preserved(self):
-        z = np.array([[0.0, 1.0], [-1.0, 2.0]])
-        out = sigmoid(z)
-        assert out.shape == z.shape
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            sigmoid(np.inf)
-
-    @given(st.floats(min_value=-700.0, max_value=700.0))
-    def test_complement_symmetry(self, z):
-        assert sigmoid(-z) == pytest.approx(1.0 - sigmoid(z), abs=1e-12)
-
-    @given(
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=1e-3, max_value=10.0),
-    )
-    def test_strictly_increasing(self, z, dz):
-        # range kept where the slope exceeds float64 spacing of the output
-        assert sigmoid(z + dz) > sigmoid(z)
 
 
 class TestEmpiricalLoss:

@@ -1,6 +1,7 @@
 """The package's public surface against its callers: the demos, the README
 quick start and the README's list of public names."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -68,3 +69,13 @@ def test_package_exports_each_module_name_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(frfselect, name)
+
+
+def test_every_public_function_has_a_caller():
+    # the API is sized to what the CLI, the demos, the acceptance tests, the
+    # README quick start and the benchmark use
+    callers = [REPO / "src" / "frfselect" / "cli.py", *DEMOS, REPO / "tests" / "test_acceptance.py",
+               *sorted((REPO / "perfbench").glob("*.py"))]
+    text = "\n".join([readme_section("Library quick start"), *(p.read_text() for p in callers)])
+    functions = [n for n in frfselect.__all__ if inspect.isfunction(getattr(frfselect, n))]
+    assert [n for n in functions if not re.search(rf"\b{n}\b", text)] == []

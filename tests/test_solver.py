@@ -15,22 +15,20 @@ from frfselect import (
     TaskDataset,
     WeightMatrix,
     backward_step,
-    empirical_loss_mtl,
-    empirical_loss_single,
     fit,
     forward_step,
-    l21_norm,
-    lambda_schedule_update,
     validate_trace,
 )
-from frfselect.model import _nll_from_logits, _nll_from_probs
+from frfselect.model import _nll_from_probs, empirical_loss_mtl, empirical_loss_single, l21_norm
 from frfselect.solver import (
     StepRecord,
     TERMINATED_LAMBDA_FLOOR,
     TERMINATED_MAX_ITERS,
     TERMINATED_NO_IMPROVING_STEP,
+    _PathState,
     _TaskTerms,
     fit_xis,
+    lambda_schedule_update,
 )
 
 
@@ -510,13 +508,15 @@ class TestKernelBits:
         z = terms.z[:, None]
         assert np.array_equal(clamped[0], reference_nll(z + terms.eps * terms.X, terms.y))
         assert np.array_equal(clamped[1], reference_nll(z - terms.eps * terms.X, terms.y))
+        # the clamped scan's form before it called moved_losses on every column
+        moves = (z + terms.eps * terms.X, z - terms.eps * terms.X)
+        assert np.array_equal(clamped, [_nll_from_probs(expit(Z), terms.y) for Z in moves])
 
     @pytest.mark.parametrize("seed", range(30))
     def test_loss_helper_equals_clipped_loss(self, seed):
         rng, terms = kernel_case(seed)
         assert terms.loss == float(reference_nll(terms.z, terms.y))
         Z = rng.normal(size=(terms.z.shape[0], 5)) * np.array([0.1, 1.0, 10.0, 30.0, 60.0])
-        assert np.array_equal(_nll_from_logits(Z, terms.y), reference_nll(Z, terms.y))
         for logits in (Z[:, 3], Z):
             want = reference_nll(logits, terms.y)
             assert np.array_equal(_nll_from_probs(expit(logits), terms.y), want)
@@ -524,6 +524,29 @@ class TestKernelBits:
         signs = rng.choice([-1.0, 1.0], size=4)
         Z = terms.z[:, None] + (terms.eps * signs)[None, :] * terms.X[:, idx]
         assert np.array_equal(terms.moved_losses(idx, signs), reference_nll(Z, terms.y))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_penalty_after_equals_written_out_rules(self, seed):
+        rng = np.random.default_rng(seed)
+        eps = (0.02, 0.3, 1.0)[seed % 3]
+        n_feat, L = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        tasks = random_instance(rng, n_feat, L, 12)
+        W = rng.integers(-3, 4, size=(n_feat, L)) * eps
+        state = _PathState(tasks, eps, W)
+        # the backward moves' former expression, bit for bit
+        rows, cols = W.nonzero()
+        w_vals = W[rows, cols]
+        w_new = w_vals - eps * np.sign(w_vals)
+        norms = state.row_norms[rows]
+        r_new = np.sqrt(np.maximum(norms**2 - w_vals**2 + w_new**2, 0.0))
+        assert np.array_equal(state.penalty_after(rows, cols, w_new), state.penalty - norms + r_new)
+        # forward_step's former expression, to rounding
+        j, l = int(rng.integers(n_feat)), int(rng.integers(L))
+        row = W[j, :]
+        r_old = float(np.sqrt(row @ row))
+        w = row[l] + eps
+        former = state.penalty - r_old + float(np.sqrt(max(r_old**2 - row[l] ** 2 + w**2, 0.0)))
+        assert state.penalty_after(j, l, w) == pytest.approx(former, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_gradient_from_kept_residual(self, seed):
