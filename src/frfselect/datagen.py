@@ -202,6 +202,11 @@ class SyntheticPopulationSpec:
         flo, fhi = self.freq_range
         if not 0 < flo < fhi:
             raise ValueError(f"freq_range must be an increasing positive pair, got {self.freq_range}")
+        if not np.all(np.diff(np.linspace(flo, fhi, self.n_features)) > 0):
+            raise ValueError(
+                f"freq_range {self.freq_range} is too narrow for n_features={self.n_features}: "
+                "the frequency grid repeats a value"
+            )
         _check_real("noise_sd", self.noise_sd, at_least=0)
         _check_real("nuisance_class_shift", self.nuisance_class_shift)
         _check_real("nuisance_damping", self.nuisance_damping, above=0, below=1)
@@ -236,12 +241,18 @@ def _train_test(block0, block1, n_train: int, freqs, task_id: str):
     """Train and test datasets from equal-sized class-0 and class-1 sample blocks.
 
     The first ``n_train`` rows of each block train; the rest test (None when
-    no rows are left).
+    no rows are left). Finite blocks on strictly increasing frequencies pass
+    the constructor's checks, so they skip them and its copy; anything else
+    goes through the constructor and fails there.
     """
+    freqs = np.asarray(freqs, dtype=float)
+    checked = (np.isfinite(block0).all() and np.isfinite(block1).all()
+               and np.isfinite(freqs).all() and np.all(np.diff(freqs) > 0))
+    make = TaskDataset._from_checked if checked else TaskDataset
 
     def dataset(rows0, rows1):
-        labels = np.concatenate([np.zeros(len(rows0), int), np.ones(len(rows1), int)])
-        return TaskDataset(np.vstack([rows0, rows1]), labels, freqs, task_id)
+        labels = np.repeat(np.array([0, 1], dtype=np.int64), [len(rows0), len(rows1)])
+        return make(np.vstack([rows0, rows1]), labels, freqs.copy(), task_id)
 
     test = dataset(block0[n_train:], block1[n_train:]) if len(block0) > n_train else None
     return dataset(block0[:n_train], block1[:n_train]), test
@@ -277,8 +288,12 @@ def synth_population(spec: SyntheticPopulationSpec) -> SyntheticPopulation:
             curve0 = curve0 / peak
             curve1 = curve1 / peak
 
-        block0 = curve0 + rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
-        block1 = curve1 + rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
+        # the noise is drawn, then the curve added in place: the same sums
+        # as curve + noise without a second block
+        block0 = rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
+        block0 += curve0
+        block1 = rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
+        block1 += curve1
         train, test = _train_test(block0, block1, spec.n_samples, freqs, f"task{t + 1}")
         tasks.append(train)
         if test is not None:

@@ -167,7 +167,8 @@ class TaskDataset:
 
     @classmethod
     def _from_checked(cls, features, labels, freqs, task_id) -> "TaskDataset":
-        """A dataset from parts of validated ones, not validated again; arrays become read-only."""
+        """A dataset from parts known to pass the constructor's checks, not
+        validated or copied again; arrays become read-only."""
         data = object.__new__(cls)
         object.__setattr__(data, "task_id", task_id)
         for name, arr in (("features", features), ("labels", labels), ("feature_freqs", freqs)):

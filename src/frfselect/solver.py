@@ -20,6 +20,15 @@ task's logits, loss, residual and screening terms from scratch, and the
 touched row's norm, so every loss in the trace is exactly what a full
 recomputation gives. A fork copies the iterate's arrays.
 
+Scan cache: a step changes one task, and a forward scan depends only on its
+own task's logits, so each task keeps the ``(losses, bound)`` of its last
+forward scan, fused or clamped, until a step touches it. A forward search
+scans only the tasks that changed since the last one and reads the kept
+scans of the others: on ``L`` tasks a path runs about one task scan per step
+instead of ``L``. A kept scan holds the same bits a fresh one would, so the
+moves do not change. A fork shares the kept scans of the tasks it has not
+stepped. Rechecks are always run afresh and are not kept.
+
 Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 ``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
 all features are the column means of ``log1p(exp(s*z + ±eps * s * X))``.
@@ -53,8 +62,10 @@ pick different moves; a fork is a copy of the iterate that has taken its
 move when it is made.
 
 ``FitResult.stats`` (a ``FitStats``) counts the accepted steps by kind, the
-backward candidates and how many were evaluated exactly, and the task scans
-by kernel. It is not part of the trace or of any report.
+backward candidates and how many were evaluated exactly, the task scans the
+forward search read by kernel, and how many of those came from the scan
+cache (``reused_scans``; the kernel ran ``fast_scans + clamp_scans -
+reused_scans`` times). It is not part of the trace or of any report.
 """
 
 from __future__ import annotations
@@ -172,12 +183,15 @@ class FitStats:
         over all backward scans.
     backward_exact : of those, the ones whose loss was evaluated exactly; the
         rest were ruled out by the convexity bound.
-    fast_scans : forward scans of one task with the fused kernel.
+    fast_scans : forward scans of one task with the fused kernel, counting
+        the ones served from the task's kept scan.
     clamp_scans : forward scans of one task with the clamped kernel because a
-        candidate logit could reach the clamp.
+        candidate logit could reach the clamp, counted the same way.
     recheck_scans : clamped-kernel rescans of a task whose fused losses left
         the best move within rounding of another candidate or of the current
         loss.
+    reused_scans : of ``fast_scans + clamp_scans``, the ones served from the
+        scan kept since the task last changed; the rest ran the kernel.
     """
 
     forward_steps: int = 0
@@ -187,6 +201,7 @@ class FitStats:
     fast_scans: int = 0
     clamp_scans: int = 0
     recheck_scans: int = 0
+    reused_scans: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +245,7 @@ class _TaskTerms:
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.abs(self.z).max()) + self.eps_x_max
         self._bound = None
+        self.last_scan = None  # (losses, bound) of the forward scan at this w
 
     @property
     def clamp_free(self) -> bool:
@@ -340,20 +356,26 @@ class _PathState:
 
     def scan(self, task: int, recheck: bool = False):
         """Forward candidate losses of one task: ((2, n_features) losses of the
-        + and - moves, error bound)."""
+        + and - moves, error bound). A task untouched since its last scan gets
+        that scan back; a recheck is always run afresh and is not kept."""
         terms = self.tasks[task]
         if recheck:
             self.tally["recheck_scans"] += 1
             return terms.scan_clamped()
-        if terms.clamp_free:
-            self.tally["fast_scans"] += 1
-            return terms.scan_fused(self._buf)
-        self.tally["clamp_scans"] += 1
-        return terms.scan_clamped()
+        self.tally["fast_scans" if terms.clamp_free else "clamp_scans"] += 1
+        if terms.last_scan is not None:
+            self.tally["reused_scans"] += 1
+        elif terms.clamp_free:
+            terms.last_scan = terms.scan_fused(self._buf)
+        else:
+            terms.last_scan = terms.scan_clamped()
+        return terms.last_scan
 
     def copy(self) -> "_PathState":
-        """An independent iterate: a fork of the path. Task terms are replaced,
-        never changed in place, on an update, so their arrays stay shared."""
+        """An independent iterate: a fork of the path. Each task's terms are
+        copied shallowly: an update changes a task's terms in place but
+        replaces their arrays and kept scan, never writes into them, so the
+        arrays and scan stay shared until one side steps that task."""
         twin = copy.copy(self)
         for name in ("W", "counts", "gradients", "slack", "row_norms"):
             setattr(twin, name, getattr(self, name).copy())

@@ -393,6 +393,9 @@ NUMBER_MISTAKES = [
      "synthetic.nuisance_band must be a pair of numbers, got (130.0,)"),
     ("synthetic", "n_features: 32", "n_features: 32\n  freq_range: [5.0, 100.0, 200.0]",
      "synthetic.freq_range must be a pair of numbers, got (5.0, 100.0, 200.0)"),
+    pytest.param("synthetic", "n_features: 32", "n_features: 50\n  freq_range: [5.0, 5.000000000000002]",
+                 "synthetic: freq_range (5.0, 5.000000000000002) is too narrow for n_features=50",
+                 id="freq-range-too-narrow"),
 ]
 
 

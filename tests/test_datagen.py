@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from frfselect import (
     SpectrumFormatError,
     SpectrumLine,
     SyntheticPopulationSpec,
+    TaskDataset,
     coherence_std,
     load_spectrum,
     monte_carlo_expand,
@@ -280,6 +282,15 @@ class TestSynthPopulation:
         with pytest.raises(ValueError):
             small_spec(freq_range=(200.0, 5.0))
 
+    def test_freq_range_too_narrow_for_its_grid(self):
+        # linspace repeats 5.0 on a range two ulps wide: the grid names no column
+        with pytest.raises(ValueError, match=re.escape(
+            "freq_range (5.0, 5.000000000000002) is too narrow for n_features=50: "
+            "the frequency grid repeats a value"
+        )):
+            small_spec(freq_range=(5.0, 5.000000000000002), n_features=50)
+        assert small_spec(freq_range=(5.0, 5.000000000000002), n_features=2).n_features == 2
+
     @pytest.mark.parametrize("name, value", [
         ("nuisance_band", (130.0,)), ("nuisance_band", (130.0, 150.0, 190.0)),
         ("freq_range", (5.0,)), ("freq_range", (5.0, 100.0, 200.0)),
@@ -488,3 +499,81 @@ class TestSpectrumToDatasets:
         a, _ = spectrum_to_datasets(SPECTRUM, SPECTRUM, seed=7, **kwargs)
         b, _ = spectrum_to_datasets(SPECTRUM, SPECTRUM, seed=7, **kwargs)
         assert np.array_equal(a.features, b.features)
+
+
+class TestLeanDatasets:
+    """Generated datasets skip the constructor's checks and copy when they
+    would pass them, and come out as the constructor would build them."""
+
+    @staticmethod
+    def built_both_ways(monkeypatch, make):
+        got = make()
+        with monkeypatch.context() as mp:
+            mp.setattr(TaskDataset, "_from_checked", classmethod(lambda cls, *parts: cls(*parts)))
+            want = make()
+        return got, want
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.task_id == want.task_id
+        for name in ("features", "labels", "feature_freqs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b), name
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+            assert not a.flags.writeable and not b.flags.writeable
+
+    def test_synth_population_matches_the_constructor(self, monkeypatch):
+        got, want = self.built_both_ways(monkeypatch, lambda: synth_population(small_spec()))
+        datasets = got.tasks + got.test_tasks
+        for g, w in zip(datasets, want.tasks + want.test_tasks, strict=True):
+            self.assert_same(g, w)
+        # each dataset owns its frequencies, apart from the population's grid
+        freqs = [t.feature_freqs for t in datasets] + [got.freqs]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(freqs) for b in freqs[i + 1:])
+
+    def test_spectrum_to_datasets_matches_the_constructor(self, monkeypatch):
+        # integer frequencies still come out as float64
+        lines = [SpectrumLine(f, h, 0.9) for f, h in ((10, 1.0), (20, 0.5), (30, 2.0))]
+        got, want = self.built_both_ways(monkeypatch, lambda: spectrum_to_datasets(
+            lines, lines, n_train_per_class=4, n_test_per_class=3, seed=3, task_id="m",
+            n_intermediate=50,
+        ))
+        for g, w in zip(got, want, strict=True):
+            self.assert_same(g, w)
+        assert got[0].feature_freqs.dtype == np.float64
+        assert not np.shares_memory(got[0].feature_freqs, got[1].feature_freqs)
+
+    def test_non_finite_features_keep_the_constructor_message(self):
+        # a mean near the float limit overflows the Monte-Carlo draws
+        lines = [SpectrumLine(1.0, 1e308, 0.5), SpectrumLine(2.0, 1e308, 0.5)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"^task 'x': features contain non-finite values$"):
+                spectrum_to_datasets(lines, lines, n_train_per_class=2, n_test_per_class=0,
+                                     seed=0, task_id="x", n_intermediate=10, normalize=False)
+
+    def test_non_increasing_frequencies_keep_the_constructor_message(self):
+        for freqs in ((20.0, 10.0), (10.0, 10.0)):
+            lines = [SpectrumLine(f, 1.0, 0.9) for f in freqs]
+            with pytest.raises(ValueError, match=r"^feature_freqs must be finite and strictly increasing$"):
+                spectrum_to_datasets(lines, lines, n_train_per_class=2, n_test_per_class=0,
+                                     seed=0, task_id="x", n_intermediate=10)
+
+    def test_generation_peak_memory_stays_near_its_output(self):
+        # the paper-grid population (3 tasks, 150 samples per class, 588
+        # lines); one more copy of each task's samples on the way (curve +
+        # noise, then the constructor's copy) puts the peak at 1.7x
+        spec = SyntheticPopulationSpec(
+            modes=(ModalMode(40.0, 0.04), ModalMode(90.0, 0.03)), class_shift=(4.0, -5.0),
+            nuisance_band=(130.0, 190.0), noise_sd=0.3, n_samples=150, seed=3, n_tasks=3,
+            n_features=588,
+        )
+        tracemalloc.start()
+        try:
+            pop = synth_population(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [a for t in pop.tasks + pop.test_tasks
+                  for a in (t.features, t.labels, t.feature_freqs)]
+        arrays += [*pop.ground_truth, pop.common_features, *sum(pop.class_curves, ()), pop.freqs]
+        assert peak <= 1.5 * sum(a.nbytes for a in arrays)

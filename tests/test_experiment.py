@@ -352,17 +352,19 @@ class TestGridGlue:
         assert [len(scored) for scored in calls] == [83, 84]
 
     # per-field sums over the grid's distinct paths, recorded before the
-    # screening terms moved onto the path state; a drift in what grid-style
-    # paths screen, scan or recheck shows here
+    # screening terms moved onto the path state (reused_scans when the scan
+    # cache came); a drift in what grid-style paths screen, scan, recheck or
+    # reuse shows here
     @pytest.mark.parametrize(
         "mode,sums",
         [
             (MODE_INDEPENDENT, dict(forward_steps=3161, backward_steps=12,
                                     backward_candidates=38427, backward_exact=11933,
-                                    fast_scans=2865, clamp_scans=306, recheck_scans=0)),
+                                    fast_scans=2865, clamp_scans=306, recheck_scans=0,
+                                    reused_scans=0)),
             (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
                             backward_exact=6666, fast_scans=3338, clamp_scans=10,
-                            recheck_scans=0)),
+                            recheck_scans=0, reused_scans=1632)),
         ],
     )
     def test_grid_fit_stats_are_pinned(self, instrumented_grid, mode, sums):

@@ -414,14 +414,15 @@ class TestFitStats:
         assert res.stats == FitStats()
 
     # FitStats(forward_steps, backward_steps, backward_candidates,
-    # backward_exact, fast_scans, clamp_scans, recheck_scans), pinned so that
-    # any change in what a path tallies, or where a fork copies it, shows
+    # backward_exact, fast_scans, clamp_scans, recheck_scans, reused_scans),
+    # pinned so that any change in what a path tallies, or where a fork
+    # copies it, shows
     @pytest.mark.parametrize(
         "family,seed,counts",
         [
-            (None, 0, (52, 4, 624, 558, 159, 0, 0)),
-            ("separable", 103, (119, 4, 1827, 1521, 470, 10, 0)),
-            ("duplicate", 302, (148, 2, 1824, 803, 444, 0, 78)),
+            (None, 0, (52, 4, 624, 558, 159, 0, 0, 104)),
+            ("separable", 103, (119, 4, 1827, 1521, 470, 10, 0, 357)),
+            ("duplicate", 302, (148, 2, 1824, 803, 444, 0, 78, 294)),
         ],
     )
     def test_solo_fit_stats_are_pinned(self, family, seed, counts):
@@ -439,17 +440,17 @@ class TestFitStats:
             (
                 {},
                 [
-                    (140, 10, 1259, 441, 420, 0, 0),
-                    (143, 7, 1303, 366, 429, 0, 0),
-                    (150, 0, 1383, 18, 450, 0, 0),
+                    (140, 10, 1259, 441, 420, 0, 0, 278),
+                    (143, 7, 1303, 366, 429, 0, 0, 284),
+                    (150, 0, 1383, 18, 450, 0, 0, 298),
                 ],
             ),
             (
                 {"lambda_floor": 0.02, "max_iters": 40},
                 [
-                    (36, 4, 186, 86, 108, 0, 0),
-                    (36, 4, 188, 77, 108, 0, 0),
-                    (40, 0, 197, 18, 120, 0, 0),
+                    (36, 4, 186, 86, 108, 0, 0, 70),
+                    (36, 4, 188, 77, 108, 0, 0, 70),
+                    (40, 0, 197, 18, 120, 0, 0, 78),
                 ],
             ),
         ],

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frfselect import SolverConfig, TaskDataset, backward_step, fit, forward_step
-from frfselect.solver import fit_xis
+from frfselect.solver import TERMINATED_NO_IMPROVING_STEP, _PathState, _TaskTerms, fit_xis
 
 EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
 
@@ -200,6 +200,91 @@ def test_shared_path_matches_solo_fits(ladder_results, family, seed):
             kinds = [s.kind for s in got.trace.steps]
             assert got.stats.forward_steps == kinds.count("forward")
             assert got.stats.backward_steps == kinds.count("backward")
+
+
+def _scan_counts(result, n_tasks):
+    """(forward searches, tasks changed since their last forward scan summed
+    over the searches) of a result's path, read from its trace."""
+    searches = fresh = 0
+    changed = set(range(n_tasks))
+    for step in result.trace.steps:
+        if step.kind == "forward":
+            searches += 1
+            fresh += len(changed)
+            changed = set()
+        changed.add(step.task)
+    if result.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP:
+        searches += 1
+        fresh += len(changed)
+    return searches, fresh
+
+
+def _assert_scan_counts(result, n_tasks):
+    searches, fresh = _scan_counts(result, n_tasks)
+    stats = result.stats
+    assert stats.fast_scans + stats.clamp_scans == n_tasks * searches
+    assert stats.reused_scans == n_tasks * searches - fresh
+
+
+def test_kept_scans_equal_fresh_ones(monkeypatch):
+    """After every step and on both sides of each fork, each task's kept
+    scan holds the bits a fresh scan gives; the kernels run once per task
+    changed since its last scan, plus the rechecks."""
+    real_apply, real_copy = _PathState.apply, _PathState.copy
+    real_fused, real_clamped = _TaskTerms.scan_fused, _TaskTerms.scan_clamped
+    seen = {"kept": 0, "forks": 0, "kernel_runs": 0}
+
+    def check(state):
+        for terms in state.tasks:
+            if terms.last_scan is None:
+                continue
+            losses, bound = terms.last_scan
+            fresh, fresh_bound = (
+                real_fused(terms, state._buf) if terms.clamp_free else real_clamped(terms)
+            )
+            assert np.array_equal(losses, fresh) and bound == fresh_bound
+            seen["kept"] += 1
+
+    def apply(state, *move):
+        real_apply(state, *move)
+        check(state)
+
+    def fork(state):
+        twin = real_copy(state)
+        seen["forks"] += 1
+        check(state)
+        check(twin)
+        return twin
+
+    def counted(kernel):
+        def run(*args):
+            seen["kernel_runs"] += 1
+            return kernel(*args)
+        return run
+
+    monkeypatch.setattr(_PathState, "apply", apply)
+    monkeypatch.setattr(_PathState, "copy", fork)
+    monkeypatch.setattr(_TaskTerms, "scan_fused", counted(real_fused))
+    monkeypatch.setattr(_TaskTerms, "scan_clamped", counted(real_clamped))
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        seen["kernel_runs"] = 0
+        result = fit(tasks, cfg, standardize=standardize)
+        _assert_scan_counts(result, len(tasks))
+        stats = result.stats
+        assert seen["kernel_runs"] == (
+            stats.fast_scans + stats.clamp_scans - stats.reused_scans + stats.recheck_scans
+        )
+    solo_kept = seen["kept"]
+    tasks, cfg, standardize = _problem(410, "shared")
+    for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+        base = dataclasses.replace(cfg, **limits)
+        configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+        results = fit_xis(tasks, configs, standardize=standardize)
+        assert len({id(r) for r in results}) == 3
+        for result in results:
+            _assert_scan_counts(result, len(tasks))
+    assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
 def _first_split(lower, higher):
