@@ -14,11 +14,12 @@ tasks toward a shared support.
 Implementation: a path has one iterate, a private path state holding the
 lattice counts and weights, each task's logits ``X_l @ W[:, l]``, loss and
 residual ``expit(z) - y``, the cross-task loss sums, the row norms, the
-penalty, the backward screening terms (each task's gradient and slack), the
-level, the steps and the tally. An accepted step recomputes the touched
-task's logits, loss, residual and screening terms from scratch, and the
-touched row's norm, so every loss in the trace is exactly what a full
-recomputation gives. A fork copies the iterate's arrays.
+penalty, the number of nonzero weights, the backward screening terms (each
+task's gradient, slack and largest signed gradient), the level, the steps
+and the tally. An accepted step recomputes the touched task's logits, loss,
+residual and screening terms from scratch, and the touched row's norm, so
+every loss in the trace is exactly what a full recomputation gives. A fork
+copies the iterate's arrays.
 
 Scan cache: a step changes one task, and a forward scan depends only on its
 own task's logits, so each task keeps the ``(losses, bound)`` of its last
@@ -31,17 +32,18 @@ stepped. Rechecks are always run afresh and are not kept.
 
 Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 ``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
-all features are the column means of ``log1p(exp(s*z + ±eps * s * X))``.
-Both signs are computed in one pass over a reused ``(2, n, p)`` buffer: the
-products ``±eps * s * X`` are fixed per task and formed once, and a scan
-adds ``s*z`` and takes one ``exp`` and one ``log1p`` per element. The
-clamped kernel, ``_TaskTerms.moved_losses``, takes ``expit`` of the moved
-logits, a clamp and two ``log`` calls (``model._nll_from_probs``) and scores
-both clamped scans and backward candidates. The two agree only while no
-logit can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
-``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped kernel
-instead; below that no ``exp`` can overflow. They also differ by rounding:
-the clamped kernel's ``log(1 - p)`` loses digits on confidently
+all features are the column means of ``log1p(exp(s*z) * exp(±eps * s * X))``.
+The factors ``exp(±eps * s * X)`` are fixed per task: a ``(2, n, p)`` table
+formed once, for a task with ``eps * max|X|`` below 27 (any other task is
+never clamp-free). A scan takes one ``exp`` per sample and, over a reused
+buffer, one multiply and one ``log1p`` per element, both signs in one
+pass. The clamped kernel, ``_TaskTerms.moved_losses``, takes ``expit`` of
+the moved logits, a clamp and two ``log`` calls (``model._nll_from_probs``)
+and scores both clamped scans and backward candidates. The two agree only
+while no logit can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task
+whose ``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped
+kernel instead; below that no ``exp`` can overflow. They also differ by
+rounding: the clamped kernel's ``log(1 - p)`` loses digits on confidently
 misclassified samples. Each fused scan carries a bound on that difference;
 when the best move lies within it of another candidate or of the current
 loss, the fused tasks are rescanned with the clamped kernel before the move
@@ -53,7 +55,14 @@ Backward screening: without the clamp the loss is convex, so moving
 at level ``lam`` is at most ``-t * g_jl / L + lam * (penalty drop)``. A task
 whose candidates all have this bound at or below ``xi - 1e-9`` (less the
 rounding bound) has no qualifying move and is skipped; otherwise, and always
-in the clamp regime, all its candidates are evaluated exactly.
+in the clamp regime, all its candidates are evaluated exactly. The penalty
+drop of a move toward zero is at most ``eps``, so one scalar per task,
+``eps * max_j(sign(w_jl) * g_jl) / L + lam * eps``, bounds all of its
+candidates; it is kept on the path state and changes only when a step
+touches the task. A decision first compares the ``L`` scalars, and when no
+task passes it is settled without looking at a coordinate; otherwise the
+per-coordinate bounds pick the tasks to evaluate, so the evaluated set is
+the one the coordinate bounds alone would give.
 
 Shared paths: ``xi`` only decides which backward moves qualify, so
 ``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
@@ -181,8 +190,10 @@ class FitStats:
     forward_steps, backward_steps : accepted steps by kind.
     backward_candidates : nonzero coordinates offered a backward move, summed
         over all backward scans.
-    backward_exact : of those, the ones whose loss was evaluated exactly; the
-        rest were ruled out by the convexity bound.
+    backward_exact : of those, the ones whose loss was evaluated exactly,
+        every nonzero weight of each task with a candidate whose own
+        first-order bound passed; the rest were ruled out by the convexity
+        bound, most of them by their task's scalar bound alone.
     fast_scans : forward scans of one task with the fused kernel, counting
         the ones served from the task's kept scan.
     clamp_scans : forward scans of one task with the clamped kernel because a
@@ -232,8 +243,13 @@ class _TaskTerms:
         self.s = 1.0 - 2.0 * self.y
         self.eps = epsilon
         self.eps_x_max = epsilon * float(np.abs(self.X).max())
-        # the fused kernel's fixed part: X times eps * s (+ moves) and -eps * s (- moves)
-        self._eps_s_X = self.X * np.array([epsilon * self.s, -(epsilon * self.s)])[:, :, None]
+        # the fused kernel's fixed factors exp(±eps * s * X), + moves then -
+        # moves; a task with eps * max|X| of 27 or more is never clamp-free,
+        # so it never scans fused and gets no table (whose exp could overflow)
+        self.exp_table = None
+        if self.eps_x_max < _CLAMP_FREE_REACH:
+            eps_s = np.array([epsilon * self.s, -(epsilon * self.s)])
+            self.exp_table = np.exp(self.X * eps_s[:, :, None])
         self.update(w)
 
     def update(self, w):
@@ -244,6 +260,9 @@ class _TaskTerms:
         self.loss = float(_nll_from_probs(p, self.y))
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.abs(self.z).max()) + self.eps_x_max
+        # exp(s * z), the fused kernel's per-sample factor; only clamp-free,
+        # where it stays below e**27
+        self.exp_sz = np.exp(self.s * self.z) if self.clamp_free else None
         self._bound = None
         self.last_scan = None  # (losses, bound) of the forward scan at this w
 
@@ -259,20 +278,32 @@ class _TaskTerms:
         ``e**u <= exp(s * z) * exp(eps * max|X|)`` for every candidate. Both
         kernels also round each element and sum ``n`` elements of size up to
         ``reach + 1``.
+
+        The fused kernel forms ``e**u`` as the product ``exp(s * z) *
+        exp(±eps * s * x)``: two ``exp`` results and one multiply, each
+        within about 1 ulp, so ``e**u`` is off by about 3 ulp relative. A
+        relative error ``d`` on ``e**u`` moves ``log1p(e**u)`` by at most
+        ``d * min(1, e**u)``: a few ulp per element, which the ``margins``
+        term and the ``2 * n * (reach + 1)`` ulp of the sum term cover.
+        Forming ``u`` as a sum and taking its ``exp``, the form before the
+        table, was off by about ulp * |u| relative, up to 27 ulp, so the
+        product form is the tighter of the two.
         """
         if self._bound is None:
             n = self.z.shape[0]
             # the sum and division of .mean(), without its overhead
-            margins = float(np.add.reduce(np.exp(self.s * self.z)) / n) * np.exp(self.eps_x_max)
+            margins = float(np.add.reduce(self.exp_sz) / n) * np.exp(self.eps_x_max)
             self._bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
         return self._bound
 
     def scan_fused(self, buf):
         """Losses of the + and - moves of every feature as the rows of a
-        (2, n_features) array, both signs in one pass; and the error bound."""
-        buf = buf[: self._eps_s_X.size].reshape(self._eps_s_X.shape)
-        np.add(self._eps_s_X, (self.s * self.z)[:, None], out=buf)
-        np.exp(buf, out=buf)
+        (2, n_features) array, both signs in one pass; and the error bound.
+        One ``log1p`` and one multiply per element: ``log1p(exp(±eps * s *
+        X) * exp(s * z))``, from the fixed table."""
+        table = self.exp_table
+        buf = buf[: table.size].reshape(table.shape)
+        np.multiply(table, self.exp_sz[:, None], out=buf)
         np.log1p(buf, out=buf)
         return np.add.reduce(buf, axis=1) / self.X.shape[0], self.error_bound()
 
@@ -301,11 +332,14 @@ class _PathState:
         shape = (tasks[0].n_features, len(tasks))
         self.W = np.zeros(shape) if weights is None else np.array(weights, dtype=float)
         self.counts = np.zeros(shape, dtype=np.int64) if weights is None else None
+        self.nonzero = int(np.count_nonzero(self.W))
         self.tasks = [_TaskTerms(t, self.W[:, l], epsilon) for l, t in enumerate(tasks)]
-        # backward screening terms: each task's loss gradient (one row per
-        # task) and slack, refreshed for the task a step touches
+        # backward screening terms, refreshed for the task a step touches:
+        # each task's loss gradient (one row per task) and slack, and the
+        # largest sign(w_jl) * g_jl over its nonzero weights (-inf if none)
         self.gradients = np.empty(shape[::-1])
         self.slack = np.empty(len(tasks))
+        self.task_max = [-np.inf] * len(tasks)
         for l in range(len(tasks)):
             self._screen(l)
         # the same operations as model.l21_norm, so the penalty is bit-identical
@@ -330,11 +364,35 @@ class _PathState:
         terms = self.tasks[l]
         self.gradients[l] = terms.gradient() if terms.clamp_free else 0.0
         self.slack[l] = _SCREEN_SLACK + 2.0 * terms.error_bound() if terms.clamp_free else np.inf
+        w = self.W[:, l]
+        nz = np.flatnonzero(w)
+        signed = np.sign(w[nz]) * self.gradients[l, nz]
+        self.task_max[l] = float(signed.max()) if nz.size else -np.inf
+
+    def screen_bounds(self, lam: float) -> list:
+        """Each task's scalar bound ``eps * task_max[l] / L + lam * eps`` on
+        the first-order gain bounds of its backward moves at level ``lam``;
+        -inf for a task without a nonzero weight. A move toward zero lowers
+        a row norm by at most eps (triangle inequality; with one task, by
+        exactly eps). The widening covers how ``_backward_moves`` rounds each
+        candidate's bound: a few ulp of the sum, and of ``lam`` times the
+        penalty, whose rounding in ``penalty_after`` can put a drop above eps.
+        """
+        L, eps = len(self.tasks), self.eps
+        lam_eps = lam * eps
+        pen_margin = 8.0 * (L + 4) * _ULP * lam * (self.penalty + eps)
+        bounds = []
+        for m in self.task_max:
+            bound = eps * m / L + lam_eps
+            bounds.append(bound + 2.0 * _ULP * abs(bound) + pen_margin if m > -np.inf else bound)
+        return bounds
 
     def apply(self, kind: str, j: int, l: int, sign: int):
         """Move weight (j, l) one lattice step by ``sign`` and record the step."""
         emp_before, pen_before = self.empirical, self.penalty
+        was_zero = self.counts[j, l] == 0
         self.counts[j, l] += sign
+        self.nonzero += int(was_zero) - int(self.counts[j, l] == 0)
         self.W[j, l] = self.counts[j, l] * self.eps
         self.tasks[l].update(self.W[:, l])
         self._screen(l)
@@ -377,7 +435,7 @@ class _PathState:
         replaces their arrays and kept scan, never writes into them, so the
         arrays and scan stay shared until one side steps that task."""
         twin = copy.copy(self)
-        for name in ("W", "counts", "gradients", "slack", "row_norms"):
+        for name in ("W", "counts", "gradients", "slack", "task_max", "row_norms"):
             setattr(twin, name, getattr(self, name).copy())
         twin.tasks = [copy.copy(t) for t in self.tasks]
         twin.steps = list(self.steps)
@@ -428,12 +486,16 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     L = len(state.tasks)
     eps = state.eps
     xi_min = min(xis)
+    state.tally["backward_candidates"] += state.nonzero
+    # one scalar per task first: most decisions end here, with no candidate
+    # whose bound below could pass
+    if not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), state.slack.tolist())):
+        return [None] * len(xis)
     pen_now = state.penalty
     rows, cols = state.W.nonzero()
     w_vals = state.W[rows, cols]
     signs = -np.sign(w_vals)
     pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
-    state.tally["backward_candidates"] += rows.size
 
     # Convexity: a move changes its task's loss by at least eps * sign * g,
     # which bounds the penalised-loss gain. No bound in the clamp regime.
@@ -618,7 +680,7 @@ def _run_path(state: _PathState, members, configs, pending: list):
     base = configs[0]
     while len(state.steps) < base.max_iters:
         move = None
-        if state.lam is not None and state.counts.any():
+        if state.lam is not None and state.nonzero:
             moves = _backward_moves(state, [configs[i].xi for i in members], state.lam)
             groups: dict = {}  # move -> members choosing it; None goes forward
             for i, cand in zip(members, moves):

@@ -14,10 +14,19 @@ A generated corpus (a Hypothesis strategy, derandomized by the ``ci``
 profile in ``conftest.py``) adds small problems with the same hard cases:
 duplicated, constant and power-of-two-scaled columns, separable tasks and
 raw-scale inputs, each with its own ladder, against the reference directly.
+
+The corpus also runs in a subprocess with numpy's AVX-512 kernels switched
+off, where ``exp`` and ``log1p`` round differently, and must take the same
+steps there.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +34,7 @@ import reference_solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frfselect import SolverConfig, TaskDataset, backward_step, fit, forward_step
+from frfselect import SolverConfig, TaskDataset, backward_step, fit, forward_step, solver
 from frfselect.solver import TERMINATED_NO_IMPROVING_STEP, _PathState, _TaskTerms, fit_xis
 
 EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
@@ -165,6 +174,53 @@ def test_corpus_reaches_every_regime(corpus_results):
 
 LADDER = (1e-5, 5e-5, 1e-3, 0.1)
 
+# numpy's dispatch targets above AVX2; exp and log1p round differently there
+REDUCED_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return any(__cpu_features__.get(name) for name in REDUCED_DISPATCH.split())
+
+
+def _corpus_runs():
+    """Step codes and termination of every corpus problem's fit, and of the
+    seed-410 ladder's forking ``fit_xis`` results, as JSON-ready lists."""
+    runs = []
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        runs.append(fit(tasks, cfg, standardize=standardize))
+    tasks, cfg, standardize = _problem(410, "shared")
+    for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+        base = dataclasses.replace(cfg, **limits)
+        configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+        runs.extend(fit_xis(tasks, configs, standardize=standardize))
+    return json.loads(json.dumps([[_codes(r), r.trace.terminated_by] for r in runs]))
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 target")
+def test_step_sequences_hold_without_avx512():
+    """The corpus takes the same steps when numpy runs its AVX2 kernels: the
+    last bits of exp and log1p move, the moves must not."""
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=REDUCED_DISPATCH,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = (
+        "import json, sys\n"
+        "from test_solver_differential import _corpus_runs, _dispatches_avx512\n"
+        "json.dump([_dispatches_avx512(), _corpus_runs()], sys.stdout)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    avx512, runs = json.loads(proc.stdout)
+    assert not avx512
+    assert runs == _corpus_runs()
+
+
 
 @pytest.fixture(scope="module")
 def ladder_results():
@@ -287,6 +343,64 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
+def _coordinate_screen(state, xi_min, lam):
+    """The per-coordinate backward screen as ``_backward_moves`` writes it:
+    each nonzero weight's task and first-order gain bound, and the set of
+    tasks with a bound that passes."""
+    L, eps = len(state.tasks), state.eps
+    rows, cols = state.W.nonzero()
+    w_vals = state.W[rows, cols]
+    signs = -np.sign(w_vals)
+    pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
+    gain_bound = -(eps * signs) * state.gradients[cols, rows] / L + lam * (state.penalty - pen_after)
+    return cols, gain_bound, set(cols[gain_bound > xi_min - state.slack[cols]].tolist())
+
+
+def test_task_screen_covers_coordinate_bounds(monkeypatch):
+    """After every step each task's screening scalar is at least each of its
+    coordinate bounds, and a decision the scalars settle is one the
+    coordinate screen would have settled: it flags no task."""
+    real_apply, real_moves = _PathState.apply, solver._backward_moves
+    seen = {"checked": 0, "decisions": 0, "scalar_skips": 0, "coordinate_skips": 0}
+
+    def apply(state, *move):
+        real_apply(state, *move)
+        assert state.nonzero == np.count_nonzero(state.W)
+        bounds = state.screen_bounds(state.lam)
+        cols, gain_bound, _ = _coordinate_screen(state, 0.0, state.lam)
+        for l, bound in enumerate(bounds):
+            mine = gain_bound[cols == l]
+            assert (bound == -np.inf) == (mine.size == 0)
+            assert np.all(mine <= bound)
+            seen["checked"] += mine.size
+
+    def backward_moves(state, xis, lam):
+        xi_min = min(xis)
+        skip = not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), state.slack))
+        flagged = _coordinate_screen(state, xi_min, lam)[2]
+        moves = real_moves(state, xis, lam)
+        seen["decisions"] += 1
+        seen["coordinate_skips"] += not flagged
+        if skip:
+            assert not flagged and moves == [None] * len(xis)
+            seen["scalar_skips"] += 1
+        return moves
+
+    monkeypatch.setattr(_PathState, "apply", apply)
+    monkeypatch.setattr(solver, "_backward_moves", backward_moves)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        fit(tasks, cfg, standardize=standardize)
+        for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+            base = dataclasses.replace(cfg, **limits)
+            configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+            fit_xis(tasks, configs, standardize=standardize)
+    # the scalars settle most of the decisions that the coordinate screen
+    # settles (1,740 of 2,456 of 10,218 here)
+    assert seen["checked"] > 10_000
+    assert seen["coordinate_skips"] >= seen["scalar_skips"] > seen["coordinate_skips"] // 2
+
+
 def _first_split(lower, higher):
     """The step kind the higher tolerance takes where its path first leaves
     the lower one's, or None if neither path leaves the other."""
@@ -356,6 +470,30 @@ def test_overflow_edges_match_reference_without_warnings(case):
             want = reference_solver.fit(tasks, cfg, standardize=standardize)
     _assert_same_path(got, want)
     assert len(got.trace.steps) > 0
+
+
+def test_raw_scale_task_builds_no_exp_table():
+    # eps * max|X| at or over 27 is never clamp-free, so no fused scan and no
+    # table: at 1e3 its exp would overflow, at 27 it would only waste work
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(30, 4))
+    X[:, 3] = X[:, 3] * 20.0 + 1e3
+    y = (X[:, 0] > 0).astype(int)
+    task = TaskDataset(X, y, np.arange(1.0, 5.0), "raw")
+    edge = TaskDataset(np.clip(X, -27.0, 27.0), y, np.arange(1.0, 5.0), "edge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="raise", invalid="raise"):
+            for t, eps in ((task, 1.0), (task, 0.1), (edge, 1.0)):
+                terms = _TaskTerms(t, np.zeros(4), eps)
+                assert terms.eps_x_max >= 27.0
+                assert terms.exp_table is None and terms.exp_sz is None
+                assert not terms.clamp_free
+            got = fit([task], SolverConfig(1.0, 0.01, max_iters=30), standardize=False)
+    assert got.stats.fast_scans == 0 and got.stats.clamp_scans > 0
+    # just under the bound the table is built, both signs of every element
+    terms = _TaskTerms(edge, np.zeros(4), 0.999)
+    assert terms.exp_table.shape == (2, *edge.features.shape)
 
 
 def _balance_point(x, y, eps):
