@@ -304,7 +304,7 @@ def empirical_loss_single(weights, data: TaskDataset) -> float:
 
 
 def _weights_2d(weights, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Weights as an (n_features, n_tasks) array, optionally of a given shape."""
+    """Finite weights as an (n_features, n_tasks) array, optionally of a given shape."""
     if isinstance(weights, WeightMatrix):
         arr = weights.values
     else:
@@ -313,6 +313,8 @@ def _weights_2d(weights, shape: tuple[int, int] | None = None) -> np.ndarray:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ValueError("weights must be 1-D or 2-D")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("weights contain non-finite values")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"weights shape {arr.shape} does not match {shape}")
     return arr
@@ -337,8 +339,6 @@ def l21_norm(weights) -> float:
     the same formula is used in both cases.
     """
     arr = _weights_2d(weights)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("l21_norm requires finite input")
     return float(np.sqrt((arr * arr).sum(axis=1)).sum())
 
 

@@ -12,14 +12,17 @@ another task cheaper per unit of penalty; that discount is what pulls the
 tasks toward a shared support.
 
 Implementation: a path has one iterate, a private path state holding the
-lattice counts and weights, each task's logits ``X_l @ W[:, l]``, loss and
-residual ``expit(z) - y``, the cross-task loss sums, the row norms, the
-penalty, the number of nonzero weights, the backward screening terms (each
-task's gradient, slack and largest signed gradient), the level, the steps
-and the tally. An accepted step recomputes the touched task's logits, loss,
-residual and screening terms from scratch, and the touched row's norm, so
-every loss in the trace is exactly what a full recomputation gives. A fork
-copies the iterate's arrays.
+lattice counts and weights, one set of terms per task, and what couples the
+tasks: the cross-task loss sums, the row norms, the penalty and the number
+of nonzero weights; with the level, the steps and the tally. A task's terms
+depend on its own weight column alone: its logits ``X_l @ W[:, l]`` and
+loss, the fused kernel's per-sample factor and error bound, and the
+backward screening terms (loss gradient, slack and largest signed
+gradient). An accepted step recomputes the touched task's terms from
+scratch, and the touched row's norm, so every loss in the trace is exactly
+what a full recomputation gives. An update replaces a task's arrays and
+never writes into them, so a fork copies the weights, counts and row norms
+and shares each task's arrays until one side steps that task.
 
 Scan cache: a step changes one task, and a forward scan depends only on its
 own task's logits, so each task keeps the ``(losses, bound)`` of its last
@@ -34,20 +37,21 @@ Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 ``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
 all features are the column means of ``log1p(exp(s*z) * exp(±eps * s * X))``.
 The factors ``exp(±eps * s * X)`` are fixed per task: a ``(2, n, p)`` table
-formed once, for a task with ``eps * max|X|`` below 27 (any other task is
-never clamp-free). A scan takes one ``exp`` per sample and, over a reused
-buffer, one multiply and one ``log1p`` per element, both signs in one
-pass. The clamped kernel, ``_TaskTerms.moved_losses``, takes ``expit`` of
-the moved logits, a clamp and two ``log`` calls (``model._nll_from_probs``)
-and scores both clamped scans and backward candidates. The two agree only
-while no logit can reach the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task
-whose ``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped
-kernel instead; below that no ``exp`` can overflow. They also differ by
-rounding: the clamped kernel's ``log(1 - p)`` loses digits on confidently
-misclassified samples. Each fused scan carries a bound on that difference;
-when the best move lies within it of another candidate or of the current
-loss, the fused tasks are rescanned with the clamped kernel before the move
-is chosen, so the move is always the one the clamped kernel picks.
+formed by the task's first fused scan (a task with ``eps * max|X|`` of 27 or
+more is never clamp-free and forms none). A scan takes one ``exp`` per
+sample and, over a reused buffer, one multiply and one ``log1p`` per
+element, both signs in one pass. The clamped kernel,
+``_TaskTerms.moved_losses``, takes ``expit`` of the moved logits, a clamp
+and two ``log`` calls (``model._nll_from_probs``) and scores both clamped
+scans and backward candidates. The two agree only while no logit can reach
+the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
+``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped kernel
+instead; below that no ``exp`` can overflow. They also differ by rounding: the clamped
+kernel's ``log(1 - p)`` loses digits on confidently misclassified samples.
+Each fused scan carries a bound on that difference; when the best move lies
+within it of another candidate or of the current loss, the fused tasks are
+rescanned with the clamped kernel before the move is chosen, so the move is
+always the one the clamped kernel picks.
 
 Backward screening: without the clamp the loss is convex, so moving
 ``w_jl`` by ``t = ±eps`` changes task l's loss by at least ``t * g_jl``
@@ -58,11 +62,12 @@ rounding bound) has no qualifying move and is skipped; otherwise, and always
 in the clamp regime, all its candidates are evaluated exactly. The penalty
 drop of a move toward zero is at most ``eps``, so one scalar per task,
 ``eps * max_j(sign(w_jl) * g_jl) / L + lam * eps``, bounds all of its
-candidates; it is kept on the path state and changes only when a step
-touches the task. A decision first compares the ``L`` scalars, and when no
-task passes it is settled without looking at a coordinate; otherwise the
-per-coordinate bounds pick the tasks to evaluate, so the evaluated set is
-the one the coordinate bounds alone would give.
+candidates; its signed-gradient maximum is kept on the task's terms and
+changes only when a step touches the task. A decision screens one task at
+a time: its scalar first, then, if the scalar passes, its coordinate
+bounds, and if one of those passes, all of its candidates exactly. A task
+whose scalar fails has no coordinate bound that passes, so the evaluated
+set is the one the coordinate bounds alone would give.
 
 Shared paths: ``xi`` only decides which backward moves qualify, so
 ``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
@@ -235,7 +240,16 @@ _ULP = float(np.finfo(float).eps)
 
 
 class _TaskTerms:
-    """One task's data and its part of the iterate: logits, loss, residual."""
+    """One task's data and every solver term that depends on its weight
+    column alone: logits, loss, the forward scan's per-sample factor and
+    error bound, and the backward screening terms (loss gradient, slack and
+    largest signed gradient over the nonzero weights).
+
+    ``update`` replaces these arrays and never writes into them, so a fork's
+    shallow copy shares them until one side steps the task. The fused
+    kernel's table ``exp(±eps * s * X)`` depends on no weight: the first
+    fused scan forms it, and a path scans every task before it can fork.
+    """
 
     def __init__(self, task, w, epsilon: float):
         self.X = task.features
@@ -243,76 +257,70 @@ class _TaskTerms:
         self.s = 1.0 - 2.0 * self.y
         self.eps = epsilon
         self.eps_x_max = epsilon * float(np.abs(self.X).max())
-        # the fused kernel's fixed factors exp(±eps * s * X), + moves then -
-        # moves; a task with eps * max|X| of 27 or more is never clamp-free,
-        # so it never scans fused and gets no table (whose exp could overflow)
         self.exp_table = None
-        if self.eps_x_max < _CLAMP_FREE_REACH:
-            eps_s = np.array([epsilon * self.s, -(epsilon * self.s)])
-            self.exp_table = np.exp(self.X * eps_s[:, :, None])
         self.update(w)
 
     def update(self, w):
-        """Recompute logits, loss and residual from scratch for the weight column ``w``."""
+        """Recompute every term from scratch for the weight column ``w``.
+
+        In the clamp regime there is no fused scan and no convexity bound: the
+        gradient is zero and the error bound and slack are infinite, so all of
+        the task's backward candidates are evaluated exactly.
+        """
+        n = self.X.shape[0]
         self.z = self.X @ w
         p = expit(self.z)
-        self.residual = p - self.y
         self.loss = float(_nll_from_probs(p, self.y))
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.abs(self.z).max()) + self.eps_x_max
-        # exp(s * z), the fused kernel's per-sample factor; only clamp-free,
-        # where it stays below e**27
-        self.exp_sz = np.exp(self.s * self.z) if self.clamp_free else None
-        self._bound = None
         self.last_scan = None  # (losses, bound) of the forward scan at this w
+        if self.clamp_free:
+            # exp(s * z), the fused kernel's per-sample factor, below e**27
+            self.exp_sz = np.exp(self.s * self.z)
+            # the sum and division of .mean(), without its overhead
+            margins = float(np.add.reduce(self.exp_sz) / n) * np.exp(self.eps_x_max)
+            self.bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
+            self.grad = self.X.T @ (p - self.y) / n
+        else:
+            self.exp_sz, self.bound, self.grad = None, np.inf, np.zeros(self.X.shape[1])
+        self.slack = _SCREEN_SLACK + 2.0 * self.bound
+        # the largest sign(w_j) * g_j over the nonzero weights, -inf if none
+        nz = np.flatnonzero(w)
+        self.task_max = float((np.sign(w[nz]) * self.grad[nz]).max()) if nz.size else -np.inf
 
     @property
     def clamp_free(self) -> bool:
         return self.reach < _CLAMP_FREE_REACH
 
-    def error_bound(self) -> float:
-        """Bound on |fused - clamped| over this task's candidate losses.
-
-        Valid while clamp-free. The clamped kernel's ``log(1 - p)`` is off by
-        up to ~3 ulp * e**u on a sample misclassified at margin ``u``, and
-        ``e**u <= exp(s * z) * exp(eps * max|X|)`` for every candidate. Both
-        kernels also round each element and sum ``n`` elements of size up to
-        ``reach + 1``.
-
-        The fused kernel forms ``e**u`` as the product ``exp(s * z) *
-        exp(±eps * s * x)``: two ``exp`` results and one multiply, each
-        within about 1 ulp, so ``e**u`` is off by about 3 ulp relative. A
-        relative error ``d`` on ``e**u`` moves ``log1p(e**u)`` by at most
-        ``d * min(1, e**u)``: a few ulp per element, which the ``margins``
-        term and the ``2 * n * (reach + 1)`` ulp of the sum term cover.
-        Forming ``u`` as a sum and taking its ``exp``, the form before the
-        table, was off by about ulp * |u| relative, up to 27 ulp, so the
-        product form is the tighter of the two.
-        """
-        if self._bound is None:
-            n = self.z.shape[0]
-            # the sum and division of .mean(), without its overhead
-            margins = float(np.add.reduce(self.exp_sz) / n) * np.exp(self.eps_x_max)
-            self._bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
-        return self._bound
-
     def scan_fused(self, buf):
         """Losses of the + and - moves of every feature as the rows of a
         (2, n_features) array, both signs in one pass; and the error bound.
         One ``log1p`` and one multiply per element: ``log1p(exp(±eps * s *
-        X) * exp(s * z))``, from the fixed table."""
+        X) * exp(s * z))``, from the fixed table, formed on the first call.
+
+        ``bound`` covers |fused - clamped| over these losses. The clamped
+        kernel's ``log(1 - p)`` is off by up to ~3 ulp * e**u on a sample
+        misclassified at margin ``u``, and ``e**u <= exp(s * z) * exp(eps *
+        max|X|)`` for every candidate. Both kernels also round each element
+        and sum ``n`` elements of size up to ``reach + 1``. The fused kernel
+        forms ``e**u`` as a product of two ``exp`` results, about 3 ulp off
+        relative, which moves ``log1p(e**u)`` by at most a few ulp per
+        element: the ``margins`` term and the ``2 * n * (reach + 1)`` ulp of
+        the sum term cover both.
+        """
+        if self.exp_table is None:
+            # clamp-free implies eps * max|X| < 27, so no exp overflows
+            eps_s = np.array([self.eps * self.s, -(self.eps * self.s)])
+            self.exp_table = np.exp(self.X * eps_s[:, :, None])
         table = self.exp_table
         buf = buf[: table.size].reshape(table.shape)
         np.multiply(table, self.exp_sz[:, None], out=buf)
         np.log1p(buf, out=buf)
-        return np.add.reduce(buf, axis=1) / self.X.shape[0], self.error_bound()
+        return np.add.reduce(buf, axis=1) / self.X.shape[0], self.bound
 
     def scan_clamped(self):
         """The same as ``scan_fused`` with the clamped kernel; no error."""
         return np.array([self.moved_losses(slice(None), sign) for sign in (1.0, -1.0)]), 0.0
-
-    def gradient(self):
-        return self.X.T @ self.residual / self.z.shape[0]
 
     def moved_losses(self, idx, signs):
         """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``;
@@ -323,9 +331,9 @@ class _TaskTerms:
 
 class _PathState:
     """The whole iterate of one path from zero weights: counts, weights, task
-    terms, screening terms, level, steps and tally. Built from given
-    ``weights`` it is a step function's probe: searched, never stepped, and
-    without counts."""
+    terms, and what couples the tasks (row norms, penalty, loss sums), with
+    the level, steps and tally. Built from given ``weights`` it is a step
+    function's probe: searched, never stepped, and without counts."""
 
     def __init__(self, tasks, epsilon: float, weights=None):
         self.eps = epsilon
@@ -334,14 +342,6 @@ class _PathState:
         self.counts = np.zeros(shape, dtype=np.int64) if weights is None else None
         self.nonzero = int(np.count_nonzero(self.W))
         self.tasks = [_TaskTerms(t, self.W[:, l], epsilon) for l, t in enumerate(tasks)]
-        # backward screening terms, refreshed for the task a step touches:
-        # each task's loss gradient (one row per task) and slack, and the
-        # largest sign(w_jl) * g_jl over its nonzero weights (-inf if none)
-        self.gradients = np.empty(shape[::-1])
-        self.slack = np.empty(len(tasks))
-        self.task_max = [-np.inf] * len(tasks)
-        for l in range(len(tasks)):
-            self._screen(l)
         # the same operations as model.l21_norm, so the penalty is bit-identical
         self.row_norms = np.sqrt((self.W * self.W).sum(axis=1))
         self.lam = None
@@ -358,19 +358,8 @@ class _PathState:
         self.others = [sum(self.losses[:l] + self.losses[l + 1:]) for l in range(len(self.losses))]
         self.penalty = float(self.row_norms.sum())
 
-    def _screen(self, l: int):
-        """Task l's screening terms; in the clamp regime a zero gradient and an
-        infinite slack, so that all its candidates are evaluated exactly."""
-        terms = self.tasks[l]
-        self.gradients[l] = terms.gradient() if terms.clamp_free else 0.0
-        self.slack[l] = _SCREEN_SLACK + 2.0 * terms.error_bound() if terms.clamp_free else np.inf
-        w = self.W[:, l]
-        nz = np.flatnonzero(w)
-        signed = np.sign(w[nz]) * self.gradients[l, nz]
-        self.task_max[l] = float(signed.max()) if nz.size else -np.inf
-
     def screen_bounds(self, lam: float) -> list:
-        """Each task's scalar bound ``eps * task_max[l] / L + lam * eps`` on
+        """Each task's scalar bound ``eps * task_max / L + lam * eps`` on
         the first-order gain bounds of its backward moves at level ``lam``;
         -inf for a task without a nonzero weight. A move toward zero lowers
         a row norm by at most eps (triangle inequality; with one task, by
@@ -382,7 +371,7 @@ class _PathState:
         lam_eps = lam * eps
         pen_margin = 8.0 * (L + 4) * _ULP * lam * (self.penalty + eps)
         bounds = []
-        for m in self.task_max:
+        for m in (t.task_max for t in self.tasks):
             bound = eps * m / L + lam_eps
             bounds.append(bound + 2.0 * _ULP * abs(bound) + pen_margin if m > -np.inf else bound)
         return bounds
@@ -395,7 +384,6 @@ class _PathState:
         self.nonzero += int(was_zero) - int(self.counts[j, l] == 0)
         self.W[j, l] = self.counts[j, l] * self.eps
         self.tasks[l].update(self.W[:, l])
-        self._screen(l)
         self.row_norms[j] = np.sqrt((self.W[j] * self.W[j]).sum())
         self._refresh_totals()
         self.tally[kind + "_steps"] += 1
@@ -431,11 +419,10 @@ class _PathState:
 
     def copy(self) -> "_PathState":
         """An independent iterate: a fork of the path. Each task's terms are
-        copied shallowly: an update changes a task's terms in place but
-        replaces their arrays and kept scan, never writes into them, so the
-        arrays and scan stay shared until one side steps that task."""
+        copied shallowly, so their arrays and kept scan stay shared until one
+        side steps that task."""
         twin = copy.copy(self)
-        for name in ("W", "counts", "gradients", "slack", "task_max", "row_norms"):
+        for name in ("W", "counts", "row_norms"):
             setattr(twin, name, getattr(self, name).copy())
         twin.tasks = [copy.copy(t) for t in self.tasks]
         twin.steps = list(self.steps)
@@ -472,7 +459,7 @@ def _forward_move(state: _PathState):
     return "forward", j, l, 1 - 2 * s, float(cand[l, s, j])
 
 
-def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | None]:
+def _backward_moves(state: _PathState, xis, lam: float) -> list:
     """Best qualifying magnitude-decreasing move for each of ``xis`` at level ``lam``.
 
     Each nonzero weight moves by ``epsilon`` toward zero. A move qualifies
@@ -481,56 +468,53 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list[StepCandidate | 
     feature then task index. The exact losses are evaluated once, screened
     at the smallest tolerance: screening never drops a candidate that
     qualifies there, so it drops none that qualifies for a larger one.
-    Returns one move, or None, per tolerance.
+    Returns one move, ("backward", feature, task, sign, loss after, penalty
+    after, total after), or None, per tolerance.
     """
     L = len(state.tasks)
     eps = state.eps
     xi_min = min(xis)
     state.tally["backward_candidates"] += state.nonzero
-    # one scalar per task first: most decisions end here, with no candidate
-    # whose bound below could pass
-    if not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), state.slack.tolist())):
-        return [None] * len(xis)
     pen_now = state.penalty
-    rows, cols = state.W.nonzero()
-    w_vals = state.W[rows, cols]
-    signs = -np.sign(w_vals)
-    pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
-
-    # Convexity: a move changes its task's loss by at least eps * sign * g,
-    # which bounds the penalised-loss gain. No bound in the clamp regime.
-    gain_bound = -(eps * signs) * state.gradients[cols, rows] / L + lam * (pen_now - pen_after)
-    exact_tasks = np.zeros(L, dtype=bool)
-    exact_tasks[cols[gain_bound > xi_min - state.slack[cols]]] = True
-    if not exact_tasks.any():
-        return [None] * len(xis)
-
-    others = state.others
     total_before = state.empirical + lam * pen_now
-    qualifying = []  # (key, gain, candidate) of the moves that qualify at xi_min
-    for l in np.flatnonzero(exact_tasks):
-        # every nonzero coordinate of task l, in ascending order: the shape of
-        # the reference's scan, since the clamped kernel rounds a column subset
-        # differently from the same columns of a whole-task scan
-        sel = np.flatnonzero(cols == l)
-        idx = rows[sel]
+    qualifying = []  # (key, gain, move) of the moves that qualify at xi_min
+    for l, (terms, task_bound) in enumerate(zip(state.tasks, state.screen_bounds(lam))):
+        # the task's scalar bound first: it bounds every coordinate bound
+        # below, and most decisions end here for every task
+        floor = xi_min - terms.slack
+        if not task_bound > floor:
+            continue
+        # every nonzero coordinate of the task, in ascending order: the shape
+        # of the reference's scan, since the clamped kernel rounds a column
+        # subset differently from the same columns of a whole-task scan
+        w = state.W[:, l]
+        idx = np.flatnonzero(w)
+        signs = -np.sign(w[idx])
+        pen_after = state.penalty_after(idx, l, w[idx] + eps * signs)
+        # Convexity: a move changes its task's loss by at least eps * sign * g,
+        # which bounds the penalised-loss gain. No bound in the clamp regime.
+        gain_bound = -(eps * signs) * terms.grad[idx] / L + lam * (pen_now - pen_after)
+        if not (gain_bound > floor).any():
+            continue
         state.tally["backward_exact"] += idx.size
-        emp_after = (others[l] + state.tasks[l].moved_losses(idx, signs[sel])) / L
-        total_after = emp_after + lam * pen_after[sel]
+        emp_after = (state.others[l] + terms.moved_losses(idx, signs)) / L
+        total_after = emp_after + lam * pen_after
         gain = total_before - total_after
         for a in np.flatnonzero(gain > xi_min):
-            cand = StepCandidate(
-                feature=int(idx[a]),
-                task=int(l),
-                sign=int(signs[sel[a]]),
-                empirical_after=float(emp_after[a]),
-                penalty_after=float(pen_after[sel[a]]),
-                total_after=float(total_after[a]),
-            )
-            key = (cand.empirical_after, cand.feature, cand.task)
-            qualifying.append((key, float(gain[a]), cand))
+            j, emp, pen = int(idx[a]), float(emp_after[a]), float(pen_after[a])
+            move = ("backward", j, l, int(signs[a]), emp, pen, float(total_after[a]))
+            qualifying.append(((emp, j, l), float(gain[a]), move))
     qualifying.sort(key=lambda q: q[0])
-    return [next((c for _, g, c in qualifying if g > xi), None) for xi in xis]
+    return [next((m for _, g, m in qualifying if g > xi), None) for xi in xis]
+
+
+def _probe(weights, tasks, epsilon: float) -> _PathState:
+    """The probe state of a step function at ``weights`` on ``tasks``."""
+    tasks = tuple(tasks)
+    if not tasks:
+        raise ValueError("tasks must hold at least one task")
+    W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
+    return _PathState(tasks, epsilon, W)
 
 
 def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
@@ -542,14 +526,12 @@ def forward_step(weights, tasks, config: SolverConfig) -> StepCandidate | None:
     index, then the lowest task index, then the positive direction.
     Returns None when no move reduces the empirical loss.
     """
-    tasks = tuple(tasks)
-    W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
-    state = _PathState(tasks, config.epsilon, W)
+    state = _probe(weights, tasks, config.epsilon)
     move = _forward_move(state)
     if move is None:
         return None
     _, j, l, sign, empirical_after = move
-    penalty_after = float(state.penalty_after(j, l, W[j, l] + sign * config.epsilon))
+    penalty_after = float(state.penalty_after(j, l, state.W[j, l] + sign * config.epsilon))
     return StepCandidate(j, l, sign, empirical_after, penalty_after)
 
 
@@ -563,11 +545,11 @@ def backward_step(weights, tasks, config: SolverConfig, lam: float) -> StepCandi
     Returns None when no move qualifies.
     """
     _check_real("lam", lam, at_least=0)
-    tasks = tuple(tasks)
-    W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
-    if not np.any(W != 0.0):
+    state = _probe(weights, tasks, config.epsilon)
+    if not state.nonzero:
         return None
-    return _backward_moves(_PathState(tasks, config.epsilon, W), [config.xi], lam)[0]
+    move = _backward_moves(state, [config.xi], lam)[0]
+    return None if move is None else StepCandidate(*move[1:])
 
 
 def lambda_schedule_update(
@@ -683,14 +665,13 @@ def _run_path(state: _PathState, members, configs, pending: list):
         if state.lam is not None and state.nonzero:
             moves = _backward_moves(state, [configs[i].xi for i in members], state.lam)
             groups: dict = {}  # move -> members choosing it; None goes forward
-            for i, cand in zip(members, moves):
-                move = None if cand is None else ("backward", cand.feature, cand.task, cand.sign)
+            for i, move in zip(members, moves):
                 groups.setdefault(move, []).append(i)
             move = None if None in groups else next(iter(groups))
             members = groups.pop(move)
             for other, group in groups.items():
                 fork = state.copy()
-                fork.apply(*other)
+                fork.apply(*other[:4])
                 pending.append((group, fork))
         move = move or _forward_move(state)
         if move is None:

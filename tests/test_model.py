@@ -96,6 +96,14 @@ class TestNorms:
         w = np.array([1.5, -2.0, 0.0])
         assert l21_norm(w) == 3.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_losses_reject_non_finite_weights(self, bad):
+        w = np.array([[0.5], [bad]])
+        task = TaskDataset(np.ones((2, 2)), np.array([0, 1]), np.array([1.0, 2.0]))
+        for call in (lambda: l21_norm(w), lambda: empirical_loss_mtl(w, [task])):
+            with pytest.raises(ValueError, match="weights contain non-finite values"):
+                call()
+
     @given(
         st.lists(
             st.tuples(

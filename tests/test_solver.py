@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,35 @@ class TestBackwardStep:
         cfg = SolverConfig(epsilon=0.3, xi=0.01)
         with pytest.raises(ValueError):
             backward_step(np.full((3, 1), 0.3), tasks, cfg, lam=-0.1)
+
+
+class TestStepProbeInput:
+    """The step functions refuse what they cannot search, with a ValueError
+    that names the argument, before any numpy warning."""
+
+    cfg = SolverConfig(epsilon=0.3, xi=0.01)
+
+    def probes(self, weights, tasks):
+        return (
+            lambda: forward_step(weights, tasks, self.cfg),
+            lambda: backward_step(weights, tasks, self.cfg, 0.5),
+        )
+
+    def test_rejects_empty_task_list(self):
+        for probe in self.probes(np.full((3, 1), 0.3), []):
+            with pytest.raises(ValueError, match="tasks must hold at least one task"):
+                probe()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        tasks = random_instance(np.random.default_rng(1), 3, 2, 8)
+        W = np.full((3, 2), 0.3)
+        W[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for probe in self.probes(W, tasks):
+                with pytest.raises(ValueError, match="weights contain non-finite values"):
+                    probe()
 
 
 class TestLambdaSchedule:
@@ -503,7 +533,7 @@ class TestKernelBits:
             losses, bound = terms.scan_fused(np.empty(2 * terms.X.size))
             plus, minus = two_pass_scan(terms.X, terms.y, terms.z, terms.eps)
             assert np.array_equal(losses[0], plus) and np.array_equal(losses[1], minus)
-            assert np.abs(losses - clamped).max() <= bound == terms.error_bound()
+            assert np.abs(losses - clamped).max() <= bound == terms.bound
         else:
             assert terms.exp_sz is None
         z = terms.z[:, None]
@@ -551,9 +581,14 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_gradient_from_kept_residual(self, seed):
+        # the gradient bounds backward moves only while clamp-free (the even
+        # seeds); in the clamp regime it is not computed and reads zero
         _, terms = kernel_case(seed)
-        want = terms.X.T @ (expit(terms.z) - terms.y) / terms.z.shape[0]
-        assert np.array_equal(terms.gradient(), want)
+        if terms.clamp_free:
+            want = terms.X.T @ (expit(terms.z) - terms.y) / terms.z.shape[0]
+        else:
+            want = np.zeros(terms.X.shape[1])
+        assert np.array_equal(terms.grad, want)
 
 
 def _result_with(steps, weights, eps):

@@ -27,6 +27,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,22 +202,28 @@ def _corpus_runs():
     return json.loads(json.dumps([[_codes(r), r.trace.terminated_by] for r in runs]))
 
 
-@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 target")
-def test_step_sequences_hold_without_avx512():
-    """The corpus takes the same steps when numpy runs its AVX2 kernels: the
-    last bits of exp and log1p move, the moves must not."""
+def run_reduced_dispatch(script: str):
+    """The JSON that ``script`` prints, run in a subprocess without numpy's
+    AVX-512 targets and with ``src`` and ``tests`` importable."""
     tests = Path(__file__).resolve().parent
     paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=REDUCED_DISPATCH,
                PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 target")
+def test_step_sequences_hold_without_avx512():
+    """The corpus takes the same steps when numpy runs its AVX2 kernels: the
+    last bits of exp and log1p move, the moves must not."""
     script = (
         "import json, sys\n"
         "from test_solver_differential import _corpus_runs, _dispatches_avx512\n"
         "json.dump([_dispatches_avx512(), _corpus_runs()], sys.stdout)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    avx512, runs = json.loads(proc.stdout)
+    avx512, runs = run_reduced_dispatch(script)
     assert not avx512
     assert runs == _corpus_runs()
 
@@ -343,17 +350,67 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
+TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "grad", "slack", "task_max")
+
+
+def test_kept_task_terms_equal_fresh_ones(monkeypatch):
+    """After every step and on both sides of each fork, each task's terms
+    hold the bits of terms built afresh from its weight column: an update
+    replaces the arrays a fork shares and never writes into them."""
+    real_apply, real_copy = _PathState.apply, _PathState.copy
+    seen = {"checked": 0, "clamped": 0, "forks": 0}
+
+    def check(state):
+        for l, terms in enumerate(state.tasks):
+            task = SimpleNamespace(features=terms.X, labels=terms.y)
+            fresh = _TaskTerms(task, state.W[:, l].copy(), state.eps)
+            for name in TERM_NAMES:
+                kept, want = getattr(terms, name), getattr(fresh, name)
+                if want is None or isinstance(want, np.ndarray):
+                    assert (kept is None and want is None) or np.array_equal(kept, want), name
+                else:
+                    assert kept == want, name
+            seen["checked"] += 1
+            seen["clamped"] += not terms.clamp_free
+
+    def apply(state, *move):
+        real_apply(state, *move)
+        check(state)
+
+    def fork(state):
+        twin = real_copy(state)
+        seen["forks"] += 1
+        check(state)
+        check(twin)
+        return twin
+
+    monkeypatch.setattr(_PathState, "apply", apply)
+    monkeypatch.setattr(_PathState, "copy", fork)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        fit(tasks, cfg, standardize=standardize)
+    tasks, cfg, standardize = _problem(410, "shared")
+    for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+        base = dataclasses.replace(cfg, **limits)
+        configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+        assert len({id(r) for r in fit_xis(tasks, configs, standardize=standardize)}) == 3
+    assert seen["forks"] == 4 and seen["checked"] > 9_000 and seen["clamped"] > 500
+
+
 def _coordinate_screen(state, xi_min, lam):
-    """The per-coordinate backward screen as ``_backward_moves`` writes it:
-    each nonzero weight's task and first-order gain bound, and the set of
-    tasks with a bound that passes."""
+    """The per-coordinate backward screen of every task at once (elementwise
+    the bounds ``_backward_moves`` forms one task at a time): each nonzero
+    weight's task and first-order gain bound, and the set of tasks with a
+    bound that passes."""
     L, eps = len(state.tasks), state.eps
     rows, cols = state.W.nonzero()
     w_vals = state.W[rows, cols]
     signs = -np.sign(w_vals)
     pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
-    gain_bound = -(eps * signs) * state.gradients[cols, rows] / L + lam * (state.penalty - pen_after)
-    return cols, gain_bound, set(cols[gain_bound > xi_min - state.slack[cols]].tolist())
+    gradients = np.array([t.grad for t in state.tasks])
+    slack = np.array([t.slack for t in state.tasks])
+    gain_bound = -(eps * signs) * gradients[cols, rows] / L + lam * (state.penalty - pen_after)
+    return cols, gain_bound, set(cols[gain_bound > xi_min - slack[cols]].tolist())
 
 
 def test_task_screen_covers_coordinate_bounds(monkeypatch):
@@ -376,7 +433,8 @@ def test_task_screen_covers_coordinate_bounds(monkeypatch):
 
     def backward_moves(state, xis, lam):
         xi_min = min(xis)
-        skip = not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), state.slack))
+        slack = [t.slack for t in state.tasks]
+        skip = not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), slack))
         flagged = _coordinate_screen(state, xi_min, lam)[2]
         moves = real_moves(state, xis, lam)
         seen["decisions"] += 1
@@ -399,6 +457,32 @@ def test_task_screen_covers_coordinate_bounds(monkeypatch):
     # settles (1,740 of 2,456 of 10,218 here)
     assert seen["checked"] > 10_000
     assert seen["coordinate_skips"] >= seen["scalar_skips"] > seen["coordinate_skips"] // 2
+
+
+def test_backward_screen_evaluates_the_flagged_tasks(monkeypatch):
+    """Screened one task at a time, a decision evaluates exactly every
+    nonzero weight of the tasks the all-task coordinate screen flags."""
+    real_moves = solver._backward_moves
+    seen = {"decisions": 0, "evaluated": 0}
+
+    def backward_moves(state, xis, lam):
+        flagged = _coordinate_screen(state, min(xis), lam)[2]
+        before = state.tally["backward_exact"]
+        moves = real_moves(state, xis, lam)
+        want = sum(np.count_nonzero(state.W[:, l]) for l in flagged)
+        assert state.tally["backward_exact"] - before == want
+        seen["decisions"] += 1
+        seen["evaluated"] += bool(flagged)
+        return moves
+
+    monkeypatch.setattr(solver, "_backward_moves", backward_moves)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+            base = dataclasses.replace(cfg, **limits)
+            configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+            fit_xis(tasks, configs, standardize=standardize)
+    assert seen["decisions"] > seen["evaluated"] > 1000
 
 
 def _first_split(lower, higher):
@@ -491,8 +575,10 @@ def test_raw_scale_task_builds_no_exp_table():
                 assert not terms.clamp_free
             got = fit([task], SolverConfig(1.0, 0.01, max_iters=30), standardize=False)
     assert got.stats.fast_scans == 0 and got.stats.clamp_scans > 0
-    # just under the bound the table is built, both signs of every element
+    # just under the bound the first fused scan builds the table, both signs
+    # of every element
     terms = _TaskTerms(edge, np.zeros(4), 0.999)
+    terms.scan_fused(np.empty(2 * terms.X.size))
     assert terms.exp_table.shape == (2, *edge.features.shape)
 
 
