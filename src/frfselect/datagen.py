@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TaskDataset, _check_int, _check_real, _read_table, _write_table
+from .model import TaskDataset, _check_int, _check_real, _split_rows, _table_lines, _write_table
 
 __all__ = [
     "SpectrumLine",
@@ -395,14 +395,14 @@ def spectrum_to_datasets(
 
 def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:
     """Parse a delimited spectrum file with header freq_hz,h_mean,coherence."""
-    table = _read_table(path, SpectrumFormatError)
-    if tuple(cell.strip() for cell in next(table)) != SPECTRUM_HEADER:
+    header, rows = _table_lines(path, SpectrumFormatError)
+    if tuple(cell.strip() for cell in header) != SPECTRUM_HEADER:
         raise SpectrumFormatError(
             f"{path}: malformed header, line 1: expected {','.join(SPECTRUM_HEADER)}"
         )
     out = []
     prev_freq = None
-    for lineno, cells in table:
+    for lineno, cells in _split_rows(path, header, rows, SpectrumFormatError):
         try:
             freq, h_mean, coh = (float(c) for c in cells)
         except ValueError:

@@ -32,7 +32,15 @@ from .experiment import (
     grid_search,
     run_comparison,
 )
-from .model import TaskDataset, _check_int, _check_real, _read_table, _table_text, _write_table
+from .model import (
+    TaskDataset,
+    _check_int,
+    _check_real,
+    _split_rows,
+    _table_lines,
+    _table_text,
+    _write_table,
+)
 from .solver import SolverConfig
 
 __all__ = [
@@ -68,8 +76,7 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
     the offending 1-based line.
     """
     path = Path(path)
-    table = _read_table(path, DatasetFormatError)
-    header = next(table)
+    header, rows = _table_lines(path, DatasetFormatError)
     if header[0] != "label":
         raise DatasetFormatError(
             f"{path}: malformed header, line 1: first column must be 'label'"
@@ -88,7 +95,41 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
         raise DatasetFormatError(
             f"{path}: malformed header, line 1: frequencies must be strictly increasing"
         )
+    body = _parse_in_bulk(rows, len(header))
+    if body is None:
+        body = _parse_rows(path, _split_rows(path, header, rows, DatasetFormatError))
+    labels, values = body
+    return TaskDataset(values, labels, np.array(freqs), task_id or path.stem)
 
+
+# The characters of the numbers save_dataset writes, and the delimiter: text
+# of these alone parses the same in bulk and cell by cell.
+_PLAIN_NUMBER_BYTES = b"0123456789.+-eE,"
+
+
+def _parse_in_bulk(rows, width: int):
+    """The labels and values of a dataset's ``(line number, text)`` rows in
+    one ``np.loadtxt`` call; None for no rows, a label other than exactly 0
+    or 1, a character outside plain numbers (the two parsers strip
+    whitespace differently), a parse failure, a wrong width or a non-finite
+    value. The row parser then runs and names the fault."""
+    lines = [raw for _, raw in rows]
+    if not lines or not all(raw.startswith(("0,", "1,")) for raw in lines):
+        return None
+    if "".join(lines).encode().translate(None, _PLAIN_NUMBER_BYTES):
+        return None
+    try:
+        body = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if body.shape[1] != width or not np.isfinite(body).all():
+        return None
+    return body[:, 0].astype(np.int64), body[:, 1:]
+
+
+def _parse_rows(path, table):
+    """The labels and values of a dataset's split rows, parsed one cell at a
+    time; raises a DatasetFormatError naming the first fault."""
     labels: list[int] = []
     rows: list[list[float]] = []
     for lineno, cells in table:
@@ -115,9 +156,7 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
             values.append(v)
         labels.append(label)
         rows.append(values)
-    return TaskDataset(
-        np.array(rows), np.array(labels), np.array(freqs), task_id or path.stem
-    )
+    return np.array(labels), np.array(rows)
 
 
 @dataclass(frozen=True)

@@ -82,20 +82,25 @@ def _write_table(path, header, rows) -> None:
     Path(path).write_text(_table_text(header, rows), encoding="utf-8")
 
 
-def _read_table(path, error):
-    """Yield the header's cells, then ``(1-based line number, cells)`` for each
-    non-blank row. Rows are split as the caller asks for them, so a fault the
-    caller finds in one row is reported before any in a later row. Raises
-    ``error`` for an empty file, no data rows or a row of the wrong width."""
+def _table_lines(path, error):
+    """The header's cells and the ``(1-based line number, text)`` of each
+    non-blank row after it. Raises ``error`` for a file that is not UTF-8
+    text or is empty."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines:
         raise error(f"{path}: empty file")
-    header = lines[0].split(",")
-    yield header
     rows = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    return lines[0].split(","), rows
+
+
+def _split_rows(path, header, rows, error):
+    """Yield ``(1-based line number, cells)`` for each of the rows of
+    ``_table_lines``. Rows are split as the caller asks for them, so a fault
+    the caller finds in one row is reported before any in a later row.
+    Raises ``error`` for no data rows or a row of the wrong width."""
     if not rows:
         raise error(f"{path}: no data rows")
     for lineno, raw in rows:

@@ -25,13 +25,27 @@ never writes into them, so a fork copies the weights, counts and row norms
 and shares each task's arrays until one side steps that task.
 
 Scan cache: a step changes one task, and a forward scan depends only on its
-own task's logits, so each task keeps the ``(losses, bound)`` of its last
+own task's logits, so each task keeps the losses and bound of its last
 forward scan, fused or clamped, until a step touches it. A forward search
 scans only the tasks that changed since the last one and reads the kept
 scans of the others: on ``L`` tasks a path runs about one task scan per step
 instead of ``L``. A kept scan holds the same bits a fresh one would, so the
 moves do not change. A fork shares the kept scans of the tasks it has not
 stepped. Rechecks are always run afresh and are not kept.
+
+Offers: a kept scan also carries its task's offer, the flat index and loss
+of its lowest candidate and the loss of the next lowest. A forward search
+first decides from the ``L`` offers alone, in plain Python. The lowest
+offer, at empirical loss ``c``, wins when the next lowest candidate of its
+task ``l`` and the lowest of every other task ``m`` lie strictly above
+``c + (b_m + b_l) / L`` (``b`` the tasks' error bounds), the window in which
+the stacked search below would recheck, and when it lowers its task's loss
+by more than ``b_l``. Then the stacked search would end on its first pass
+with the same move: no candidate but the winner lies in the window, and the
+window's floats are computed the same way. Every other search, exact ties
+and rechecks included, runs the stacked search, argmin over every
+candidate of every task, on the same scans. So the offers change no move,
+trace or count; they save a search its numpy calls.
 
 Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
 ``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
@@ -273,7 +287,7 @@ class _TaskTerms:
         self.loss = float(_nll_from_probs(p, self.y))
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.abs(self.z).max()) + self.eps_x_max
-        self.last_scan = None  # (losses, bound) of the forward scan at this w
+        self.last_scan = None  # the forward scan at this w and its offer (_PathState.scan)
         if self.clamp_free:
             # exp(s * z), the fused kernel's per-sample factor, below e**27
             self.exp_sz = np.exp(self.s * self.z)
@@ -401,9 +415,10 @@ class _PathState:
         return self.penalty - norms + np.sqrt(np.maximum(norms**2 - w**2 + w_new**2, 0.0))
 
     def scan(self, task: int, recheck: bool = False):
-        """Forward candidate losses of one task: ((2, n_features) losses of the
-        + and - moves, error bound). A task untouched since its last scan gets
-        that scan back; a recheck is always run afresh and is not kept."""
+        """Forward candidate losses of one task: (2, n_features) losses of the
+        + and - moves, error bound, then the task's offer (``_offer``). A task
+        untouched since its last scan gets that scan back; a recheck is always
+        run afresh, carries no offer and is not kept."""
         terms = self.tasks[task]
         if recheck:
             self.tally["recheck_scans"] += 1
@@ -411,10 +426,9 @@ class _PathState:
         self.tally["fast_scans" if terms.clamp_free else "clamp_scans"] += 1
         if terms.last_scan is not None:
             self.tally["reused_scans"] += 1
-        elif terms.clamp_free:
-            terms.last_scan = terms.scan_fused(self._buf)
         else:
-            terms.last_scan = terms.scan_clamped()
+            losses, bound = terms.scan_fused(self._buf) if terms.clamp_free else terms.scan_clamped()
+            terms.last_scan = (losses, bound, *_offer(losses))
         return terms.last_scan
 
     def copy(self) -> "_PathState":
@@ -436,17 +450,21 @@ def _forward_move(state: _PathState):
     The winner is the lowest post-move empirical loss over all
     2 * n_features * n_tasks candidates, ties broken toward the lowest
     feature, then task, then the positive direction; it must strictly lower
-    the loss of the task it touches.
+    the loss of the task it touches. The tasks' offers settle most searches
+    (``_offered_move``); the others run the stacked search below.
     """
     L = len(state.tasks)
     scans = [state.scan(l) for l in range(L)]
+    move = _offered_move(state, scans)
+    if move is not None:
+        return move
     while True:
         # cand[l, s, j]: the empirical loss after moving (j, l) by sign s; the
         # argmin over its (j, l, s) view realizes the tie-break
-        cand = np.array([o + losses for o, (losses, _) in zip(state.others, scans)]) / L
+        cand = np.array([o + scan[0] for o, scan in zip(state.others, scans)]) / L
         i = int(np.argmin(cand.transpose(2, 0, 1)))
         j, l, s = i // (2 * L), i // 2 % L, i % 2
-        bounds = np.array([bound for _, bound in scans])
+        bounds = np.array([scan[1] for scan in scans])
         if not bounds.any():
             break
         # recheck when another candidate or the current loss is within rounding
@@ -457,6 +475,43 @@ def _forward_move(state: _PathState):
     if not scans[l][0][s, j] < state.losses[l]:
         return None
     return "forward", j, l, 1 - 2 * s, float(cand[l, s, j])
+
+
+def _offer(losses):
+    """A task's offer from its forward losses: the flat index and loss of
+    the lowest, and the next lowest loss (equal to it on a tie). ``argmin``
+    picks a nan first, and a nan offer settles no search."""
+    flat = losses.ravel()
+    i = int(flat.argmin())
+    rest = flat.copy()
+    rest[i] = np.inf
+    return i, float(flat[i]), float(rest[rest.argmin()])
+
+
+def _offered_move(state: _PathState, scans):
+    """The forward move the tasks' offers settle alone, or None when the
+    stacked search of ``_forward_move`` must decide.
+
+    The lowest offer wins when no other candidate of any task lies within
+    the recheck window the stacked search would draw around it, and it
+    lowers its task's loss by more than its task's error bound. The stacked
+    search ends such a search on its first pass, with the same move: every
+    comparison here is one of its own, on the same floats.
+    """
+    L = len(state.tasks)
+    others = state.others
+    best = [(o + scan[3]) / L for o, scan in zip(others, scans)]
+    c = min(best)
+    l = best.index(c)
+    losses, b_l, i, loss, runner_up = scans[l]
+    if not ((others[l] + runner_up) / L > c + (b_l + b_l) / L
+            and state.losses[l] - loss > b_l):
+        return None
+    for m, scan in enumerate(scans):
+        if m != l and not best[m] > c + (scan[1] + b_l) / L:
+            return None
+    s, j = divmod(i, losses.shape[1])
+    return "forward", j, l, 1 - 2 * s, c
 
 
 def _backward_moves(state: _PathState, xis, lam: float) -> list:

@@ -161,6 +161,67 @@ class TestDatasetErrors:
             load_dataset(path)
 
 
+# bytes a mutation inserts or writes over: number syntax, the delimiter, line
+# breaks, the whitespace float() and np.loadtxt strip differently, and bytes
+# that break UTF-8
+MUTATION_BYTES = b"0123456789.,+-eE_nai \t\n\r\x0b\x0c\x1c\x1f\x00\x80\xa0"
+
+
+def _mutated(data: bytes, rng) -> bytes:
+    """``data`` with 1-3 bytes replaced, inserted or deleted at random."""
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(out)))
+        op = int(rng.integers(0, 3))
+        byte = MUTATION_BYTES[int(rng.integers(0, len(MUTATION_BYTES)))]
+        if op == 0:
+            out[at] = byte
+        elif op == 1:
+            out.insert(at, byte)
+        elif len(out) > 1:
+            del out[at]
+    return bytes(out)
+
+
+def _outcome(path):
+    """The loaded dataset's arrays, bit for bit, or the error raised."""
+    try:
+        data = load_dataset(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple((a.dtype.str, a.shape, a.tobytes())
+                 for a in (data.features, data.labels, data.feature_freqs)) + (data.task_id,)
+
+
+def test_bulk_parse_matches_row_parser_on_mutated_files(tmp_path, monkeypatch):
+    """Byte-level mutations of a saved dataset load the same with and without
+    the bulk parse: the same arrays bit for bit, or the same error message."""
+    rng = np.random.default_rng(19)
+    feats = rng.normal(size=(8, 5)) * 10.0 ** rng.integers(-20, 20, size=(8, 5))
+    path = tmp_path / "d.csv"
+    save_dataset(TaskDataset(feats, np.arange(8) % 2, np.arange(1.0, 6.0), "d"), path)
+    original = path.read_bytes()
+    real_bulk = dataio._parse_in_bulk
+    taken = {True: 0, False: 0}
+
+    def bulk(rows, width):
+        body = real_bulk(rows, width)
+        taken[body is not None] += 1
+        return body
+
+    for _ in range(1500):
+        path.write_bytes(_mutated(original, rng))
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_parse_in_bulk", bulk)
+            got = _outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_parse_in_bulk", lambda rows, width: None)
+            want = _outcome(path)
+        assert got == want, path.read_bytes()
+    # both paths ran, on files that load and on files that fail
+    assert taken[True] > 200 and taken[False] > 200
+
+
 MINIMAL = """
 seed: 7
 solver:

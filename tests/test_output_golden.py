@@ -10,11 +10,12 @@ traces, which no benchmark reference hashes.
 numpy's ``exp``, ``log1p`` and ``log`` round their last bits differently at
 different SIMD dispatch levels, and the fit traces show it, so
 ``digests.json`` keeps one record per level: the highest dispatch target
-numpy found on the CPU. The test checks the running level's record, and
-where AVX-512 is present also the reduced level's, in a subprocess with
-those targets switched off. Re-record (only when an output change is
-intended) with ``python tests/test_output_golden.py``, which writes this
-host's level and the reduced one.
+numpy found on the CPU. A level below the host's is simulated in a
+subprocess with the dispatch targets above it switched off. The test checks
+the running level's record, and the record of every level it can simulate.
+Re-record (only when an output change is intended) with ``python
+tests/test_output_golden.py``, which writes the host's level and every level
+below it that it can simulate.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from test_solver_differential import _dispatches_avx512, run_reduced_dispatch
+from test_solver_differential import REDUCED_DISPATCH, _dispatches_avx512, run_reduced_dispatch
 
 from frfselect.cli import main
 
@@ -65,9 +66,9 @@ def run_commands(workdir: Path) -> dict:
     return digests
 
 
-def simd_level() -> str:
-    """The highest SIMD target numpy dispatches to on this CPU, else its
-    highest baseline target."""
+def _cpu_targets() -> tuple:
+    """numpy's baseline targets and the dispatch targets found on this CPU,
+    lowest first; both empty where numpy does not say."""
     try:
         from numpy._core._multiarray_umath import (
             __cpu_baseline__,
@@ -75,9 +76,25 @@ def simd_level() -> str:
             __cpu_features__,
         )
     except ImportError:
-        return "unknown"
-    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-    return (found or list(__cpu_baseline__) or ["none"])[-1]
+        return [], []
+    return list(__cpu_baseline__), [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def simd_level() -> str:
+    """The highest SIMD target numpy dispatches to on this CPU, else its
+    highest baseline target."""
+    baseline, found = _cpu_targets()
+    return (found or baseline or ["unknown"])[-1]
+
+
+def simulated_levels() -> dict:
+    """Each level below this host's that a subprocess can simulate, with the
+    dispatch targets it switches off: every found target above the level."""
+    baseline, found = _cpu_targets()
+    below = {level: found[k + 1:] for k, level in enumerate(found[:-1])}
+    if found and baseline:
+        below = {baseline[-1]: found, **below}
+    return {level: " ".join(off) for level, off in below.items()}
 
 
 def level_and_digests() -> tuple:
@@ -85,14 +102,15 @@ def level_and_digests() -> tuple:
         return simd_level(), run_commands(Path(tmp))
 
 
-def reduced_level_and_digests() -> tuple:
-    """``level_and_digests`` in a subprocess without numpy's AVX-512 targets."""
+def simulated_level_and_digests(disabled: str = REDUCED_DISPATCH) -> tuple:
+    """``level_and_digests`` in a subprocess without the dispatch targets
+    ``disabled`` (by default the AVX-512 ones)."""
     script = (
         "import json, sys\n"
         "from test_output_golden import level_and_digests\n"
         "json.dump(level_and_digests(), sys.stdout)\n"
     )
-    return tuple(run_reduced_dispatch(script))
+    return tuple(run_reduced_dispatch(script, disabled))
 
 
 def recorded(level: str) -> dict:
@@ -111,13 +129,23 @@ def test_outputs_match_recorded_digests(tmp_path):
 
 @pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 target")
 def test_outputs_match_recorded_digests_without_avx512():
-    level, digests = reduced_level_and_digests()
+    level, digests = simulated_level_and_digests()
     assert level != simd_level()
+    assert digests == recorded(level)
+
+
+@pytest.mark.parametrize("level", ["X86_V2", "X86_V4", "AVX512_ICL"])
+def test_outputs_match_recorded_digests_at_simulated_levels(level):
+    """The other levels a host can run at; X86_V4 and AVX512_ICL are common
+    on CI hosts. X86_V3 is the test above."""
+    if level not in simulated_levels():
+        pytest.skip(f"numpy cannot simulate {level} on this host")
+    got, digests = simulated_level_and_digests(simulated_levels()[level])
+    assert got == level
     assert digests == recorded(level)
 
 
 if __name__ == "__main__":
     records = dict([level_and_digests()])
-    if _dispatches_avx512():
-        records.update([reduced_level_and_digests()])
+    records.update(simulated_level_and_digests(off) for off in simulated_levels().values())
     (GOLDEN / "digests.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")

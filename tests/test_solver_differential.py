@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -202,12 +203,13 @@ def _corpus_runs():
     return json.loads(json.dumps([[_codes(r), r.trace.terminated_by] for r in runs]))
 
 
-def run_reduced_dispatch(script: str):
-    """The JSON that ``script`` prints, run in a subprocess without numpy's
-    AVX-512 targets and with ``src`` and ``tests`` importable."""
+def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH):
+    """The JSON that ``script`` prints, run in a subprocess without the numpy
+    dispatch targets ``disabled`` (by default the AVX-512 ones) and with
+    ``src`` and ``tests`` importable."""
     tests = Path(__file__).resolve().parent
     paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=REDUCED_DISPATCH,
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
@@ -301,7 +303,7 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
         for terms in state.tasks:
             if terms.last_scan is None:
                 continue
-            losses, bound = terms.last_scan
+            losses, bound = terms.last_scan[:2]
             fresh, fresh_bound = (
                 real_fused(terms, state._buf) if terms.clamp_free else real_clamped(terms)
             )
@@ -396,6 +398,116 @@ def test_kept_task_terms_equal_fresh_ones(monkeypatch):
         assert len({id(r) for r in fit_xis(tasks, configs, standardize=standardize)}) == 3
     assert seen["forks"] == 4 and seen["checked"] > 9_000 and seen["clamped"] > 500
 
+
+def _fresh_offer(terms, buf):
+    """A task's offer computed afresh, independently of ``solver._offer``:
+    the first lowest loss in flat order, its loss, and the next in order."""
+    losses, _ = (
+        _TaskTerms.scan_fused(terms, buf) if terms.clamp_free else _TaskTerms.scan_clamped(terms)
+    )
+    flat = losses.ravel()
+    order = np.argsort(flat, kind="stable")
+    return int(order[0]), float(flat[order[0]]), float(flat[order[1]])
+
+
+def test_kept_offers_equal_fresh_ones(monkeypatch):
+    """After every step and on both sides of each fork, each task's kept
+    offer is the one a fresh scan gives; so is every offer a search reads."""
+    real_apply, real_copy = _PathState.apply, _PathState.copy
+    real_offered = solver._offered_move
+    seen = {"kept": 0, "read": 0, "forks": 0}
+
+    def check(state):
+        for terms in state.tasks:
+            if terms.last_scan is not None:
+                assert terms.last_scan[2:] == _fresh_offer(terms, state._buf)
+                seen["kept"] += 1
+
+    def apply(state, *move):
+        real_apply(state, *move)
+        check(state)
+
+    def fork(state):
+        twin = real_copy(state)
+        seen["forks"] += 1
+        check(state)
+        check(twin)
+        return twin
+
+    def offered(state, scans):
+        for terms, scan in zip(state.tasks, scans):
+            assert scan is terms.last_scan and scan[2:] == _fresh_offer(terms, state._buf)
+            seen["read"] += 1
+        return real_offered(state, scans)
+
+    monkeypatch.setattr(_PathState, "apply", apply)
+    monkeypatch.setattr(_PathState, "copy", fork)
+    monkeypatch.setattr(solver, "_offered_move", offered)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        fit(tasks, cfg, standardize=standardize)
+    tasks, cfg, standardize = _problem(410, "shared")
+    for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+        base = dataclasses.replace(cfg, **limits)
+        configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
+        assert len({id(r) for r in fit_xis(tasks, configs, standardize=standardize)}) == 3
+    assert seen["forks"] == 4 and seen["kept"] > 1000 and seen["read"] > seen["kept"]
+
+
+def test_paths_are_the_same_without_offers(monkeypatch, corpus_results, ladder_results):
+    """With the offers never settling a search, every forward search runs the
+    stacked search: the corpus and the ladders give the same traces and
+    ``FitStats``, so the offers read the scans the stacked search reads."""
+    monkeypatch.setattr(solver, "_offered_move", lambda state, scans: None)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        got, want = fit(tasks, cfg, standardize=standardize), corpus_results[family, seed][0]
+        assert got.trace == want.trace and got.stats == want.stats
+        for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
+            configs, shared, solo = ladder_results[family, seed, bool(limits)]
+            results = [*fit_xis(tasks, configs, standardize=standardize),
+                       *(fit(tasks, c, standardize=standardize) for c in configs)]
+            for got, want in zip(results, [*shared, *solo], strict=True):
+                assert got.trace == want.trace and got.stats == want.stats
+
+
+def test_corpus_settles_searches_by_offers_and_by_the_stacked_search(monkeypatch):
+    """The offers settle most searches, each with the move and no recheck
+    that the stacked search gives; an exact tie at the lowest candidate
+    (the ``duplicate`` family) or a recheck always falls back to it."""
+    real_offered = solver._offered_move
+    seen = Counter()
+    family = None
+
+    def offered(state, scans):
+        L = len(scans)
+        cand = np.array([o + scan[0] for o, scan in zip(state.others, scans)]) / L
+        flat = cand.transpose(2, 0, 1).ravel()
+        i = int(np.argmin(flat))
+        j, l, s = i // (2 * L), i // 2 % L, i % 2
+        tie = np.count_nonzero(flat == flat[i]) > 1
+        bounds = np.array([scan[1] for scan in scans])
+        near = cand <= flat[i] + ((bounds + bounds[l]) / L)[:, None, None]
+        recheck = bounds.any() and not (
+            np.count_nonzero(near) == 1 and abs(scans[l][0][s, j] - state.losses[l]) > bounds[l]
+        )
+        move = real_offered(state, scans)
+        if move is None:
+            seen["fallback"] += 1
+            seen["tie", family] += tie
+            seen["recheck"] += recheck
+        else:
+            assert not tie and not recheck
+            assert move == ("forward", j, l, 1 - 2 * s, float(flat[i]))
+            seen["settled"] += 1
+        return move
+
+    monkeypatch.setattr(solver, "_offered_move", offered)
+    for family, seed in PROBLEMS:
+        tasks, cfg, standardize = _problem(seed, family)
+        fit(tasks, cfg, standardize=standardize)
+    assert seen["settled"] > 10 * seen["fallback"] > 0
+    assert seen["tie", "duplicate"] > 0 and seen["recheck"] > 0
 
 def _coordinate_screen(state, xi_min, lam):
     """The per-coordinate backward screen of every task at once (elementwise
