@@ -21,7 +21,7 @@ def _checked_label_pair(y_true, y_pred):
     if yt.size == 0:
         raise ValueError("label vectors are empty")
     for name, arr in (("y_true", yt), ("y_pred", yp)):
-        if not np.all(np.isin(arr, (0, 1))):
+        if np.count_nonzero((arr == 0) | (arr == 1)) != arr.size:
             raise ValueError(f"{name} must contain only 0 and 1")
     return yt.astype(np.int64), yp.astype(np.int64)
 
@@ -33,8 +33,8 @@ def f1_score(y_true, y_pred) -> float:
     all-negative prediction) the score is defined as 1.0.
     """
     yt, yp = _checked_label_pair(y_true, y_pred)
-    tp = int(np.sum((yt == 1) & (yp == 1)))
-    denom = 2 * tp + int(np.sum(yt != yp))  # mismatches are fp + fn
+    tp = int(np.count_nonzero((yt == 1) & (yp == 1)))
+    denom = 2 * tp + int(np.count_nonzero(yt != yp))  # mismatches are fp + fn
     if denom == 0:
         return 1.0
     return 2.0 * tp / denom

@@ -85,13 +85,16 @@ def _write_table(path, header, rows) -> None:
 def _table_lines(path, error):
     """The header's cells and the ``(1-based line number, text)`` of each
     non-blank row after it. Raises ``error`` for a file that is not UTF-8
-    text or is empty."""
+    text or is empty. Lines end at ``\n`` alone: reading maps ``\r\n`` and
+    ``\r`` to it, and ``str.splitlines`` would also break inside a cell at
+    characters such as ``\x1c`` or ``\u2028``."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    if not lines:
+    if not text:
         raise error(f"{path}: empty file")
+    lines = text.split("\n")
     rows = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
     return lines[0].split(","), rows
 
@@ -259,8 +262,11 @@ class Standardizer:
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         feats = np.asarray(features, dtype=float)
-        mean = feats.mean(axis=0)
-        sd = feats.std(axis=0)
+        # the sums and divisions of .mean() and .std(), the mean taken once
+        n = feats.shape[0]
+        mean = np.add.reduce(feats, axis=0) / n
+        dev = feats - mean
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=0) / n)
         # constant columns standardize to zero deviation; scale 1 avoids 0/0
         scale = np.where(sd > 0, sd, 1.0)
         return cls(mean, scale)
@@ -287,13 +293,19 @@ def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskData
     return make(features, task.labels, task.feature_freqs, task.task_id)
 
 
-def _nll_from_probs(p, labels):
+def _nll_from_probs(p, labels, complement=None, clamp=True):
     """Clamped mean cross-entropy given ``p = expit(logits)``, clamped in place:
     a scalar for ``p`` of shape (n,), one model, and a (k,) array for (n, k),
-    k candidate models sharing the labels."""
-    np.maximum(p, PROB_CLAMP, out=p)
-    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
-    ll = labels @ np.log(p) + (1.0 - labels) @ np.log(1.0 - p)
+    k candidate models sharing the labels. ``complement``, when given, is
+    ``1.0 - labels`` formed once by a caller that scores the labels often.
+    ``clamp=False`` skips the clamp for a caller whose logits all lie below
+    27 in magnitude, where it changes no bit (``-log(PROB_CLAMP)`` is 27.6)."""
+    if clamp:
+        np.maximum(p, PROB_CLAMP, out=p)
+        np.minimum(p, 1.0 - PROB_CLAMP, out=p)
+    if complement is None:
+        complement = 1.0 - labels
+    ll = labels @ np.log(p) + complement @ np.log(1.0 - p)
     return -ll / labels.shape[0]
 
 

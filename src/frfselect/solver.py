@@ -17,12 +17,18 @@ tasks: the cross-task loss sums, the row norms, the penalty and the number
 of nonzero weights; with the level, the steps and the tally. A task's terms
 depend on its own weight column alone: its logits ``X_l @ W[:, l]`` and
 loss, the fused kernel's per-sample factor and error bound, and the
-backward screening terms (loss gradient, slack and largest signed
-gradient). An accepted step recomputes the touched task's terms from
-scratch, and the touched row's norm, so every loss in the trace is exactly
-what a full recomputation gives. An update replaces a task's arrays and
-never writes into them, so a fork copies the weights, counts and row norms
-and shares each task's arrays until one side steps that task.
+backward terms: the nonzero weights' index and signs, the loss gradient,
+the signed gradient ``sign(w_j) * g_j`` over the nonzero weights and its
+largest value, and the slack. ``_TaskTerms.update`` is the one place that
+derives them, once per step; the backward screen, the step and the loss
+read them from there. The label complement ``1 - y`` and ``exp(eps *
+max|X|)`` are fixed per task; the latter is formed only where the task can
+be clamp-free, since it overflows on a raw-scale task. An accepted step
+recomputes the touched task's terms from scratch, and the touched row's
+norm, so every loss in the trace is exactly what a full recomputation
+gives. An update replaces a task's arrays and never writes into them, so a
+fork copies the weights, counts and row norms and shares each task's arrays
+until one side steps that task.
 
 Scan cache: a step changes one task, and a forward scan depends only on its
 own task's logits, so each task keeps the losses and bound of its last
@@ -31,7 +37,10 @@ scans only the tasks that changed since the last one and reads the kept
 scans of the others: on ``L`` tasks a path runs about one task scan per step
 instead of ``L``. A kept scan holds the same bits a fresh one would, so the
 moves do not change. A fork shares the kept scans of the tasks it has not
-stepped. Rechecks are always run afresh and are not kept.
+stepped. Rechecks are always run afresh and are not kept. The exact losses
+of a task's backward moves are kept the same way: a backward decision that
+evaluates them while the task is untouched since the last evaluation reads
+them instead.
 
 Offers: a kept scan also carries its task's offer, the flat index and loss
 of its lowest candidate and the loss of the next lowest. A forward search
@@ -57,7 +66,8 @@ sample and, over a reused buffer, one multiply and one ``log1p`` per
 element, both signs in one pass. The clamped kernel,
 ``_TaskTerms.moved_losses``, takes ``expit`` of the moved logits, a clamp
 and two ``log`` calls (``model._nll_from_probs``) and scores both clamped
-scans and backward candidates. The two agree only while no logit can reach
+scans and backward candidates; on a clamp-free task it skips the clamp,
+which changes no bit there. The two agree only while no logit can reach
 the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
 ``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped kernel
 instead; below that no ``exp`` can overflow. They also differ by rounding: the clamped
@@ -211,8 +221,9 @@ class FitStats:
         over all backward scans.
     backward_exact : of those, the ones whose loss was evaluated exactly,
         every nonzero weight of each task with a candidate whose own
-        first-order bound passed; the rest were ruled out by the convexity
-        bound, most of them by their task's scalar bound alone.
+        first-order bound passed (read from the task's kept losses when it
+        is unchanged since they were evaluated); the rest were ruled out by
+        the convexity bound, most of them by their task's scalar bound alone.
     fast_scans : forward scans of one task with the fused kernel, counting
         the ones served from the task's kept scan.
     clamp_scans : forward scans of one task with the clamped kernel because a
@@ -256,8 +267,9 @@ _ULP = float(np.finfo(float).eps)
 class _TaskTerms:
     """One task's data and every solver term that depends on its weight
     column alone: logits, loss, the forward scan's per-sample factor and
-    error bound, and the backward screening terms (loss gradient, slack and
-    largest signed gradient over the nonzero weights).
+    error bound, and the backward terms (the nonzero weights' index and
+    signs, the loss gradient, the signed gradient over the nonzero weights
+    and its largest value, and the slack).
 
     ``update`` replaces these arrays and never writes into them, so a fork's
     shallow copy shares them until one side steps the task. The fused
@@ -268,9 +280,13 @@ class _TaskTerms:
     def __init__(self, task, w, epsilon: float):
         self.X = task.features
         self.y = task.labels.astype(float)
+        self.comp = 1.0 - self.y
         self.s = 1.0 - 2.0 * self.y
         self.eps = epsilon
         self.eps_x_max = epsilon * float(np.abs(self.X).max())
+        # exp(eps * max|X|), formed only where the task can be clamp-free: it
+        # overflows on a raw-scale task
+        self.exp_eps_x_max = np.exp(self.eps_x_max) if self.eps_x_max < _CLAMP_FREE_REACH else None
         self.exp_table = None
         self.update(w)
 
@@ -283,24 +299,28 @@ class _TaskTerms:
         """
         n = self.X.shape[0]
         self.z = self.X @ w
-        p = expit(self.z)
-        self.loss = float(_nll_from_probs(p, self.y))
         # the largest logit magnitude a one-step candidate can reach
-        self.reach = float(np.abs(self.z).max()) + self.eps_x_max
+        self.reach = float(np.maximum.reduce(np.abs(self.z))) + self.eps_x_max
+        p = expit(self.z)
+        self.loss = float(_nll_from_probs(p, self.y, self.comp, not self.clamp_free))
         self.last_scan = None  # the forward scan at this w and its offer (_PathState.scan)
+        self.back_losses = None  # the backward moves' losses at this w (_backward_moves)
         if self.clamp_free:
             # exp(s * z), the fused kernel's per-sample factor, below e**27
             self.exp_sz = np.exp(self.s * self.z)
             # the sum and division of .mean(), without its overhead
-            margins = float(np.add.reduce(self.exp_sz) / n) * np.exp(self.eps_x_max)
+            margins = float(np.add.reduce(self.exp_sz) / n) * self.exp_eps_x_max
             self.bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
             self.grad = self.X.T @ (p - self.y) / n
         else:
             self.exp_sz, self.bound, self.grad = None, np.inf, np.zeros(self.X.shape[1])
         self.slack = _SCREEN_SLACK + 2.0 * self.bound
-        # the largest sign(w_j) * g_j over the nonzero weights, -inf if none
-        nz = np.flatnonzero(w)
-        self.task_max = float((np.sign(w[nz]) * self.grad[nz]).max()) if nz.size else -np.inf
+        # the nonzero weights' index and signs, sign(w_j) * g_j over them and
+        # its largest value, -inf if none
+        self.nz = w.nonzero()[0]
+        self.signs = np.sign(w[self.nz])
+        self.signed_grad = self.signs * self.grad[self.nz]
+        self.task_max = float(np.maximum.reduce(self.signed_grad)) if self.nz.size else -np.inf
 
     @property
     def clamp_free(self) -> bool:
@@ -340,7 +360,7 @@ class _TaskTerms:
         """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``;
         ``idx`` may be a slice and ``signs`` one sign for all of them."""
         Z = self.z[:, None] + self.eps * signs * self.X[:, idx]
-        return _nll_from_probs(expit(Z), self.y)
+        return _nll_from_probs(expit(Z), self.y, self.comp, not self.clamp_free)
 
 
 class _PathState:
@@ -370,7 +390,7 @@ class _PathState:
         # exact "sum of the other tasks" terms, computed directly so that a
         # candidate on task l compares by its own loss without cancellation noise
         self.others = [sum(self.losses[:l] + self.losses[l + 1:]) for l in range(len(self.losses))]
-        self.penalty = float(self.row_norms.sum())
+        self.penalty = float(np.add.reduce(self.row_norms))
 
     def screen_bounds(self, lam: float) -> list:
         """Each task's scalar bound ``eps * task_max / L + lam * eps`` on
@@ -393,12 +413,13 @@ class _PathState:
     def apply(self, kind: str, j: int, l: int, sign: int):
         """Move weight (j, l) one lattice step by ``sign`` and record the step."""
         emp_before, pen_before = self.empirical, self.penalty
-        was_zero = self.counts[j, l] == 0
-        self.counts[j, l] += sign
-        self.nonzero += int(was_zero) - int(self.counts[j, l] == 0)
-        self.W[j, l] = self.counts[j, l] * self.eps
+        count = int(self.counts[j, l])
+        self.counts[j, l] = count + sign
+        self.nonzero += (count == 0) - (count + sign == 0)
+        self.W[j, l] = (count + sign) * self.eps
         self.tasks[l].update(self.W[:, l])
-        self.row_norms[j] = np.sqrt((self.W[j] * self.W[j]).sum())
+        row = self.W[j]
+        self.row_norms[j] = np.sqrt(np.add.reduce(row * row))
         self._refresh_totals()
         self.tally[kind + "_steps"] += 1
         emp, pen, lam = self.empirical, self.penalty, self.lam
@@ -465,7 +486,7 @@ def _forward_move(state: _PathState):
         i = int(np.argmin(cand.transpose(2, 0, 1)))
         j, l, s = i // (2 * L), i // 2 % L, i % 2
         bounds = np.array([scan[1] for scan in scans])
-        if not bounds.any():
+        if not np.count_nonzero(bounds):
             break
         # recheck when another candidate or the current loss is within rounding
         near = cand <= cand[l, s, j] + ((bounds + bounds[l]) / L)[:, None, None]
@@ -478,14 +499,17 @@ def _forward_move(state: _PathState):
 
 
 def _offer(losses):
-    """A task's offer from its forward losses: the flat index and loss of
-    the lowest, and the next lowest loss (equal to it on a tie). ``argmin``
-    picks a nan first, and a nan offer settles no search."""
+    """A task's offer from its forward losses, a fresh scan not yet shared:
+    the flat index and loss of the lowest, and the next lowest loss (equal
+    to it on a tie). ``argmin`` picks a nan first, ``min`` returns a nan
+    left among the rest, and a nan offer settles no search."""
     flat = losses.ravel()
     i = int(flat.argmin())
-    rest = flat.copy()
-    rest[i] = np.inf
-    return i, float(flat[i]), float(rest[rest.argmin()])
+    loss = float(flat[i])
+    flat[i] = np.inf  # the fresh scan's own array, restored below
+    runner_up = float(flat.min())
+    flat[i] = loss
+    return i, loss, runner_up
 
 
 def _offered_move(state: _PathState, scans):
@@ -542,23 +566,26 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list:
         # every nonzero coordinate of the task, in ascending order: the shape
         # of the reference's scan, since the clamped kernel rounds a column
         # subset differently from the same columns of a whole-task scan
-        w = state.W[:, l]
-        idx = np.flatnonzero(w)
-        signs = -np.sign(w[idx])
-        pen_after = state.penalty_after(idx, l, w[idx] + eps * signs)
-        # Convexity: a move changes its task's loss by at least eps * sign * g,
-        # which bounds the penalised-loss gain. No bound in the clamp regime.
-        gain_bound = -(eps * signs) * terms.grad[idx] / L + lam * (pen_now - pen_after)
-        if not (gain_bound > floor).any():
+        idx = terms.nz
+        pen_after = state.penalty_after(idx, l, state.W[idx, l] - eps * terms.signs)
+        # Convexity: moving w_j toward zero changes its task's loss by at least
+        # -eps * sign(w_j) * g_j, which bounds the penalised-loss gain. No
+        # bound in the clamp regime.
+        gain_bound = eps * terms.signed_grad / L + lam * (pen_now - pen_after)
+        if not np.count_nonzero(gain_bound > floor):
             continue
         state.tally["backward_exact"] += idx.size
-        emp_after = (state.others[l] + terms.moved_losses(idx, signs)) / L
+        if terms.back_losses is None:
+            terms.back_losses = terms.moved_losses(idx, -terms.signs)
+        emp_after = (state.others[l] + terms.back_losses) / L
         total_after = emp_after + lam * pen_after
         gain = total_before - total_after
-        for a in np.flatnonzero(gain > xi_min):
+        for a in (gain > xi_min).nonzero()[0]:
             j, emp, pen = int(idx[a]), float(emp_after[a]), float(pen_after[a])
-            move = ("backward", j, l, int(signs[a]), emp, pen, float(total_after[a]))
+            move = ("backward", j, l, -int(terms.signs[a]), emp, pen, float(total_after[a]))
             qualifying.append(((emp, j, l), float(gain[a]), move))
+    if not qualifying:
+        return [None] * len(xis)
     qualifying.sort(key=lambda q: q[0])
     return [next((m for _, g, m in qualifying if g > xi), None) for xi in xis]
 
@@ -719,15 +746,16 @@ def _run_path(state: _PathState, members, configs, pending: list):
         move = None
         if state.lam is not None and state.nonzero:
             moves = _backward_moves(state, [configs[i].xi for i in members], state.lam)
-            groups: dict = {}  # move -> members choosing it; None goes forward
-            for i, move in zip(members, moves):
-                groups.setdefault(move, []).append(i)
-            move = None if None in groups else next(iter(groups))
-            members = groups.pop(move)
-            for other, group in groups.items():
-                fork = state.copy()
-                fork.apply(*other[:4])
-                pending.append((group, fork))
+            if any(moves):
+                groups: dict = {}  # move -> members choosing it; None goes forward
+                for i, move in zip(members, moves):
+                    groups.setdefault(move, []).append(i)
+                move = None if None in groups else next(iter(groups))
+                members = groups.pop(move)
+                for other, group in groups.items():
+                    fork = state.copy()
+                    fork.apply(*other[:4])
+                    pending.append((group, fork))
         move = move or _forward_move(state)
         if move is None:
             return TERMINATED_NO_IMPROVING_STEP, members

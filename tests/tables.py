@@ -5,6 +5,10 @@ from pathlib import Path
 
 from frfselect.dataio import DatasetFormatError
 
+# characters at which str.splitlines breaks a line, beyond \n and \r; in a
+# data file they are cell text
+LINE_BREAKS_INSIDE_A_LINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def load_report(path) -> dict:
     """Re-parse a report.json bundle."""

@@ -23,6 +23,7 @@ from frfselect import (
     write_spectrum,
 )
 from frfselect.datagen import modal_magnitude
+from tables import LINE_BREAKS_INSIDE_A_LINE
 
 
 class TestCoherenceStd:
@@ -352,6 +353,20 @@ class TestSpectrumIO:
         path.write_text("freq_hz,h_mean,coherence\n1.0,oops,0.9\n")
         with pytest.raises(SpectrumFormatError, match="line 2"):
             load_spectrum(path)
+
+    @pytest.mark.parametrize("char", LINE_BREAKS_INSIDE_A_LINE)
+    def test_line_break_characters_stay_inside_their_cell(self, tmp_path, char):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"freq_hz,h_mean,coherence\n1.0,0.5{char}1,0.9\n2.0,1.0,0.9\n")
+        with pytest.raises(SpectrumFormatError,
+                           match=f"^{re.escape(str(path))}: non-numeric value, line 2$"):
+            load_spectrum(path)
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"freq_hz,h_mean,coherence\r\n10.0,2.0,0.9\r\n20.0,1e-20,0.3\r\n")
+        assert load_spectrum(path, n_avg=4) == [SpectrumLine(10.0, 2.0, 0.9, 4),
+                                                SpectrumLine(20.0, 1e-20, 0.3, 4)]
 
     def test_non_increasing_frequency_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

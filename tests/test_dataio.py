@@ -24,7 +24,7 @@ from frfselect import (
 )
 from frfselect import dataio
 from frfselect.experiment import ActiveFeature, ReportRow
-from tables import load_delimited_table, load_report
+from tables import LINE_BREAKS_INSIDE_A_LINE, load_delimited_table, load_report
 
 
 def sample_dataset():
@@ -144,6 +144,22 @@ class TestDatasetErrors:
         path = self.write(tmp_path, "label,10.0\n")
         with pytest.raises(DatasetFormatError, match="no data rows"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("char", LINE_BREAKS_INSIDE_A_LINE)
+    def test_line_break_characters_stay_inside_their_cell(self, tmp_path, char):
+        # str.splitlines would split line 2 here and report line 3's width
+        path = self.write(tmp_path, f"label,1.0\n0,1{char}5\n1,2\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: non-numeric value, line 2, column 1$"):
+            load_dataset(path)
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"label,10.0,20.0\r\n1,0.5,-1.5\r\n\r\n0,2.0,3e-3\r\n")
+        data = load_dataset(path)
+        assert data.labels.tolist() == [1, 0]
+        assert data.features.tolist() == [[0.5, -1.5], [2.0, 3e-3]]
+        assert data.feature_freqs.tolist() == [10.0, 20.0]
 
     def test_first_fault_in_file_order_is_reported(self, tmp_path):
         # a bad cell on line 2 comes before a short row on line 3; blank lines count

@@ -33,6 +33,18 @@ class TestF1:
         with pytest.raises(ValueError):
             f1_score([1, 2], [1, 0])
 
+    @pytest.mark.parametrize("bad", [[1, 2], [0.5, 1], [np.nan, 1], ["0", "1"], [None, 1],
+                                     np.array([1, 0], dtype="datetime64[D]")])
+    def test_rejects_non_binary_of_any_kind(self, bad):
+        with pytest.raises(ValueError, match="^y_true must contain only 0 and 1$"):
+            f1_score(bad, [1, 0])
+        with pytest.raises(ValueError, match="^y_pred must contain only 0 and 1$"):
+            f1_score([1, 0], bad)
+
+    @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0], np.array([1, 0], np.uint8)])
+    def test_accepts_any_zero_one_dtype(self, labels):
+        assert f1_score(labels, [1, 1]) == 2.0 / 3.0
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             f1_score([], [])

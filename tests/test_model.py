@@ -256,6 +256,21 @@ class TestStandardizer:
         assert np.allclose(out.mean(axis=0), 0.0)
         assert np.allclose(out[:, 0].std(), 1.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fit_equals_numpy_mean_and_std(self, seed):
+        # the mean is taken once, with the sums and divisions of .mean() and .std()
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+        feats = (rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-6, 6, size=p)
+                 + rng.normal(size=p) * 10.0 ** rng.uniform(-3, 8, size=p))
+        feats[:, 0] = 3.3
+        if seed % 2:
+            feats = np.asfortranarray(feats)
+        s = Standardizer.fit(feats)
+        sd = feats.std(axis=0)
+        assert np.array_equal(s.mean, feats.mean(axis=0))
+        assert np.array_equal(s.scale, np.where(sd > 0, sd, 1.0))
+
     def test_constant_column_gets_unit_scale(self):
         feats = np.array([[7.0], [7.0]])
         s = Standardizer.fit(feats)

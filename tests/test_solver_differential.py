@@ -352,15 +352,17 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
-TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "grad", "slack", "task_max")
+TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "grad", "slack", "task_max",
+              "nz", "signs", "signed_grad", "comp", "exp_eps_x_max")
 
 
 def test_kept_task_terms_equal_fresh_ones(monkeypatch):
     """After every step and on both sides of each fork, each task's terms
     hold the bits of terms built afresh from its weight column: an update
-    replaces the arrays a fork shares and never writes into them."""
+    replaces the arrays a fork shares and never writes into them. Backward
+    losses kept since the task last changed equal a fresh evaluation."""
     real_apply, real_copy = _PathState.apply, _PathState.copy
-    seen = {"checked": 0, "clamped": 0, "forks": 0}
+    seen = {"checked": 0, "clamped": 0, "forks": 0, "back_losses": 0}
 
     def check(state):
         for l, terms in enumerate(state.tasks):
@@ -372,6 +374,10 @@ def test_kept_task_terms_equal_fresh_ones(monkeypatch):
                     assert (kept is None and want is None) or np.array_equal(kept, want), name
                 else:
                     assert kept == want, name
+            if terms.back_losses is not None:
+                want = fresh.moved_losses(fresh.nz, -fresh.signs)
+                assert np.array_equal(terms.back_losses, want), "back_losses"
+                seen["back_losses"] += 1
             seen["checked"] += 1
             seen["clamped"] += not terms.clamp_free
 
@@ -397,6 +403,7 @@ def test_kept_task_terms_equal_fresh_ones(monkeypatch):
         configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
         assert len({id(r) for r in fit_xis(tasks, configs, standardize=standardize)}) == 3
     assert seen["forks"] == 4 and seen["checked"] > 9_000 and seen["clamped"] > 500
+    assert seen["back_losses"] > 2_000
 
 
 def _fresh_offer(terms, buf):
