@@ -64,12 +64,14 @@ def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
     y = np.asarray(labels)
     if y.shape != (n_samples,):
         raise ValueError(f"labels shape {y.shape} does not match n_samples={n_samples}")
-    if k > n_samples:
-        raise ValueError(f"k={k} exceeds the {n_samples} available samples")
     if not np.all(np.isin(y, (0, 1))):
         raise ValueError("labels must be 0 or 1")
     if np.all(y == y[0]):
         raise ValueError("both classes must be present to stratify")
+    # each class is dealt from fold 0, so a fold past the larger class is empty
+    larger = max(np.count_nonzero(y), np.count_nonzero(y == 0))
+    if k > larger:
+        raise ValueError(f"k={k} exceeds the {larger} samples of the larger class")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in (0, 1):

@@ -11,99 +11,20 @@ norm, which makes a step on a feature row that is already active in
 another task cheaper per unit of penalty; that discount is what pulls the
 tasks toward a shared support.
 
-Implementation: a path has one iterate, a private path state holding the
-lattice counts and weights, one set of terms per task, and what couples the
-tasks: the cross-task loss sums, the row norms, the penalty and the number
-of nonzero weights; with the level, the steps and the tally. A task's terms
-depend on its own weight column alone: its logits ``X_l @ W[:, l]`` and
-loss, the fused kernel's per-sample factor and error bound, and the
-backward terms: the nonzero weights' index and signs, the loss gradient,
-the signed gradient ``sign(w_j) * g_j`` over the nonzero weights and its
-largest value, and the slack. ``_TaskTerms.update`` is the one place that
-derives them, once per step; the backward screen, the step and the loss
-read them from there. The label complement ``1 - y`` and ``exp(eps *
-max|X|)`` are fixed per task; the latter is formed only where the task can
-be clamp-free, since it overflows on a raw-scale task. An accepted step
-recomputes the touched task's terms from scratch, and the touched row's
-norm, so every loss in the trace is exactly what a full recomputation
-gives. An update replaces a task's arrays and never writes into them, so a
-fork copies the weights, counts and row norms and shares each task's arrays
-until one side steps that task.
+``fit`` runs one path from zero weights. ``fit_xis`` runs configs that
+differ only in ``xi`` on one path, forking it where they pick different
+backward moves; each result equals its own ``fit`` bit for bit.
+``forward_step`` and ``backward_step`` take one decision at given weights
+through the same code. Whatever kernel, kept scan or screen settles a
+decision, the move is the one the clamped cross-entropy kernel
+(``model._nll_from_probs``) picks, and every loss in a trace is the one a
+full recomputation gives. ``FitResult.stats`` (a ``FitStats``) counts what
+a path did; it is not part of the trace or of any report.
 
-Scan cache: a step changes one task, and a forward scan depends only on its
-own task's logits, so each task keeps the losses and bound of its last
-forward scan, fused or clamped, until a step touches it. A forward search
-scans only the tasks that changed since the last one and reads the kept
-scans of the others: on ``L`` tasks a path runs about one task scan per step
-instead of ``L``. A kept scan holds the same bits a fresh one would, so the
-moves do not change. A fork shares the kept scans of the tasks it has not
-stepped. Rechecks are always run afresh and are not kept. The exact losses
-of a task's backward moves are kept the same way: a backward decision that
-evaluates them while the task is untouched since the last evaluation reads
-them instead.
-
-Offers: a kept scan also carries its task's offer, the flat index and loss
-of its lowest candidate and the loss of the next lowest. A forward search
-first decides from the ``L`` offers alone, in plain Python. The lowest
-offer, at empirical loss ``c``, wins when the next lowest candidate of its
-task ``l`` and the lowest of every other task ``m`` lie strictly above
-``c + (b_m + b_l) / L`` (``b`` the tasks' error bounds), the window in which
-the stacked search below would recheck, and when it lowers its task's loss
-by more than ``b_l``. Then the stacked search would end on its first pass
-with the same move: no candidate but the winner lies in the window, and the
-window's floats are computed the same way. Every other search, exact ties
-and rechecks included, runs the stacked search, argmin over every
-candidate of every task, on the same scans. So the offers change no move,
-trace or count; they save a search its numpy calls.
-
-Forward kernel: with ``s = 1 - 2y`` the loss of one sample at logit ``v`` is
-``log1p(exp(s * v))``, so the losses of the moves ``z -> z ± eps * x_j`` of
-all features are the column means of ``log1p(exp(s*z) * exp(±eps * s * X))``.
-The factors ``exp(±eps * s * X)`` are fixed per task: a ``(2, n, p)`` table
-formed by the task's first fused scan (a task with ``eps * max|X|`` of 27 or
-more is never clamp-free and forms none). A scan takes one ``exp`` per
-sample and, over a reused buffer, one multiply and one ``log1p`` per
-element, both signs in one pass. The clamped kernel,
-``_TaskTerms.moved_losses``, takes ``expit`` of the moved logits, a clamp
-and two ``log`` calls (``model._nll_from_probs``) and scores both clamped
-scans and backward candidates; on a clamp-free task it skips the clamp,
-which changes no bit there. The two agree only while no logit can reach
-the clamp (``-log(PROB_CLAMP)`` is 27.6), so a task whose
-``max|z| + eps*max|X|`` is 27 or more is scanned with the clamped kernel
-instead; below that no ``exp`` can overflow. They also differ by rounding: the clamped
-kernel's ``log(1 - p)`` loses digits on confidently misclassified samples.
-Each fused scan carries a bound on that difference; when the best move lies
-within it of another candidate or of the current loss, the fused tasks are
-rescanned with the clamped kernel before the move is chosen, so the move is
-always the one the clamped kernel picks.
-
-Backward screening: without the clamp the loss is convex, so moving
-``w_jl`` by ``t = ±eps`` changes task l's loss by at least ``t * g_jl``
-(``g`` the loss gradient), and the penalised-loss improvement of that move
-at level ``lam`` is at most ``-t * g_jl / L + lam * (penalty drop)``. A task
-whose candidates all have this bound at or below ``xi - 1e-9`` (less the
-rounding bound) has no qualifying move and is skipped; otherwise, and always
-in the clamp regime, all its candidates are evaluated exactly. The penalty
-drop of a move toward zero is at most ``eps``, so one scalar per task,
-``eps * max_j(sign(w_jl) * g_jl) / L + lam * eps``, bounds all of its
-candidates; its signed-gradient maximum is kept on the task's terms and
-changes only when a step touches the task. A decision screens one task at
-a time: its scalar first, then, if the scalar passes, its coordinate
-bounds, and if one of those passes, all of its candidates exactly. A task
-whose scalar fails has no coordinate bound that passes, so the evaluated
-set is the one the coordinate bounds alone would give.
-
-Shared paths: ``xi`` only decides which backward moves qualify, so
-``fit_xis`` runs configs that differ only in ``xi`` on one path, evaluates
-each backward decision once for all of them, and forks the path where they
-pick different moves; a fork is a copy of the iterate that has taken its
-move when it is made.
-
-``FitResult.stats`` (a ``FitStats``) counts the accepted steps by kind, the
-backward candidates and how many were evaluated exactly, the task scans the
-forward search read by kernel, and how many of those came from the scan
-cache (``reused_scans``; the kernel ran ``fast_scans + clamp_scans -
-reused_scans`` times). It is not part of the trace or of any report.
+How it is computed (the path state and per-task terms, the kept forward
+scans and their offers, the fused and clamped kernels and the error bound
+between them, the backward screen, the shared ``xi`` paths) is set out once,
+in README.md under "How the solver is computed".
 """
 
 from __future__ import annotations
@@ -219,11 +140,10 @@ class FitStats:
     forward_steps, backward_steps : accepted steps by kind.
     backward_candidates : nonzero coordinates offered a backward move, summed
         over all backward scans.
-    backward_exact : of those, the ones whose loss was evaluated exactly,
-        every nonzero weight of each task with a candidate whose own
-        first-order bound passed (read from the task's kept losses when it
-        is unchanged since they were evaluated); the rest were ruled out by
-        the convexity bound, most of them by their task's scalar bound alone.
+    backward_exact : of those, the ones whose loss was evaluated exactly:
+        every nonzero weight of each task whose scalar convexity bound
+        passes (read from the task's kept losses when it is unchanged since
+        they were evaluated); that bound rules out the rest.
     fast_scans : forward scans of one task with the fused kernel, counting
         the ones served from the task's kept scan.
     clamp_scans : forward scans of one task with the clamped kernel because a
@@ -268,8 +188,8 @@ class _TaskTerms:
     """One task's data and every solver term that depends on its weight
     column alone: logits, loss, the forward scan's per-sample factor and
     error bound, and the backward terms (the nonzero weights' index and
-    signs, the loss gradient, the signed gradient over the nonzero weights
-    and its largest value, and the slack).
+    signs, the loss gradient, the largest ``sign(w_j) * g_j`` over the
+    nonzero weights, and the slack).
 
     ``update`` replaces these arrays and never writes into them, so a fork's
     shallow copy shares them until one side steps the task. The fused
@@ -315,12 +235,12 @@ class _TaskTerms:
         else:
             self.exp_sz, self.bound, self.grad = None, np.inf, np.zeros(self.X.shape[1])
         self.slack = _SCREEN_SLACK + 2.0 * self.bound
-        # the nonzero weights' index and signs, sign(w_j) * g_j over them and
-        # its largest value, -inf if none
+        # the nonzero weights' index and signs, and the largest sign(w_j) * g_j
+        # over them, -inf if none
         self.nz = w.nonzero()[0]
         self.signs = np.sign(w[self.nz])
-        self.signed_grad = self.signs * self.grad[self.nz]
-        self.task_max = float(np.maximum.reduce(self.signed_grad)) if self.nz.size else -np.inf
+        self.task_max = (float(np.maximum.reduce(self.signs * self.grad[self.nz]))
+                         if self.nz.size else -np.inf)
 
     @property
     def clamp_free(self) -> bool:
@@ -397,9 +317,10 @@ class _PathState:
         the first-order gain bounds of its backward moves at level ``lam``;
         -inf for a task without a nonzero weight. A move toward zero lowers
         a row norm by at most eps (triangle inequality; with one task, by
-        exactly eps). The widening covers how ``_backward_moves`` rounds each
-        candidate's bound: a few ulp of the sum, and of ``lam`` times the
-        penalty, whose rounding in ``penalty_after`` can put a drop above eps.
+        exactly eps). The widening keeps it at or above each candidate's
+        bound as floats round that: a few ulp of the sum, and of ``lam``
+        times the penalty, whose rounding in ``penalty_after`` can put a drop
+        above eps.
         """
         L, eps = len(self.tasks), self.eps
         lam_eps = lam * eps
@@ -551,29 +472,21 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list:
     after, total after), or None, per tolerance.
     """
     L = len(state.tasks)
-    eps = state.eps
     xi_min = min(xis)
     state.tally["backward_candidates"] += state.nonzero
-    pen_now = state.penalty
-    total_before = state.empirical + lam * pen_now
+    total_before = state.empirical + lam * state.penalty
     qualifying = []  # (key, gain, move) of the moves that qualify at xi_min
     for l, (terms, task_bound) in enumerate(zip(state.tasks, state.screen_bounds(lam))):
-        # the task's scalar bound first: it bounds every coordinate bound
-        # below, and most decisions end here for every task
-        floor = xi_min - terms.slack
-        if not task_bound > floor:
+        # convexity: the task's scalar bounds the gain of each of its moves (the
+        # slack is infinite in the clamp regime); most decisions end here
+        # for every task
+        if not task_bound > xi_min - terms.slack:
             continue
         # every nonzero coordinate of the task, in ascending order: the shape
         # of the reference's scan, since the clamped kernel rounds a column
         # subset differently from the same columns of a whole-task scan
         idx = terms.nz
-        pen_after = state.penalty_after(idx, l, state.W[idx, l] - eps * terms.signs)
-        # Convexity: moving w_j toward zero changes its task's loss by at least
-        # -eps * sign(w_j) * g_j, which bounds the penalised-loss gain. No
-        # bound in the clamp regime.
-        gain_bound = eps * terms.signed_grad / L + lam * (pen_now - pen_after)
-        if not np.count_nonzero(gain_bound > floor):
-            continue
+        pen_after = state.penalty_after(idx, l, state.W[idx, l] - state.eps * terms.signs)
         state.tally["backward_exact"] += idx.size
         if terms.back_losses is None:
             terms.back_losses = terms.moved_losses(idx, -terms.signs)

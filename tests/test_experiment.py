@@ -89,6 +89,18 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(8, labels, 2, seed=0)
 
+    def test_rejects_more_folds_than_the_larger_class(self, tiny_task):
+        # each class is dealt from fold 0: a third fold of two samples per
+        # class would be empty
+        assert [f.size for f in kfold_split(4, [0, 1, 0, 1], 2, 0)] == [2, 2]
+        assert [f.size for f in kfold_split(4, [0, 1, 1, 1], 3, 0)] == [2, 1, 1]
+        for n, labels, k, larger in ((2, [0, 1], 2, 1), (4, [0, 1, 0, 1], 3, 2)):
+            with pytest.raises(ValueError, match=f"^k={k} exceeds the {larger} samples of the larger class$"):
+                kfold_split(n, labels, k, 0)
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
+        with pytest.raises(ValueError, match="^k=3 exceeds"):
+            grid_search([tiny_task], grid, "independent")
+
 
 class TestGridSpec:
     def test_default_space_has_ten_pairs(self):
@@ -363,7 +375,7 @@ class TestGridGlue:
                                     fast_scans=2865, clamp_scans=306, recheck_scans=0,
                                     reused_scans=0)),
             (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
-                            backward_exact=6666, fast_scans=3338, clamp_scans=10,
+                            backward_exact=6930, fast_scans=3338, clamp_scans=10,
                             recheck_scans=0, reused_scans=1632)),
         ],
     )

@@ -353,7 +353,7 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
 
 
 TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "grad", "slack", "task_max",
-              "nz", "signs", "signed_grad", "comp", "exp_eps_x_max")
+              "nz", "signs", "comp", "exp_eps_x_max")
 
 
 def test_kept_task_terms_equal_fresh_ones(monkeypatch):
@@ -580,12 +580,17 @@ def test_task_screen_covers_coordinate_bounds(monkeypatch):
 
 def test_backward_screen_evaluates_the_flagged_tasks(monkeypatch):
     """Screened one task at a time, a decision evaluates exactly every
-    nonzero weight of the tasks the all-task coordinate screen flags."""
+    nonzero weight of the tasks whose scalar bound passes the smallest
+    tolerance less the task's slack."""
     real_moves = solver._backward_moves
     seen = {"decisions": 0, "evaluated": 0}
 
     def backward_moves(state, xis, lam):
-        flagged = _coordinate_screen(state, min(xis), lam)[2]
+        xi_min = min(xis)
+        flagged = [
+            l for l, (t, bound) in enumerate(zip(state.tasks, state.screen_bounds(lam)))
+            if bound > xi_min - t.slack
+        ]
         before = state.tally["backward_exact"]
         moves = real_moves(state, xis, lam)
         want = sum(np.count_nonzero(state.W[:, l]) for l in flagged)
