@@ -275,6 +275,15 @@ def grid_search(
         kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
         for ti, t in enumerate(train_tasks)
     ]
+    # a fold past a task's smaller class validates on one class, and with one
+    # sample of that class the fold's training rest holds the other alone
+    for t in train_tasks:
+        smaller = min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0))
+        if grid.folds > smaller:
+            raise ValueError(
+                f"folds={grid.folds} exceeds the {smaller} samples of the smaller class "
+                f"of task {t.task_id!r}"
+            )
     # each fold's (train, validation) tasks, built once for every grid point
     folds = []
     for f in range(grid.folds):

@@ -141,18 +141,20 @@ class FitStats:
     backward_candidates : nonzero coordinates offered a backward move, summed
         over all backward scans.
     backward_exact : of those, the ones whose loss was evaluated exactly:
-        every nonzero weight of each task whose scalar convexity bound
-        passes (read from the task's kept losses when it is unchanged since
-        they were evaluated); that bound rules out the rest.
+        every nonzero weight of each task whose screening bound passes (read
+        from the task's kept losses when it is unchanged since they were
+        evaluated); that bound rules out the rest.
     fast_scans : forward scans of one task with the fused kernel, counting
-        the ones served from the task's kept scan.
+        the ones served from the task's kept scan, and each scan the
+        backward screen ran.
     clamp_scans : forward scans of one task with the clamped kernel because a
         candidate logit could reach the clamp, counted the same way.
     recheck_scans : clamped-kernel rescans of a task whose fused losses left
         the best move within rounding of another candidate or of the current
         loss.
-    reused_scans : of ``fast_scans + clamp_scans``, the ones served from the
-        scan kept since the task last changed; the rest ran the kernel.
+    reused_scans : of the scans a forward search read, the ones served from
+        the scan kept since the task last changed; the kernels ran the rest
+        of ``fast_scans + clamp_scans``.
     """
 
     forward_steps: int = 0
@@ -178,8 +180,8 @@ class FitResult:
 # (-log(PROB_CLAMP) = 27.63): the clamp is inactive, the loss is convex and
 # the fused kernel's exp() terms stay below e**27.
 _CLAMP_FREE_REACH = 27.0
-# Backward candidates whose improvement bound comes this close to xi are
-# evaluated exactly.
+# A task whose backward screening bound comes this close to xi is evaluated
+# exactly.
 _SCREEN_SLACK = 1e-9
 _ULP = float(np.finfo(float).eps)
 
@@ -187,9 +189,8 @@ _ULP = float(np.finfo(float).eps)
 class _TaskTerms:
     """One task's data and every solver term that depends on its weight
     column alone: logits, loss, the forward scan's per-sample factor and
-    error bound, and the backward terms (the nonzero weights' index and
-    signs, the loss gradient, the largest ``sign(w_j) * g_j`` over the
-    nonzero weights, and the slack).
+    error bound, the nonzero weights' index and signs, and the forward scan
+    and backward losses kept at this column once they are evaluated.
 
     ``update`` replaces these arrays and never writes into them, so a fork's
     shallow copy shares them until one side steps the task. The fused
@@ -213,17 +214,15 @@ class _TaskTerms:
     def update(self, w):
         """Recompute every term from scratch for the weight column ``w``.
 
-        In the clamp regime there is no fused scan and no convexity bound: the
-        gradient is zero and the error bound and slack are infinite, so all of
-        the task's backward candidates are evaluated exactly.
+        In the clamp regime there is no fused scan and the error bound is
+        infinite.
         """
         n = self.X.shape[0]
         self.z = self.X @ w
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.maximum.reduce(np.abs(self.z))) + self.eps_x_max
-        p = expit(self.z)
-        self.loss = float(_nll_from_probs(p, self.y, self.comp, not self.clamp_free))
-        self.last_scan = None  # the forward scan at this w and its offer (_PathState.scan)
+        self.loss = float(_nll_from_probs(expit(self.z), self.y, self.comp, not self.clamp_free))
+        self.last_scan = None  # the forward scan at this w, its offer and back_best (_PathState)
         self.back_losses = None  # the backward moves' losses at this w (_backward_moves)
         if self.clamp_free:
             # exp(s * z), the fused kernel's per-sample factor, below e**27
@@ -231,16 +230,11 @@ class _TaskTerms:
             # the sum and division of .mean(), without its overhead
             margins = float(np.add.reduce(self.exp_sz) / n) * self.exp_eps_x_max
             self.bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
-            self.grad = self.X.T @ (p - self.y) / n
         else:
-            self.exp_sz, self.bound, self.grad = None, np.inf, np.zeros(self.X.shape[1])
-        self.slack = _SCREEN_SLACK + 2.0 * self.bound
-        # the nonzero weights' index and signs, and the largest sign(w_j) * g_j
-        # over them, -inf if none
+            self.exp_sz, self.bound = None, np.inf
+        # the nonzero weights' index and signs
         self.nz = w.nonzero()[0]
         self.signs = np.sign(w[self.nz])
-        self.task_max = (float(np.maximum.reduce(self.signs * self.grad[self.nz]))
-                         if self.nz.size else -np.inf)
 
     @property
     def clamp_free(self) -> bool:
@@ -260,7 +254,8 @@ class _TaskTerms:
         forms ``e**u`` as a product of two ``exp`` results, about 3 ulp off
         relative, which moves ``log1p(e**u)`` by at most a few ulp per
         element: the ``margins`` term and the ``2 * n * (reach + 1)`` ulp of
-        the sum term cover both.
+        the sum term cover both, for any order of the sum (README), so also
+        for the clamped kernel on a subset of the columns.
         """
         if self.exp_table is None:
             # clamp-free implies eps * max|X| < 27, so no exp overflows
@@ -313,22 +308,31 @@ class _PathState:
         self.penalty = float(np.add.reduce(self.row_norms))
 
     def screen_bounds(self, lam: float) -> list:
-        """Each task's scalar bound ``eps * task_max / L + lam * eps`` on
-        the first-order gain bounds of its backward moves at level ``lam``;
-        -inf for a task without a nonzero weight. A move toward zero lowers
-        a row norm by at most eps (triangle inequality; with one task, by
-        exactly eps). The widening keeps it at or above each candidate's
-        bound as floats round that: a few ulp of the sum, and of ``lam``
-        times the penalty, whose rounding in ``penalty_after`` can put a drop
-        above eps.
+        """Each task's bound on the penalised-loss gain of its backward moves
+        at level ``lam``, read from its kept forward scan (run here if the
+        task changed since): ``empirical - (others[l] + back_best - bound) /
+        L + lam * eps``, widened by a few ulp of ``empirical`` and of ``lam``
+        times the penalty (derived in README); -inf for a task without a
+        nonzero weight, inf for one in the clamp regime, whose moves are all
+        evaluated exactly.
         """
-        L, eps = len(self.tasks), self.eps
+        L, eps, emp, others = len(self.tasks), self.eps, self.empirical, self.others
         lam_eps = lam * eps
-        pen_margin = 8.0 * (L + 4) * _ULP * lam * (self.penalty + eps)
+        margin = 8.0 * (L + 4) * _ULP * (emp + lam * (self.penalty + eps))
         bounds = []
-        for m in (t.task_max for t in self.tasks):
-            bound = eps * m / L + lam_eps
-            bounds.append(bound + 2.0 * _ULP * abs(bound) + pen_margin if m > -np.inf else bound)
+        for l, terms in enumerate(self.tasks):
+            if not terms.nz.size:
+                bounds.append(-np.inf)
+            elif not terms.clamp_free:
+                bounds.append(np.inf)
+            else:
+                scan = terms.last_scan
+                if scan is None:
+                    # a kernel run; the forward search that reads it counts it as reused
+                    self.tally["fast_scans"] += 1
+                    scan = self._keep_scan(terms)
+                bound = emp - (others[l] + scan[5] - scan[1]) / L + lam_eps
+                bounds.append(bound + 2.0 * _ULP * abs(bound) + margin)
         return bounds
 
     def apply(self, kind: str, j: int, l: int, sign: int):
@@ -358,9 +362,9 @@ class _PathState:
 
     def scan(self, task: int, recheck: bool = False):
         """Forward candidate losses of one task: (2, n_features) losses of the
-        + and - moves, error bound, then the task's offer (``_offer``). A task
-        untouched since its last scan gets that scan back; a recheck is always
-        run afresh, carries no offer and is not kept."""
+        + and - moves, error bound, the task's offer (``_offer``), then its
+        ``_back_best``. A task untouched since its last scan gets that scan
+        back; a recheck is always run afresh, carries neither and is not kept."""
         terms = self.tasks[task]
         if recheck:
             self.tally["recheck_scans"] += 1
@@ -368,9 +372,13 @@ class _PathState:
         self.tally["fast_scans" if terms.clamp_free else "clamp_scans"] += 1
         if terms.last_scan is not None:
             self.tally["reused_scans"] += 1
-        else:
-            losses, bound = terms.scan_fused(self._buf) if terms.clamp_free else terms.scan_clamped()
-            terms.last_scan = (losses, bound, *_offer(losses))
+            return terms.last_scan
+        return self._keep_scan(terms)
+
+    def _keep_scan(self, terms):
+        """Run the task's scan with its kernel and keep it on the task."""
+        losses, bound = terms.scan_fused(self._buf) if terms.clamp_free else terms.scan_clamped()
+        terms.last_scan = (losses, bound, *_offer(losses), _back_best(losses, terms))
         return terms.last_scan
 
     def copy(self) -> "_PathState":
@@ -433,6 +441,15 @@ def _offer(losses):
     return i, loss, runner_up
 
 
+def _back_best(losses, terms) -> float:
+    """The lowest of a task's forward losses among the moves toward zero:
+    the - move of a positive weight, the + move of a negative one."""
+    if not terms.nz.size:
+        return np.inf
+    rows = (terms.signs > 0).view(np.int8)
+    return float(np.minimum.reduce(losses[rows, terms.nz]))
+
+
 def _offered_move(state: _PathState, scans):
     """The forward move the tasks' offers settle alone, or None when the
     stacked search of ``_forward_move`` must decide.
@@ -448,7 +465,7 @@ def _offered_move(state: _PathState, scans):
     best = [(o + scan[3]) / L for o, scan in zip(others, scans)]
     c = min(best)
     l = best.index(c)
-    losses, b_l, i, loss, runner_up = scans[l]
+    losses, b_l, i, loss, runner_up, _ = scans[l]
     if not ((others[l] + runner_up) / L > c + (b_l + b_l) / L
             and state.losses[l] - loss > b_l):
         return None
@@ -477,10 +494,9 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list:
     total_before = state.empirical + lam * state.penalty
     qualifying = []  # (key, gain, move) of the moves that qualify at xi_min
     for l, (terms, task_bound) in enumerate(zip(state.tasks, state.screen_bounds(lam))):
-        # convexity: the task's scalar bounds the gain of each of its moves (the
-        # slack is infinite in the clamp regime); most decisions end here
-        # for every task
-        if not task_bound > xi_min - terms.slack:
+        # the task's bound covers the gain of each of its moves; nearly every
+        # decision ends here
+        if task_bound <= xi_min - _SCREEN_SLACK:
             continue
         # every nonzero coordinate of the task, in ascending order: the shape
         # of the reference's scan, since the clamped kernel rounds a column

@@ -101,6 +101,20 @@ class TestKfoldSplit:
         with pytest.raises(ValueError, match="^k=3 exceeds"):
             grid_search([tiny_task], grid, "independent")
 
+    def test_grid_rejects_more_folds_than_the_smaller_class(self, tiny_task):
+        # one sample of class 0 sits in fold 0, so that fold's training rest
+        # would hold class 1 alone
+        task = TaskDataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 1, 1]),
+                           np.array([1.0, 2.0]), "t")
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
+        match = "^folds=3 exceeds the 1 samples of the smaller class of task 't'$"
+        for mode in (MODE_INDEPENDENT, MODE_MTL):
+            with pytest.raises(ValueError, match=match):
+                grid_search([task], grid, mode)
+        # two folds fit the two samples of tiny_task's smaller class
+        grid = dataclasses.replace(grid, folds=2)
+        assert grid_search([tiny_task], grid, "independent").best.n_windows == 1
+
 
 class TestGridSpec:
     def test_default_space_has_ten_pairs(self):
@@ -364,19 +378,19 @@ class TestGridGlue:
         assert [len(scored) for scored in calls] == [83, 84]
 
     # per-field sums over the grid's distinct paths, recorded before the
-    # screening terms moved onto the path state (reused_scans when the scan
-    # cache came); a drift in what grid-style paths screen, scan, recheck or
-    # reuse shows here
+    # screening terms moved onto the path state (backward_exact, fast_scans
+    # and reused_scans when the backward screen came to read the kept scans);
+    # a drift in what grid-style paths screen, scan, recheck or reuse shows here
     @pytest.mark.parametrize(
         "mode,sums",
         [
             (MODE_INDEPENDENT, dict(forward_steps=3161, backward_steps=12,
-                                    backward_candidates=38427, backward_exact=11933,
-                                    fast_scans=2865, clamp_scans=306, recheck_scans=0,
-                                    reused_scans=0)),
+                                    backward_candidates=38427, backward_exact=5488,
+                                    fast_scans=5659, clamp_scans=306, recheck_scans=0,
+                                    reused_scans=2782)),
             (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
-                            backward_exact=6930, fast_scans=3338, clamp_scans=10,
-                            recheck_scans=0, reused_scans=1632)),
+                            backward_exact=206, fast_scans=4970, clamp_scans=10,
+                            recheck_scans=0, reused_scans=3258)),
         ],
     )
     def test_grid_fit_stats_are_pinned(self, instrumented_grid, mode, sums):

@@ -28,6 +28,7 @@ from frfselect.solver import (
     TERMINATED_NO_IMPROVING_STEP,
     _PathState,
     _TaskTerms,
+    _back_best,
     fit_xis,
     lambda_schedule_update,
 )
@@ -427,11 +428,17 @@ class TestFitStats:
         assert res.stats.forward_steps == kinds.count("forward")
         assert res.stats.backward_steps == kinds.count("backward") > 0
         assert 0 < res.stats.backward_exact <= res.stats.backward_candidates
-        # every forward call scans each of the 3 tasks once
+        # every forward call reads each of the 3 tasks once, and the backward
+        # screen runs at most one more scan per step
         forward_calls = kinds.count("forward") + (
             res.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP
         )
-        assert res.stats.fast_scans + res.stats.clamp_scans == 3 * forward_calls
+        scans = res.stats.fast_scans + res.stats.clamp_scans
+        assert 3 * forward_calls < scans <= 3 * forward_calls + len(kinds)
+        # on this clamp-free path ending at a search, the kernels scan each
+        # task once at the start and the task each step touched once after it
+        assert res.stats.clamp_scans == res.stats.recheck_scans == 0
+        assert scans - res.stats.reused_scans == 3 + len(kinds)
 
     def test_screening_skips_most_backward_candidates(self):
         cfg = SolverConfig(epsilon=0.05, xi=1e-3, max_iters=300)
@@ -450,9 +457,9 @@ class TestFitStats:
     @pytest.mark.parametrize(
         "family,seed,counts",
         [
-            (None, 0, (52, 4, 624, 609, 159, 0, 0, 104)),
-            ("separable", 103, (119, 4, 1827, 1777, 470, 10, 0, 357)),
-            ("duplicate", 302, (148, 2, 1824, 1792, 444, 0, 78, 294)),
+            (None, 0, (52, 4, 624, 104, 215, 0, 0, 156)),
+            ("separable", 103, (119, 4, 1827, 615, 590, 10, 0, 473)),
+            ("duplicate", 302, (148, 2, 1824, 843, 593, 0, 78, 441)),
         ],
     )
     def test_solo_fit_stats_are_pinned(self, family, seed, counts):
@@ -470,17 +477,17 @@ class TestFitStats:
             (
                 {},
                 [
-                    (140, 10, 1259, 1177, 420, 0, 0, 278),
-                    (143, 7, 1303, 1212, 429, 0, 0, 284),
-                    (150, 0, 1383, 51, 450, 0, 0, 298),
+                    (140, 10, 1259, 720, 569, 0, 0, 417),
+                    (143, 7, 1303, 590, 578, 0, 0, 426),
+                    (150, 0, 1383, 17, 599, 0, 0, 447),
                 ],
             ),
             (
                 {"lambda_floor": 0.02, "max_iters": 40},
                 [
-                    (36, 4, 186, 172, 108, 0, 0, 70),
-                    (36, 4, 188, 174, 108, 0, 0, 70),
-                    (40, 0, 197, 51, 120, 0, 0, 78),
+                    (36, 4, 186, 111, 147, 0, 0, 105),
+                    (36, 4, 188, 86, 147, 0, 0, 105),
+                    (40, 0, 197, 17, 159, 0, 0, 117),
                 ],
             ),
         ],
@@ -581,14 +588,37 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_gradient_from_kept_residual(self, seed):
-        # the gradient bounds backward moves only while clamp-free (the even
-        # seeds); in the clamp regime it is not computed and reads zero
+        # while clamp-free (the even seeds) the loss is convex with curvature
+        # at most 1/4, so each fused move loss lies between the tangent from
+        # the kept loss and residual and that tangent plus eps**2/8 * mean(x**2):
+        # the scanned losses the backward screen reads are never looser than
+        # the first-order bound eps * max(sign(w_j) * g_j). In the clamp
+        # regime the loss is not convex and no bound is formed.
         _, terms = kernel_case(seed)
-        if terms.clamp_free:
-            want = terms.X.T @ (expit(terms.z) - terms.y) / terms.z.shape[0]
-        else:
-            want = np.zeros(terms.X.shape[1])
-        assert np.array_equal(terms.grad, want)
+        if not terms.clamp_free:
+            assert terms.exp_sz is None and terms.bound == np.inf
+            return
+        n, eps = terms.z.shape[0], terms.eps
+        grad = terms.X.T @ (expit(terms.z) - terms.y) / n
+        losses, bound = terms.scan_fused(np.empty(2 * terms.X.size))
+        tangent = terms.loss + eps * np.array([grad, -grad])
+        tol = 2.0 * bound + 1e-12
+        assert np.all(losses >= tangent - tol)
+        assert np.all(losses <= tangent + eps**2 / 8.0 * np.mean(terms.X**2, axis=0) + tol)
+        task_max = float(np.max(terms.signs * grad[terms.nz]))
+        assert _back_best(losses, terms) >= terms.loss - eps * task_max - tol
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_back_best_reads_the_moves_toward_zero(self, seed):
+        # the lowest scanned loss among the moves toward zero, written out:
+        # the - move of each positive weight, the + move of each negative one
+        rng, terms = kernel_case(seed)
+        p = terms.X.shape[1]
+        w = rng.integers(-2, 3, size=p) * terms.eps
+        terms.update(w)
+        losses = rng.normal(size=(2, p))
+        toward_zero = [losses[1, j] if w[j] > 0 else losses[0, j] for j in np.flatnonzero(w)]
+        assert _back_best(losses, terms) == min(toward_zero, default=np.inf)
 
 
 def _result_with(steps, weights, eps):

@@ -267,37 +267,24 @@ def test_shared_path_matches_solo_fits(ladder_results, family, seed):
             assert got.stats.backward_steps == kinds.count("backward")
 
 
-def _scan_counts(result, n_tasks):
-    """(forward searches, tasks changed since their last forward scan summed
-    over the searches) of a result's path, read from its trace."""
-    searches = fresh = 0
-    changed = set(range(n_tasks))
-    for step in result.trace.steps:
-        if step.kind == "forward":
-            searches += 1
-            fresh += len(changed)
-            changed = set()
-        changed.add(step.task)
-    if result.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP:
-        searches += 1
-        fresh += len(changed)
-    return searches, fresh
+def _forward_searches(result):
+    """The forward searches of a result's path, read from its trace."""
+    kinds = [step.kind for step in result.trace.steps]
+    return kinds.count("forward") + (result.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP)
 
-
-def _assert_scan_counts(result, n_tasks):
-    searches, fresh = _scan_counts(result, n_tasks)
-    stats = result.stats
-    assert stats.fast_scans + stats.clamp_scans == n_tasks * searches
-    assert stats.reused_scans == n_tasks * searches - fresh
 
 
 def test_kept_scans_equal_fresh_ones(monkeypatch):
     """After every step and on both sides of each fork, each task's kept
-    scan holds the bits a fresh scan gives; the kernels run once per task
-    changed since its last scan, plus the rechecks."""
+    scan holds the bits a fresh scan gives. Each forward search reads every
+    task's scan once, and the backward screen runs the other scans, each
+    counted as a fused scan when it runs: so the kernels run
+    ``fast_scans + clamp_scans - reused_scans`` scans, plus the rechecks.
+    A shared path tallies the scans of its own ``fit``."""
     real_apply, real_copy = _PathState.apply, _PathState.copy
     real_fused, real_clamped = _TaskTerms.scan_fused, _TaskTerms.scan_clamped
-    seen = {"kept": 0, "forks": 0, "kernel_runs": 0}
+    real_screen = _PathState.screen_bounds
+    seen = {"kept": 0, "forks": 0, "kernel_runs": 0, "screen_runs": 0, "in_screen": False}
 
     def check(state):
         for terms in state.tasks:
@@ -321,22 +308,33 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
         check(twin)
         return twin
 
+    def screen_bounds(state, lam):
+        seen["in_screen"] = True
+        try:
+            return real_screen(state, lam)
+        finally:
+            seen["in_screen"] = False
+
     def counted(kernel):
         def run(*args):
             seen["kernel_runs"] += 1
+            seen["screen_runs"] += seen["in_screen"]
             return kernel(*args)
         return run
 
     monkeypatch.setattr(_PathState, "apply", apply)
     monkeypatch.setattr(_PathState, "copy", fork)
+    monkeypatch.setattr(_PathState, "screen_bounds", screen_bounds)
     monkeypatch.setattr(_TaskTerms, "scan_fused", counted(real_fused))
     monkeypatch.setattr(_TaskTerms, "scan_clamped", counted(real_clamped))
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
-        seen["kernel_runs"] = 0
+        seen["kernel_runs"] = seen["screen_runs"] = 0
         result = fit(tasks, cfg, standardize=standardize)
-        _assert_scan_counts(result, len(tasks))
         stats = result.stats
+        assert stats.fast_scans + stats.clamp_scans == (
+            len(tasks) * _forward_searches(result) + seen["screen_runs"]
+        )
         assert seen["kernel_runs"] == (
             stats.fast_scans + stats.clamp_scans - stats.reused_scans + stats.recheck_scans
         )
@@ -347,13 +345,14 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
         configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
         results = fit_xis(tasks, configs, standardize=standardize)
         assert len({id(r) for r in results}) == 3
-        for result in results:
-            _assert_scan_counts(result, len(tasks))
+        for config, result in zip(configs, results):
+            solo = fit(tasks, config, standardize=standardize)
+            for name in ("fast_scans", "clamp_scans", "recheck_scans", "reused_scans"):
+                assert getattr(result.stats, name) == getattr(solo.stats, name), name
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
-TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "grad", "slack", "task_max",
-              "nz", "signs", "comp", "exp_eps_x_max")
+TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "nz", "signs", "comp", "exp_eps_x_max")
 
 
 def test_kept_task_terms_equal_fresh_ones(monkeypatch):
@@ -407,19 +406,24 @@ def test_kept_task_terms_equal_fresh_ones(monkeypatch):
 
 
 def _fresh_offer(terms, buf):
-    """A task's offer computed afresh, independently of ``solver._offer``:
-    the first lowest loss in flat order, its loss, and the next in order."""
+    """A task's offer and ``back_best`` computed afresh, independently of
+    ``solver._offer`` and ``solver._back_best``: the first lowest loss in
+    flat order, its loss, the next in order, and the lowest loss of a move
+    toward zero."""
     losses, _ = (
         _TaskTerms.scan_fused(terms, buf) if terms.clamp_free else _TaskTerms.scan_clamped(terms)
     )
     flat = losses.ravel()
     order = np.argsort(flat, kind="stable")
-    return int(order[0]), float(flat[order[0]]), float(flat[order[1]])
+    toward_zero = losses[np.where(terms.signs > 0, 1, 0), terms.nz]
+    back_best = float(toward_zero.min()) if toward_zero.size else np.inf
+    return int(order[0]), float(flat[order[0]]), float(flat[order[1]]), back_best
 
 
 def test_kept_offers_equal_fresh_ones(monkeypatch):
     """After every step and on both sides of each fork, each task's kept
-    offer is the one a fresh scan gives; so is every offer a search reads."""
+    offer and ``back_best`` are the ones a fresh scan gives; so is every
+    offer a search reads."""
     real_apply, real_copy = _PathState.apply, _PathState.copy
     real_offered = solver._offered_move
     seen = {"kept": 0, "read": 0, "forks": 0}
@@ -516,54 +520,41 @@ def test_corpus_settles_searches_by_offers_and_by_the_stacked_search(monkeypatch
     assert seen["settled"] > 10 * seen["fallback"] > 0
     assert seen["tie", "duplicate"] > 0 and seen["recheck"] > 0
 
-def _coordinate_screen(state, xi_min, lam):
-    """The per-coordinate backward screen of every task at once (elementwise
-    the bounds ``_backward_moves`` forms one task at a time): each nonzero
-    weight's task and first-order gain bound, and the set of tasks with a
-    bound that passes."""
-    L, eps = len(state.tasks), state.eps
-    rows, cols = state.W.nonzero()
-    w_vals = state.W[rows, cols]
-    signs = -np.sign(w_vals)
-    pen_after = state.penalty_after(rows, cols, w_vals + eps * signs)
-    gradients = np.array([t.grad for t in state.tasks])
-    slack = np.array([t.slack for t in state.tasks])
-    gain_bound = -(eps * signs) * gradients[cols, rows] / L + lam * (state.penalty - pen_after)
-    return cols, gain_bound, set(cols[gain_bound > xi_min - slack[cols]].tolist())
-
-
-def test_task_screen_covers_coordinate_bounds(monkeypatch):
-    """After every step each task's screening scalar is at least each of its
-    coordinate bounds, and a decision the scalars settle is one the
-    coordinate screen would have settled: it flags no task."""
-    real_apply, real_moves = _PathState.apply, solver._backward_moves
-    seen = {"checked": 0, "decisions": 0, "scalar_skips": 0, "coordinate_skips": 0}
-
-    def apply(state, *move):
-        real_apply(state, *move)
-        assert state.nonzero == np.count_nonzero(state.W)
-        bounds = state.screen_bounds(state.lam)
-        cols, gain_bound, _ = _coordinate_screen(state, 0.0, state.lam)
-        for l, bound in enumerate(bounds):
-            mine = gain_bound[cols == l]
-            assert (bound == -np.inf) == (mine.size == 0)
-            assert np.all(mine <= bound)
-            seen["checked"] += mine.size
+def test_task_screen_bounds_every_backward_gain(monkeypatch):
+    """At every backward decision of the corpus and the ladders, each
+    clamp-free task's screening bound is at least the exact gain of each of
+    its backward moves, and a task it settles has no move that qualifies at
+    the smallest tolerance."""
+    real_moves = solver._backward_moves
+    seen = Counter()
 
     def backward_moves(state, xis, lam):
-        xi_min = min(xis)
-        slack = [t.slack for t in state.tasks]
-        skip = not any(b > xi_min - s for b, s in zip(state.screen_bounds(lam), slack))
-        flagged = _coordinate_screen(state, xi_min, lam)[2]
         moves = real_moves(state, xis, lam)
-        seen["decisions"] += 1
-        seen["coordinate_skips"] += not flagged
-        if skip:
-            assert not flagged and moves == [None] * len(xis)
-            seen["scalar_skips"] += 1
+        # the screen has kept every scan it read, so this reads them again
+        # without running a kernel or moving a tally
+        tally = Counter(state.tally)
+        bounds = state.screen_bounds(lam)
+        assert state.tally == tally
+        L, xi_min = len(state.tasks), min(xis)
+        total_before = state.empirical + lam * state.penalty
+        for l, (terms, bound) in enumerate(zip(state.tasks, bounds)):
+            if not terms.clamp_free or not terms.nz.size:
+                continue
+            idx = terms.nz
+            pen_after = state.penalty_after(idx, l, state.W[idx, l] - state.eps * terms.signs)
+            emp_after = (state.others[l] + terms.moved_losses(idx, -terms.signs)) / L
+            gain = total_before - (emp_after + lam * pen_after)
+            assert np.all(gain <= bound)
+            seen["moves"] += idx.size
+            seen["tight"] += bool(np.any(gain > bound - 1e-6))
+            if bound <= xi_min - solver._SCREEN_SLACK:
+                assert not np.any(gain > xi_min)
+                seen["settled"] += 1
+            else:
+                seen["evaluated"] += 1
+                seen["qualifying"] += bool(np.any(gain > xi_min))
         return moves
 
-    monkeypatch.setattr(_PathState, "apply", apply)
     monkeypatch.setattr(solver, "_backward_moves", backward_moves)
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
@@ -572,16 +563,14 @@ def test_task_screen_covers_coordinate_bounds(monkeypatch):
             base = dataclasses.replace(cfg, **limits)
             configs = [dataclasses.replace(base, xi=x) for x in LADDER if x < cfg.epsilon]
             fit_xis(tasks, configs, standardize=standardize)
-    # the scalars settle most of the decisions that the coordinate screen
-    # settles (1,740 of 2,456 of 10,218 here)
-    assert seen["checked"] > 10_000
-    assert seen["coordinate_skips"] >= seen["scalar_skips"] > seen["coordinate_skips"] // 2
+    assert seen["moves"] > 10_000 and seen["settled"] > 2 * seen["evaluated"]
+    assert seen["qualifying"] > 0 and seen["tight"] > 0
 
 
 def test_backward_screen_evaluates_the_flagged_tasks(monkeypatch):
     """Screened one task at a time, a decision evaluates exactly every
     nonzero weight of the tasks whose scalar bound passes the smallest
-    tolerance less the task's slack."""
+    tolerance less the screen's slack."""
     real_moves = solver._backward_moves
     seen = {"decisions": 0, "evaluated": 0}
 
@@ -589,7 +578,7 @@ def test_backward_screen_evaluates_the_flagged_tasks(monkeypatch):
         xi_min = min(xis)
         flagged = [
             l for l, (t, bound) in enumerate(zip(state.tasks, state.screen_bounds(lam)))
-            if bound > xi_min - t.slack
+            if bound > xi_min - solver._SCREEN_SLACK
         ]
         before = state.tally["backward_exact"]
         moves = real_moves(state, xis, lam)
