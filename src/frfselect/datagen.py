@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TaskDataset, _check_int, _check_real, _split_rows, _table_lines, _write_table
+from .model import (TaskDataset, _check_int, _check_real, _plain_number, _split_rows,
+                    _table_lines, _write_table)
 
 __all__ = [
     "SpectrumLine",
@@ -404,7 +405,7 @@ def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:
     prev_freq = None
     for lineno, cells in _split_rows(path, header, rows, SpectrumFormatError):
         try:
-            freq, h_mean, coh = (float(c) for c in cells)
+            freq, h_mean, coh = (_plain_number(c) for c in cells)
         except ValueError:
             raise SpectrumFormatError(
                 f"{path}: non-numeric value, line {lineno}"

@@ -36,6 +36,7 @@ from .model import (
     TaskDataset,
     _check_int,
     _check_real,
+    _plain_number,
     _split_rows,
     _table_lines,
     _table_text,
@@ -86,7 +87,7 @@ def load_dataset(path, task_id: str | None = None) -> TaskDataset:
     freqs = []
     for k, name in enumerate(header[1:], start=1):
         try:
-            freqs.append(_check_real("frequency", float(name)))
+            freqs.append(_check_real("frequency", _plain_number(name)))
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: malformed header, line 1: column {k} name {name!r} is not a frequency"
@@ -134,17 +135,17 @@ def _parse_rows(path, table):
     rows: list[list[float]] = []
     for lineno, cells in table:
         try:
-            label = int(cells[0])
+            label = _plain_number(cells[0], int)
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: non-numeric label, line {lineno}"
             ) from None
-        if label not in (0, 1):
+        if cells[0].strip() not in ("0", "1"):
             raise DatasetFormatError(f"{path}: non-binary label, line {lineno}")
         values = []
         for k, cell in enumerate(cells[1:], start=1):
             try:
-                v = float(cell)
+                v = _plain_number(cell)
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}: non-numeric value, line {lineno}, column {k}"

@@ -23,6 +23,7 @@ from .datagen import window_split
 from .metrics import f1_score, gini_index
 from .model import Standardizer, TaskDataset, _check_int, _check_real, standardized_copy
 from .solver import (
+    DegenerateLabelsError,
     FitResult,
     SolverConfig,
     SolverTrace,
@@ -271,6 +272,12 @@ def grid_search(
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
 
+    for t in train_tasks:
+        if np.all(t.labels == t.labels[0]):
+            raise DegenerateLabelsError(
+                f"task {t.task_id!r} contains a single class; both classes must be present "
+                "to stratify"
+            )
     folds_per_task = [
         kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
         for ti, t in enumerate(train_tasks)

@@ -99,6 +99,15 @@ def _table_lines(path, error):
     return lines[0].split(","), rows
 
 
+def _plain_number(cell: str, kind=float):
+    """``kind(cell)`` for a cell in the table format's number syntax: ASCII,
+    without ``_``. ``int`` and ``float`` also read other scripts' digits and
+    ``_`` digit grouping; such a cell is a ValueError like any non-number."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not a plain number: {cell!r}")
+    return kind(cell)
+
+
 def _split_rows(path, header, rows, error):
     """Yield ``(1-based line number, cells)`` for each of the rows of
     ``_table_lines``. Rows are split as the caller asks for them, so a fault

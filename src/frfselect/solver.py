@@ -149,9 +149,9 @@ class FitStats:
         backward screen ran.
     clamp_scans : forward scans of one task with the clamped kernel because a
         candidate logit could reach the clamp, counted the same way.
-    recheck_scans : clamped-kernel rescans of a task whose fused losses left
-        the best move within rounding of another candidate or of the current
-        loss.
+    recheck_scans : clamped-kernel rescans, one of each task whose scan
+        carries a nonzero error bound in each forward search the offers leave
+        undecided.
     reused_scans : of the scans a forward search read, the ones served from
         the scan kept since the task last changed; the kernels ran the rest
         of ``fast_scans + clamp_scans``.
@@ -360,15 +360,12 @@ class _PathState:
         w = self.W[j, l]
         return self.penalty - norms + np.sqrt(np.maximum(norms**2 - w**2 + w_new**2, 0.0))
 
-    def scan(self, task: int, recheck: bool = False):
+    def scan(self, task: int):
         """Forward candidate losses of one task: (2, n_features) losses of the
         + and - moves, error bound, the task's offer (``_offer``), then its
         ``_back_best``. A task untouched since its last scan gets that scan
-        back; a recheck is always run afresh, carries neither and is not kept."""
+        back."""
         terms = self.tasks[task]
-        if recheck:
-            self.tally["recheck_scans"] += 1
-            return terms.scan_clamped()
         self.tally["fast_scans" if terms.clamp_free else "clamp_scans"] += 1
         if terms.last_scan is not None:
             self.tally["reused_scans"] += 1
@@ -400,31 +397,36 @@ def _forward_move(state: _PathState):
     The winner is the lowest post-move empirical loss over all
     2 * n_features * n_tasks candidates, ties broken toward the lowest
     feature, then task, then the positive direction; it must strictly lower
-    the loss of the task it touches. The tasks' offers settle most searches
-    (``_offered_move``); the others run the stacked search below.
+    the loss of the task it touches. The lowest offer, at empirical loss
+    ``c`` on task ``l``, decides alone when its runner-up and every other
+    task's best lie strictly outside ``c + (b_m + b_l) / L`` (``b`` the
+    scans' error bounds) and its task's loss moves by more than ``b_l``.
+    Otherwise each task whose scan carries a bound is rescanned once with
+    the clamped kernel, and the exact candidates decide.
     """
     L = len(state.tasks)
+    others = state.others
     scans = [state.scan(l) for l in range(L)]
-    move = _offered_move(state, scans)
-    if move is not None:
-        return move
-    while True:
+    best = [(o + scan[3]) / L for o, scan in zip(others, scans)]
+    c = min(best)
+    l = best.index(c)
+    losses, b_l, i, loss, runner_up, _ = scans[l]
+    if ((others[l] + runner_up) / L > c + (b_l + b_l) / L
+            and abs(loss - state.losses[l]) > b_l
+            and all(m == l or best[m] > c + (scan[1] + b_l) / L for m, scan in enumerate(scans))):
+        s, j = divmod(i, losses.shape[1])
+    else:
+        state.tally["recheck_scans"] += sum(1 for scan in scans if scan[1])
+        scans = [state.tasks[m].scan_clamped() if scan[1] else scan for m, scan in enumerate(scans)]
         # cand[l, s, j]: the empirical loss after moving (j, l) by sign s; the
         # argmin over its (j, l, s) view realizes the tie-break
-        cand = np.array([o + scan[0] for o, scan in zip(state.others, scans)]) / L
-        i = int(np.argmin(cand.transpose(2, 0, 1)))
-        j, l, s = i // (2 * L), i // 2 % L, i % 2
-        bounds = np.array([scan[1] for scan in scans])
-        if not np.count_nonzero(bounds):
-            break
-        # recheck when another candidate or the current loss is within rounding
-        near = cand <= cand[l, s, j] + ((bounds + bounds[l]) / L)[:, None, None]
-        if np.count_nonzero(near) == 1 and abs(scans[l][0][s, j] - state.losses[l]) > bounds[l]:
-            break
-        scans = [state.scan(m, recheck=True) if b else scans[m] for m, b in enumerate(bounds)]
-    if not scans[l][0][s, j] < state.losses[l]:
+        cand = np.array([o + scan[0] for o, scan in zip(others, scans)]) / L
+        k = int(np.argmin(cand.transpose(2, 0, 1)))
+        j, l, s = k // (2 * L), k // 2 % L, k % 2
+        c, loss = float(cand[l, s, j]), scans[l][0][s, j]
+    if not loss < state.losses[l]:
         return None
-    return "forward", j, l, 1 - 2 * s, float(cand[l, s, j])
+    return "forward", j, l, 1 - 2 * s, c
 
 
 def _offer(losses):
@@ -448,32 +450,6 @@ def _back_best(losses, terms) -> float:
         return np.inf
     rows = (terms.signs > 0).view(np.int8)
     return float(np.minimum.reduce(losses[rows, terms.nz]))
-
-
-def _offered_move(state: _PathState, scans):
-    """The forward move the tasks' offers settle alone, or None when the
-    stacked search of ``_forward_move`` must decide.
-
-    The lowest offer wins when no other candidate of any task lies within
-    the recheck window the stacked search would draw around it, and it
-    lowers its task's loss by more than its task's error bound. The stacked
-    search ends such a search on its first pass, with the same move: every
-    comparison here is one of its own, on the same floats.
-    """
-    L = len(state.tasks)
-    others = state.others
-    best = [(o + scan[3]) / L for o, scan in zip(others, scans)]
-    c = min(best)
-    l = best.index(c)
-    losses, b_l, i, loss, runner_up, _ = scans[l]
-    if not ((others[l] + runner_up) / L > c + (b_l + b_l) / L
-            and state.losses[l] - loss > b_l):
-        return None
-    for m, scan in enumerate(scans):
-        if m != l and not best[m] > c + (scan[1] + b_l) / L:
-            return None
-    s, j = divmod(i, losses.shape[1])
-    return "forward", j, l, 1 - 2 * s, c
 
 
 def _backward_moves(state: _PathState, xis, lam: float) -> list:
@@ -524,6 +500,7 @@ def _probe(weights, tasks, epsilon: float) -> _PathState:
     tasks = tuple(tasks)
     if not tasks:
         raise ValueError("tasks must hold at least one task")
+    _validated_tasks(tasks)
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
     return _PathState(tasks, epsilon, W)
 

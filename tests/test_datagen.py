@@ -354,6 +354,15 @@ class TestSpectrumIO:
         with pytest.raises(SpectrumFormatError, match="line 2"):
             load_spectrum(path)
 
+    @pytest.mark.parametrize("row", ["1_0,0.5,0.9", "10,\u0661.\u0665,0.9", "10,0.5,0.9_0"])
+    def test_numbers_take_the_format_syntax_only(self, tmp_path, row):
+        # float() reads other scripts' digits and _ digit grouping
+        path = tmp_path / "bad.csv"
+        path.write_text(f"freq_hz,h_mean,coherence\n{row}\n20,0.5,0.9\n", encoding="utf-8")
+        with pytest.raises(SpectrumFormatError,
+                           match=f"^{re.escape(str(path))}: non-numeric value, line 2$"):
+            load_spectrum(path)
+
     @pytest.mark.parametrize("char", LINE_BREAKS_INSIDE_A_LINE)
     def test_line_break_characters_stay_inside_their_cell(self, tmp_path, char):
         path = tmp_path / "bad.csv"

@@ -127,6 +127,26 @@ class TestDatasetErrors:
         with pytest.raises(DatasetFormatError, match="non-binary label, line 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("label,10.0\n\u0661,0.5\n", "non-numeric label, line 2"),
+        ("label,10.0\n+1,0.5\n", "non-binary label, line 2"),
+        ("label,10.0\n01,0.5\n", "non-binary label, line 2"),
+        ("label,10.0\n1,1_0\n", "non-numeric value, line 2, column 1"),
+        ("label,10.0\n1,\u0661.\u0665\n", "non-numeric value, line 2, column 1"),
+        ("label,\u0661\n1,0.5\n", "malformed header, line 1: column 1 name '\u0661' is not a frequency"),
+        ("label,1_0\n1,0.5\n", "malformed header, line 1: column 1 name '1_0' is not a frequency"),
+    ])
+    def test_numbers_take_the_format_syntax_only(self, tmp_path, text, fault):
+        # int() and float() read other scripts' digits, a sign or leading
+        # zero on a label and _ digit grouping
+        path = self.write(tmp_path, text)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'{path}: {fault}')}$"):
+            load_dataset(path)
+
+    def test_labels_keep_their_whitespace_strip(self, tmp_path):
+        path = self.write(tmp_path, "label,10.0\n 1 ,0.5\n0\t,-0.5\n")
+        assert load_dataset(path).labels.tolist() == [1, 0]
+
     def test_non_numeric_value_names_line_and_column(self, tmp_path):
         path = self.write(tmp_path, "label,10.0,20.0\n1,0.5,oops\n")
         with pytest.raises(DatasetFormatError, match="line 2, column 2"):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 from frfselect import (
+    DegenerateLabelsError,
     FitResult,
     GridSpec,
     ModalMode,
@@ -114,6 +115,15 @@ class TestKfoldSplit:
         # two folds fit the two samples of tiny_task's smaller class
         grid = dataclasses.replace(grid, folds=2)
         assert grid_search([tiny_task], grid, "independent").best.n_windows == 1
+
+    def test_grid_names_a_single_class_task(self, tiny_task):
+        one = TaskDataset(tiny_task.features, np.ones(tiny_task.n_samples, dtype=int),
+                          tiny_task.feature_freqs, "ones")
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
+        match = "^task 'ones' contains a single class; both classes must be present to stratify$"
+        for mode in (MODE_INDEPENDENT, MODE_MTL):
+            with pytest.raises(DegenerateLabelsError, match=match):
+                grid_search([tiny_task, one], grid, mode)
 
 
 class TestGridSpec:

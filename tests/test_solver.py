@@ -230,6 +230,27 @@ class TestStepProbeInput:
                 with pytest.raises(ValueError, match="weights contain non-finite values"):
                     probe()
 
+    def test_rejects_tasks_of_different_widths(self):
+        narrow, wide = random_instance(np.random.default_rng(2), 5, 2, 8)
+        narrow = TaskDataset(narrow.features[:, :4], narrow.labels, np.arange(1.0, 5.0), "narrow")
+        for probe in self.probes(np.full((4, 2), 0.3), [narrow, wide]):
+            with pytest.raises(ValueError, match="task 't1' has 5 features, expected 4"):
+                probe()
+
+    def test_rejects_tasks_on_different_frequency_axes(self):
+        a, b = random_instance(np.random.default_rng(3), 3, 2, 8)
+        shifted = TaskDataset(b.features, b.labels, b.feature_freqs + 0.5, "shifted")
+        for probe in self.probes(np.full((3, 2), 0.3), [a, shifted]):
+            with pytest.raises(ValueError, match="task 'shifted' does not share the feature"):
+                probe()
+
+    def test_rejects_a_single_class_task(self):
+        (a,) = random_instance(np.random.default_rng(4), 3, 1, 8)
+        one = TaskDataset(a.features, np.ones(8, dtype=int), a.feature_freqs, "one")
+        for probe in self.probes(np.full((3, 1), 0.3), [one]):
+            with pytest.raises(DegenerateLabelsError, match="task 'one' contains a single class"):
+                probe()
+
 
 class TestLambdaSchedule:
     def test_first_step_sets_per_unit_gain(self):

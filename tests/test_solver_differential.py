@@ -424,8 +424,7 @@ def test_kept_offers_equal_fresh_ones(monkeypatch):
     """After every step and on both sides of each fork, each task's kept
     offer and ``back_best`` are the ones a fresh scan gives; so is every
     offer a search reads."""
-    real_apply, real_copy = _PathState.apply, _PathState.copy
-    real_offered = solver._offered_move
+    real_apply, real_copy, real_scan = _PathState.apply, _PathState.copy, _PathState.scan
     seen = {"kept": 0, "read": 0, "forks": 0}
 
     def check(state):
@@ -445,15 +444,16 @@ def test_kept_offers_equal_fresh_ones(monkeypatch):
         check(twin)
         return twin
 
-    def offered(state, scans):
-        for terms, scan in zip(state.tasks, scans):
-            assert scan is terms.last_scan and scan[2:] == _fresh_offer(terms, state._buf)
-            seen["read"] += 1
-        return real_offered(state, scans)
+    def scan(state, task):
+        out = real_scan(state, task)
+        terms = state.tasks[task]
+        assert out is terms.last_scan and out[2:] == _fresh_offer(terms, state._buf)
+        seen["read"] += 1
+        return out
 
     monkeypatch.setattr(_PathState, "apply", apply)
     monkeypatch.setattr(_PathState, "copy", fork)
-    monkeypatch.setattr(solver, "_offered_move", offered)
+    monkeypatch.setattr(_PathState, "scan", scan)
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
         fit(tasks, cfg, standardize=standardize)
@@ -466,59 +466,103 @@ def test_kept_offers_equal_fresh_ones(monkeypatch):
 
 
 def test_paths_are_the_same_without_offers(monkeypatch, corpus_results, ladder_results):
-    """With the offers never settling a search, every forward search runs the
-    stacked search: the corpus and the ladders give the same traces and
-    ``FitStats``, so the offers read the scans the stacked search reads."""
-    monkeypatch.setattr(solver, "_offered_move", lambda state, scans: None)
+    """With a nan offer on every task no offer settles a search: each
+    forward search rescans every task whose scan carries a nonzero bound,
+    and the exact candidates decide. The corpus and the ladders give the
+    same traces and every other ``FitStats`` field, so the offers decide as
+    the exact candidates do; ``recheck_scans`` counts those rescans."""
+    real_scan = _PathState.scan
+    seen = Counter()
+
+    def scan(state, task):
+        out = real_scan(state, task)
+        seen["rescans"] += bool(out[1])
+        return out
+
+    def forced_fit(tasks, config, standardize, want):
+        seen["rescans"] = 0
+        got = fit(tasks, config, standardize=standardize)
+        assert got.trace == want.trace
+        assert got.stats == dataclasses.replace(want.stats, recheck_scans=seen["rescans"])
+        seen["total"] += seen["rescans"]
+        return got
+
+    monkeypatch.setattr(solver, "_offer", lambda losses: (0, np.nan, np.nan))
+    monkeypatch.setattr(_PathState, "scan", scan)
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
-        got, want = fit(tasks, cfg, standardize=standardize), corpus_results[family, seed][0]
-        assert got.trace == want.trace and got.stats == want.stats
+        forced_fit(tasks, cfg, standardize, corpus_results[family, seed][0])
         for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
             configs, shared, solo = ladder_results[family, seed, bool(limits)]
-            results = [*fit_xis(tasks, configs, standardize=standardize),
-                       *(fit(tasks, c, standardize=standardize) for c in configs)]
-            for got, want in zip(results, [*shared, *solo], strict=True):
-                assert got.trace == want.trace and got.stats == want.stats
+            forced = [forced_fit(tasks, c, standardize, want) for c, want in zip(configs, solo)]
+            results = fit_xis(tasks, configs, standardize=standardize)
+            for got, want, alone in zip(results, shared, forced, strict=True):
+                assert got.trace == want.trace
+                rechecks = alone.stats.recheck_scans
+                assert got.stats == dataclasses.replace(want.stats, recheck_scans=rechecks)
+    unforced = sum(got.stats.recheck_scans for got, _ in corpus_results.values())
+    assert seen["total"] > 10 * unforced > 0
 
 
-def test_corpus_settles_searches_by_offers_and_by_the_stacked_search(monkeypatch):
-    """The offers settle most searches, each with the move and no recheck
-    that the stacked search gives; an exact tie at the lowest candidate
-    (the ``duplicate`` family) or a recheck always falls back to it."""
-    real_offered = solver._offered_move
+def _lowest_candidate(state, losses):
+    """The tie-break winner over the tasks' forward ``losses``: its (j, l, s),
+    its empirical loss, the candidate array cand[l, s, j] and whether
+    another candidate ties it exactly."""
+    L = len(losses)
+    cand = np.array([o + loss for o, loss in zip(state.others, losses)]) / L
+    flat = cand.transpose(2, 0, 1).ravel()
+    i = int(np.argmin(flat))
+    tie = np.count_nonzero(flat == flat[i]) > 1
+    return (i // (2 * L), i // 2 % L, i % 2), float(flat[i]), cand, tie
+
+
+def test_corpus_settles_searches_by_offers_and_by_one_rescan(monkeypatch):
+    """The offers settle most searches, with the move or the None the exact
+    candidates give and no rescan. An exact tie at the lowest candidate
+    (the ``duplicate`` family), or a candidate or the current loss within
+    rounding of it, falls back: each task whose scan carries a nonzero
+    bound is rescanned once with the clamped kernel, and the tie-break over
+    the exact candidates decides."""
+    real_forward = solver._forward_move
     seen = Counter()
     family = None
 
-    def offered(state, scans):
-        L = len(scans)
-        cand = np.array([o + scan[0] for o, scan in zip(state.others, scans)]) / L
-        flat = cand.transpose(2, 0, 1).ravel()
-        i = int(np.argmin(flat))
-        j, l, s = i // (2 * L), i // 2 % L, i % 2
-        tie = np.count_nonzero(flat == flat[i]) > 1
+    def forward(state):
+        rechecks = state.tally["recheck_scans"]
+        move = real_forward(state)
+        rescans = state.tally["recheck_scans"] - rechecks
+        scans = [terms.last_scan for terms in state.tasks]
+        (j, l, s), c, cand, tie = _lowest_candidate(state, [scan[0] for scan in scans])
         bounds = np.array([scan[1] for scan in scans])
-        near = cand <= flat[i] + ((bounds + bounds[l]) / L)[:, None, None]
+        near = cand <= c + ((bounds + bounds[l]) / len(scans))[:, None, None]
         recheck = bounds.any() and not (
             np.count_nonzero(near) == 1 and abs(scans[l][0][s, j] - state.losses[l]) > bounds[l]
         )
-        move = real_offered(state, scans)
-        if move is None:
+        if rescans or tie:
             seen["fallback"] += 1
             seen["tie", family] += tie
             seen["recheck"] += recheck
+            assert rescans == (np.count_nonzero(bounds) if recheck else 0)
+            exact = [
+                _TaskTerms.scan_clamped(terms)[0] if scan[1] else scan[0]
+                for terms, scan in zip(state.tasks, scans)
+            ]
+            (j, l, s), c, _, _ = _lowest_candidate(state, exact)
+            falls = exact[l][s, j] < state.losses[l]
         else:
-            assert not tie and not recheck
-            assert move == ("forward", j, l, 1 - 2 * s, float(flat[i]))
+            assert not recheck
+            falls = scans[l][0][s, j] < state.losses[l]
             seen["settled"] += 1
+        assert move == (("forward", j, l, 1 - 2 * s, c) if falls else None)
         return move
 
-    monkeypatch.setattr(solver, "_offered_move", offered)
+    monkeypatch.setattr(solver, "_forward_move", forward)
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
         fit(tasks, cfg, standardize=standardize)
     assert seen["settled"] > 10 * seen["fallback"] > 0
     assert seen["tie", "duplicate"] > 0 and seen["recheck"] > 0
+
 
 def test_task_screen_bounds_every_backward_gain(monkeypatch):
     """At every backward decision of the corpus and the ladders, each
