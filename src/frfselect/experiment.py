@@ -272,25 +272,24 @@ def grid_search(
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
 
-    for t in train_tasks:
-        if np.all(t.labels == t.labels[0]):
-            raise DegenerateLabelsError(
-                f"task {t.task_id!r} contains a single class; both classes must be present "
-                "to stratify"
-            )
-    folds_per_task = [
-        kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
-        for ti, t in enumerate(train_tasks)
-    ]
     # a fold past a task's smaller class validates on one class, and with one
     # sample of that class the fold's training rest holds the other alone
     for t in train_tasks:
         smaller = min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0))
+        if not smaller:
+            raise DegenerateLabelsError(
+                f"task {t.task_id!r} contains a single class; both classes must be present "
+                "to stratify"
+            )
         if grid.folds > smaller:
             raise ValueError(
                 f"folds={grid.folds} exceeds the {smaller} samples of the smaller class "
                 f"of task {t.task_id!r}"
             )
+    folds_per_task = [
+        kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
+        for ti, t in enumerate(train_tasks)
+    ]
     # each fold's (train, validation) tasks, built once for every grid point
     folds = []
     for f in range(grid.folds):

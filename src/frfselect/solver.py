@@ -144,27 +144,24 @@ class FitStats:
         every nonzero weight of each task whose screening bound passes (read
         from the task's kept losses when it is unchanged since they were
         evaluated); that bound rules out the rest.
-    fast_scans : forward scans of one task with the fused kernel, counting
-        the ones served from the task's kept scan, and each scan the
-        backward screen ran.
-    clamp_scans : forward scans of one task with the clamped kernel because a
-        candidate logit could reach the clamp, counted the same way.
+    fused_scans : runs of the fused kernel: a forward scan of one task whose
+        logits stay clamp-free, run the first time the backward screen or a
+        forward search reads the task since a step last touched it.
+    clamped_scans : runs of the clamped kernel for such a scan of a task
+        whose candidate logits could reach the clamp.
     recheck_scans : clamped-kernel rescans, one of each task whose scan
         carries a nonzero error bound in each forward search the offers leave
-        undecided.
-    reused_scans : of the scans a forward search read, the ones served from
-        the scan kept since the task last changed; the kernels ran the rest
-        of ``fast_scans + clamp_scans``.
+        undecided. ``fused_scans + clamped_scans + recheck_scans`` is the
+        number of kernel runs.
     """
 
     forward_steps: int = 0
     backward_steps: int = 0
     backward_candidates: int = 0
     backward_exact: int = 0
-    fast_scans: int = 0
-    clamp_scans: int = 0
+    fused_scans: int = 0
+    clamped_scans: int = 0
     recheck_scans: int = 0
-    reused_scans: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,12 +306,11 @@ class _PathState:
 
     def screen_bounds(self, lam: float) -> list:
         """Each task's bound on the penalised-loss gain of its backward moves
-        at level ``lam``, read from its kept forward scan (run here if the
-        task changed since): ``empirical - (others[l] + back_best - bound) /
-        L + lam * eps``, widened by a few ulp of ``empirical`` and of ``lam``
-        times the penalty (derived in README); -inf for a task without a
-        nonzero weight, inf for one in the clamp regime, whose moves are all
-        evaluated exactly.
+        at level ``lam``, read from its forward scan (``scan``): ``empirical
+        - (others[l] + back_best - bound) / L + lam * eps``, widened by a few
+        ulp of ``empirical`` and of ``lam`` times the penalty (derived in
+        README); -inf for a task without a nonzero weight, inf for one in the
+        clamp regime, whose moves are all evaluated exactly.
         """
         L, eps, emp, others = len(self.tasks), self.eps, self.empirical, self.others
         lam_eps = lam * eps
@@ -326,11 +322,7 @@ class _PathState:
             elif not terms.clamp_free:
                 bounds.append(np.inf)
             else:
-                scan = terms.last_scan
-                if scan is None:
-                    # a kernel run; the forward search that reads it counts it as reused
-                    self.tally["fast_scans"] += 1
-                    scan = self._keep_scan(terms)
+                scan = self.scan(l)
                 bound = emp - (others[l] + scan[5] - scan[1]) / L + lam_eps
                 bounds.append(bound + 2.0 * _ULP * abs(bound) + margin)
         return bounds
@@ -364,18 +356,12 @@ class _PathState:
         """Forward candidate losses of one task: (2, n_features) losses of the
         + and - moves, error bound, the task's offer (``_offer``), then its
         ``_back_best``. A task untouched since its last scan gets that scan
-        back."""
+        back; otherwise its kernel runs, counted, and the scan is kept."""
         terms = self.tasks[task]
-        self.tally["fast_scans" if terms.clamp_free else "clamp_scans"] += 1
-        if terms.last_scan is not None:
-            self.tally["reused_scans"] += 1
-            return terms.last_scan
-        return self._keep_scan(terms)
-
-    def _keep_scan(self, terms):
-        """Run the task's scan with its kernel and keep it on the task."""
-        losses, bound = terms.scan_fused(self._buf) if terms.clamp_free else terms.scan_clamped()
-        terms.last_scan = (losses, bound, *_offer(losses), _back_best(losses, terms))
+        if terms.last_scan is None:
+            self.tally["fused_scans" if terms.clamp_free else "clamped_scans"] += 1
+            losses, bound = terms.scan_fused(self._buf) if terms.clamp_free else terms.scan_clamped()
+            terms.last_scan = (losses, bound, *_offer(losses), _back_best(losses, terms))
         return terms.last_scan
 
     def copy(self) -> "_PathState":

@@ -99,7 +99,9 @@ class TestKfoldSplit:
             with pytest.raises(ValueError, match=f"^k={k} exceeds the {larger} samples of the larger class$"):
                 kfold_split(n, labels, k, 0)
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
-        with pytest.raises(ValueError, match="^k=3 exceeds"):
+        # grid_search names the task: k above the larger class is above the smaller
+        match = "^folds=3 exceeds the 2 samples of the smaller class of task 'tiny'$"
+        with pytest.raises(ValueError, match=match):
             grid_search([tiny_task], grid, "independent")
 
     def test_grid_rejects_more_folds_than_the_smaller_class(self, tiny_task):
@@ -388,19 +390,19 @@ class TestGridGlue:
         assert [len(scored) for scored in calls] == [83, 84]
 
     # per-field sums over the grid's distinct paths, recorded before the
-    # screening terms moved onto the path state (backward_exact, fast_scans
-    # and reused_scans when the backward screen came to read the kept scans);
-    # a drift in what grid-style paths screen, scan, recheck or reuse shows here
+    # screening terms moved onto the path state (backward_exact re-pinned
+    # when the backward screen came to read the kept scans, and fused_scans
+    # and clamped_scans counting kernel runs since); a drift in what
+    # grid-style paths screen, scan or recheck shows here
     @pytest.mark.parametrize(
         "mode,sums",
         [
             (MODE_INDEPENDENT, dict(forward_steps=3161, backward_steps=12,
                                     backward_candidates=38427, backward_exact=5488,
-                                    fast_scans=5659, clamp_scans=306, recheck_scans=0,
-                                    reused_scans=2782)),
+                                    fused_scans=2877, clamped_scans=306, recheck_scans=0)),
             (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
-                            backward_exact=206, fast_scans=4970, clamp_scans=10,
-                            recheck_scans=0, reused_scans=3258)),
+                            backward_exact=206, fused_scans=1716, clamped_scans=6,
+                            recheck_scans=0)),
         ],
     )
     def test_grid_fit_stats_are_pinned(self, instrumented_grid, mode, sums):

@@ -37,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frfselect import SolverConfig, TaskDataset, backward_step, fit, forward_step, solver
-from frfselect.solver import TERMINATED_NO_IMPROVING_STEP, _PathState, _TaskTerms, fit_xis
+from frfselect.solver import _PathState, _TaskTerms, fit_xis
 
 EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
 
@@ -153,18 +153,18 @@ def test_corpus_reaches_every_regime(corpus_results):
     assert sum(s.backward_steps for s in stats.values()) >= 5
     # separable data: fused scans until the logits near the clamp, then fallback
     assert any(
-        s.fast_scans > 0 and s.clamp_scans > 0
+        s.fused_scans > 0 and s.clamped_scans > 0
         for (family, _), s in stats.items()
         if family == "separable"
     )
     # raw scale: eps * max|x| >= 27 from the start, the fused kernel never runs
     assert any(
-        s.forward_steps > 0 and s.fast_scans == 0
+        s.forward_steps > 0 and s.fused_scans == 0
         for (family, _), s in stats.items()
         if family == "raw"
     )
     assert any(
-        s.forward_steps > 0 and s.fast_scans > 0
+        s.forward_steps > 0 and s.fused_scans > 0
         for (family, _), s in stats.items()
         if family == "raw"
     )
@@ -267,24 +267,15 @@ def test_shared_path_matches_solo_fits(ladder_results, family, seed):
             assert got.stats.backward_steps == kinds.count("backward")
 
 
-def _forward_searches(result):
-    """The forward searches of a result's path, read from its trace."""
-    kinds = [step.kind for step in result.trace.steps]
-    return kinds.count("forward") + (result.trace.terminated_by == TERMINATED_NO_IMPROVING_STEP)
-
-
-
 def test_kept_scans_equal_fresh_ones(monkeypatch):
     """After every step and on both sides of each fork, each task's kept
-    scan holds the bits a fresh scan gives. Each forward search reads every
-    task's scan once, and the backward screen runs the other scans, each
-    counted as a fused scan when it runs: so the kernels run
-    ``fast_scans + clamp_scans - reused_scans`` scans, plus the rechecks.
-    A shared path tallies the scans of its own ``fit``."""
+    scan holds the bits a fresh scan gives. No ``FitStats`` field counts a
+    kernel run twice: ``fused_scans`` is the number of fused kernel runs and
+    ``clamped_scans + recheck_scans`` that of clamped ones. A shared path
+    tallies the scans of its own ``fit``."""
     real_apply, real_copy = _PathState.apply, _PathState.copy
     real_fused, real_clamped = _TaskTerms.scan_fused, _TaskTerms.scan_clamped
-    real_screen = _PathState.screen_bounds
-    seen = {"kept": 0, "forks": 0, "kernel_runs": 0, "screen_runs": 0, "in_screen": False}
+    seen = Counter()
 
     def check(state):
         for terms in state.tasks:
@@ -308,36 +299,26 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
         check(twin)
         return twin
 
-    def screen_bounds(state, lam):
-        seen["in_screen"] = True
-        try:
-            return real_screen(state, lam)
-        finally:
-            seen["in_screen"] = False
-
-    def counted(kernel):
+    def counted(name, kernel):
         def run(*args):
-            seen["kernel_runs"] += 1
-            seen["screen_runs"] += seen["in_screen"]
+            seen[name] += 1
             return kernel(*args)
         return run
 
+    def counted_fit(tasks, config, standardize):
+        seen["fused"] = seen["clamped"] = 0
+        stats = fit(tasks, config, standardize=standardize).stats
+        assert stats.fused_scans == seen["fused"]
+        assert stats.clamped_scans + stats.recheck_scans == seen["clamped"]
+        return stats
+
     monkeypatch.setattr(_PathState, "apply", apply)
     monkeypatch.setattr(_PathState, "copy", fork)
-    monkeypatch.setattr(_PathState, "screen_bounds", screen_bounds)
-    monkeypatch.setattr(_TaskTerms, "scan_fused", counted(real_fused))
-    monkeypatch.setattr(_TaskTerms, "scan_clamped", counted(real_clamped))
+    monkeypatch.setattr(_TaskTerms, "scan_fused", counted("fused", real_fused))
+    monkeypatch.setattr(_TaskTerms, "scan_clamped", counted("clamped", real_clamped))
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
-        seen["kernel_runs"] = seen["screen_runs"] = 0
-        result = fit(tasks, cfg, standardize=standardize)
-        stats = result.stats
-        assert stats.fast_scans + stats.clamp_scans == (
-            len(tasks) * _forward_searches(result) + seen["screen_runs"]
-        )
-        assert seen["kernel_runs"] == (
-            stats.fast_scans + stats.clamp_scans - stats.reused_scans + stats.recheck_scans
-        )
+        counted_fit(tasks, cfg, standardize)
     solo_kept = seen["kept"]
     tasks, cfg, standardize = _problem(410, "shared")
     for limits in ({}, {"lambda_floor": 0.02, "max_iters": 40}):
@@ -346,9 +327,9 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
         results = fit_xis(tasks, configs, standardize=standardize)
         assert len({id(r) for r in results}) == 3
         for config, result in zip(configs, results):
-            solo = fit(tasks, config, standardize=standardize)
-            for name in ("fast_scans", "clamp_scans", "recheck_scans", "reused_scans"):
-                assert getattr(result.stats, name) == getattr(solo.stats, name), name
+            solo = counted_fit(tasks, config, standardize)
+            for name in ("fused_scans", "clamped_scans", "recheck_scans"):
+                assert getattr(result.stats, name) == getattr(solo, name), name
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
@@ -471,13 +452,20 @@ def test_paths_are_the_same_without_offers(monkeypatch, corpus_results, ladder_r
     and the exact candidates decide. The corpus and the ladders give the
     same traces and every other ``FitStats`` field, so the offers decide as
     the exact candidates do; ``recheck_scans`` counts those rescans."""
-    real_scan = _PathState.scan
+    real_forward, real_clamped = solver._forward_move, _TaskTerms.scan_clamped
     seen = Counter()
 
-    def scan(state, task):
-        out = real_scan(state, task)
-        seen["rescans"] += bool(out[1])
-        return out
+    def forward(state):
+        for l in range(len(state.tasks)):
+            state.scan(l)  # kept, so each clamped kernel run below is a rescan
+        runs = seen["clamped"]
+        move = real_forward(state)
+        seen["rescans"] += seen["clamped"] - runs
+        return move
+
+    def clamped(terms):
+        seen["clamped"] += 1
+        return real_clamped(terms)
 
     def forced_fit(tasks, config, standardize, want):
         seen["rescans"] = 0
@@ -488,7 +476,8 @@ def test_paths_are_the_same_without_offers(monkeypatch, corpus_results, ladder_r
         return got
 
     monkeypatch.setattr(solver, "_offer", lambda losses: (0, np.nan, np.nan))
-    monkeypatch.setattr(_PathState, "scan", scan)
+    monkeypatch.setattr(solver, "_forward_move", forward)
+    monkeypatch.setattr(_TaskTerms, "scan_clamped", clamped)
     for family, seed in PROBLEMS:
         tasks, cfg, standardize = _problem(seed, family)
         forced_fit(tasks, cfg, standardize, corpus_results[family, seed][0])
@@ -731,7 +720,7 @@ def test_raw_scale_task_builds_no_exp_table():
                 assert terms.exp_table is None and terms.exp_sz is None
                 assert not terms.clamp_free
             got = fit([task], SolverConfig(1.0, 0.01, max_iters=30), standardize=False)
-    assert got.stats.fast_scans == 0 and got.stats.clamp_scans > 0
+    assert got.stats.fused_scans == 0 and got.stats.clamped_scans > 0
     # just under the bound the first fused scan builds the table, both signs
     # of every element
     terms = _TaskTerms(edge, np.zeros(4), 0.999)
@@ -882,6 +871,6 @@ def test_generated_problems_match_reference(generated_runs):
 
 
 def test_generated_problems_reach_every_regime(generated_runs):
-    assert any(s.clamp_scans > 0 and s.fast_scans > 0 for s in generated_runs)
+    assert any(s.clamped_scans > 0 and s.fused_scans > 0 for s in generated_runs)
     assert any(s.recheck_scans > 0 for s in generated_runs)
     assert any(s.backward_steps > 0 for s in generated_runs)
