@@ -273,10 +273,11 @@ class Standardizer:
         feats = np.asarray(features, dtype=float)
         # the sums and divisions of .mean() and .std(), the mean taken once
         n = feats.shape[0]
-        mean = np.add.reduce(feats, axis=0) / n
+        # a constant column's mean is its own value, not a rounded sum: scale 1
+        row = feats[:1]
+        mean = np.where((feats == row).all(axis=0), row.mean(axis=0), np.add.reduce(feats, axis=0) / n)
         dev = feats - mean
         sd = np.sqrt(np.add.reduce(dev * dev, axis=0) / n)
-        # constant columns standardize to zero deviation; scale 1 avoids 0/0
         scale = np.where(sd > 0, sd, 1.0)
         return cls(mean, scale)
 

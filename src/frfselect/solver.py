@@ -23,8 +23,9 @@ a path did; it is not part of the trace or of any report.
 
 How it is computed (the path state and per-task terms, the kept forward
 scans and their offers, the fused and clamped kernels and the error bound
-between them, the backward screen, the shared ``xi`` paths) is set out once,
-in README.md under "How the solver is computed".
+between them, the half-scan of large clamp-free tasks, which scans only each
+feature's descent sign, the backward screen, the shared ``xi`` paths) is set
+out once, in README.md under "How the solver is computed".
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ class FitResult:
 # (-log(PROB_CLAMP) = 27.63): the clamp is inactive, the loss is convex and
 # the fused kernel's exp() terms stay below e**27.
 _CLAMP_FREE_REACH = 27.0
+# Clamp-free tasks of this many elements (samples x features) or more are half-scanned.
+_HALF_SCAN_MIN = 8192
 # A task whose backward screening bound comes this close to xi is evaluated
 # exactly.
 _SCREEN_SLACK = 1e-9
@@ -191,8 +194,10 @@ class _TaskTerms:
 
     ``update`` replaces these arrays and never writes into them, so a fork's
     shallow copy shares them until one side steps the task. The fused
-    kernel's table ``exp(±eps * s * X)`` depends on no weight: the first
-    fused scan forms it, and a path scans every task before it can fork.
+    kernel's table ``exp(±eps * s * X)`` depends on no weight: the first full
+    scan forms it, and a path scans every task before it can fork. A
+    half-scanned task forms only its ``descent`` plane, which is written in
+    place and never shared with a fork.
     """
 
     def __init__(self, task, w, epsilon: float):
@@ -201,24 +206,27 @@ class _TaskTerms:
         self.comp = 1.0 - self.y
         self.s = 1.0 - 2.0 * self.y
         self.eps = epsilon
+        self.eps_s = np.array([epsilon * self.s, -(epsilon * self.s)])
         self.eps_x_max = epsilon * float(np.abs(self.X).max())
         # exp(eps * max|X|), formed only where the task can be clamp-free: it
         # overflows on a raw-scale task
         self.exp_eps_x_max = np.exp(self.eps_x_max) if self.eps_x_max < _CLAMP_FREE_REACH else None
         self.exp_table = None
+        self.descent = None  # the half-scan's (code, plane, idx)
         self.update(w)
 
     def update(self, w):
         """Recompute every term from scratch for the weight column ``w``.
 
         In the clamp regime there is no fused scan and the error bound is
-        infinite.
+        infinite. ``eg = eps * X.T @ (p - y) / n`` is None unless half-scanned.
         """
         n = self.X.shape[0]
         self.z = self.X @ w
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.maximum.reduce(np.abs(self.z))) + self.eps_x_max
-        self.loss = float(_nll_from_probs(expit(self.z), self.y, self.comp, not self.clamp_free))
+        prob = expit(self.z)
+        self.loss = float(_nll_from_probs(prob, self.y, self.comp, not self.clamp_free))
         self.last_scan = None  # the forward scan at this w, its offer and back_best (_PathState)
         self.back_losses = None  # the backward moves' losses at this w (_backward_moves)
         if self.clamp_free:
@@ -227,8 +235,11 @@ class _TaskTerms:
             # the sum and division of .mean(), without its overhead
             margins = float(np.add.reduce(self.exp_sz) / n) * self.exp_eps_x_max
             self.bound = _ULP * (8.0 * margins + 2.0 * n * (self.reach + 1.0))
+            self.margin = 3.0 * self.bound + (n + 3.0) * _ULP * self.eps_x_max
+            half = self.X.size >= _HALF_SCAN_MIN
+            self.eg = self.X.T @ (prob - self.y) * (self.eps / n) if half else None
         else:
-            self.exp_sz, self.bound = None, np.inf
+            self.exp_sz, self.bound, self.eg = None, np.inf, None
         # the nonzero weights' index and signs
         self.nz = w.nonzero()[0]
         self.signs = np.sign(w[self.nz])
@@ -242,6 +253,7 @@ class _TaskTerms:
         (2, n_features) array, both signs in one pass; and the error bound.
         One ``log1p`` and one multiply per element: ``log1p(exp(±eps * s *
         X) * exp(s * z))``, from the fixed table, formed on the first call.
+        A half-scan (``eg`` formed) drops non-descent moves as inf (``_descent_plane``).
 
         ``bound`` covers |fused - clamped| over these losses. The clamped
         kernel's ``log(1 - p)`` is off by up to ~3 ulp * e**u on a sample
@@ -254,15 +266,46 @@ class _TaskTerms:
         the sum term cover both, for any order of the sum (README), so also
         for the clamped kernel on a subset of the columns.
         """
-        if self.exp_table is None:
+        if self.eg is None and self.exp_table is None:
             # clamp-free implies eps * max|X| < 27, so no exp overflows
-            eps_s = np.array([self.eps * self.s, -(self.eps * self.s)])
-            self.exp_table = np.exp(self.X * eps_s[:, :, None])
-        table = self.exp_table
-        buf = buf[: table.size].reshape(table.shape)
-        np.multiply(table, self.exp_sz[:, None], out=buf)
+            self.exp_table = np.exp(self.X * self.eps_s[:, :, None])
+        plane, idx = (self.exp_table, None) if self.eg is None else self._descent_plane()
+        buf = buf[: plane.size].reshape(plane.shape)
+        np.multiply(plane, self.exp_sz[:, None], out=buf)
         np.log1p(buf, out=buf)
-        return np.add.reduce(buf, axis=1) / self.X.shape[0], self.bound
+        # the sample axis of either shape, summed in the same order
+        sums = np.add.reduce(buf, axis=-2) / self.X.shape[0]
+        if idx is not None:
+            losses = np.full(2 * self.X.shape[1], np.inf)
+            losses[idx] = sums
+            sums = losses.reshape(2, -1)
+        return sums, self.bound
+
+    def _descent_plane(self):
+        """The kept (n, n_features + k) plane and each column's flat index in
+        the scan: the + move where ``code`` is 0 (``eg_j < -margin``) or 1
+        (``|eg_j|`` within it), the - move at 2, then the - moves of the k at
+        1. Only columns whose code moved between 0 and 2 are rewritten."""
+        code = np.array([-self.margin, self.margin]).searchsorted(self.eg, side="right")
+        flip = None if self.descent is None else (code != self.descent[0]).nonzero()[0]
+        if flip is not None and not flip.size:
+            return self.descent[1:]
+        if flip is not None and 1 not in code[flip] and 1 not in self.descent[0][flip]:
+            _, plane, idx = self.descent
+            rows = code[flip] // 2
+            plane[:, flip] = self._table_columns(flip, rows)
+            idx[flip] = rows * code.size + flip
+        else:
+            both = (code == 1).nonzero()[0]
+            cols = np.concatenate([np.arange(code.size), both])
+            rows = np.concatenate([code // 2, np.ones_like(both)])
+            plane, idx = self._table_columns(cols, rows), rows * code.size + cols
+        self.descent = (code, plane, idx)
+        return plane, idx
+
+    def _table_columns(self, cols, rows):
+        """Columns ``cols`` of the fused table, each in sign row ``rows[a]``, bit for bit."""
+        return np.exp(np.multiply(self.X[:, cols], self.eps_s[rows].T, order="C"))
 
     def scan_clamped(self):
         """The same as ``scan_fused`` with the clamped kernel; no error."""
@@ -367,11 +410,13 @@ class _PathState:
     def copy(self) -> "_PathState":
         """An independent iterate: a fork of the path. Each task's terms are
         copied shallowly, so their arrays and kept scan stay shared until one
-        side steps that task."""
+        side steps that task; the copy forms its own descent plane."""
         twin = copy.copy(self)
         for name in ("W", "counts", "row_norms"):
             setattr(twin, name, getattr(self, name).copy())
         twin.tasks = [copy.copy(t) for t in self.tasks]
+        for terms in twin.tasks:
+            terms.descent = None
         twin.steps = list(self.steps)
         twin.tally = Counter(self.tally)
         return twin
@@ -431,11 +476,15 @@ def _offer(losses):
 
 def _back_best(losses, terms) -> float:
     """The lowest of a task's forward losses among the moves toward zero:
-    the - move of a positive weight, the + move of a negative one."""
+    the - move of a positive weight, the + move of a negative one; a dropped
+    move at its tangent bound ``loss + |eg_j| - margin`` (README)."""
     if not terms.nz.size:
         return np.inf
     rows = (terms.signs > 0).view(np.int8)
-    return float(np.minimum.reduce(losses[rows, terms.nz]))
+    back = losses[rows, terms.nz]
+    if terms.eg is not None:
+        back = np.where(back == np.inf, terms.loss + np.abs(terms.eg[terms.nz]) - terms.margin, back)
+    return float(np.minimum.reduce(back))
 
 
 def _backward_moves(state: _PathState, xis, lam: float) -> list:

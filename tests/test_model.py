@@ -268,14 +268,21 @@ class TestStandardizer:
             feats = np.asfortranarray(feats)
         s = Standardizer.fit(feats)
         sd = feats.std(axis=0)
-        assert np.array_equal(s.mean, feats.mean(axis=0))
-        assert np.array_equal(s.scale, np.where(sd > 0, sd, 1.0))
+        # the constant column 0 takes its value and scale 1, which numpy's
+        # rounded mean and std need not give
+        assert s.mean[0] == 3.3 and s.scale[0] == 1.0
+        assert np.array_equal(s.mean[1:], feats.mean(axis=0)[1:])
+        assert np.array_equal(s.scale[1:], np.where(sd > 0, sd, 1.0)[1:])
 
     def test_constant_column_gets_unit_scale(self):
-        feats = np.array([[7.0], [7.0]])
-        s = Standardizer.fit(feats)
-        assert s.scale[0] == 1.0
-        assert s.apply(feats).tolist() == [[0.0], [0.0]]
+        # 3.3 in 64 or 240 rows sums to a mean a rounding off 3.3, whose
+        # deviations would leave a scale of 4e-16 or 9e-16 and map the
+        # column to a constant +-1
+        for value, n in ((7.0, 2), (3.3, 64), (3.3, 240)):
+            feats = np.full((n, 1), value)
+            s = Standardizer.fit(feats)
+            assert s.mean[0] == value and s.scale[0] == 1.0
+            assert s.apply(feats).tolist() == [[0.0]] * n
 
     def test_identity_is_a_no_op(self):
         s = Standardizer.identity(2)

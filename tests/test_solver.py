@@ -26,6 +26,7 @@ from frfselect.solver import (
     TERMINATED_LAMBDA_FLOOR,
     TERMINATED_MAX_ITERS,
     TERMINATED_NO_IMPROVING_STEP,
+    _HALF_SCAN_MIN,
     _PathState,
     _TaskTerms,
     _back_best,
@@ -527,13 +528,16 @@ def two_pass_scan(X, y, z, eps):
     return [np.log1p(np.exp(X * step) * e_sz).mean(axis=0) for step in (eps_s, -eps_s)]
 
 
-def kernel_case(seed):
+def kernel_case(seed, zero_line=False):
     """Task terms on a random shape, n up to 400 and p up to 200, whose
-    logits reach the clamp regime on every odd seed."""
+    logits reach the clamp regime on every odd seed; with ``zero_line`` the
+    first line is all zeros, as a constant line standardizes."""
     rng = np.random.default_rng(seed)
     n, p = int(rng.integers(2, 401)), int(rng.integers(1, 201))
     eps = (0.02, 0.3, 1.0)[seed % 3]
     X = rng.normal(size=(n, p)) * rng.uniform(0.1, 3.0, size=p)
+    if zero_line:
+        X[:, 0] = 0.0
     y = rng.integers(0, 2, size=n)
     y[:2] = 0, 1
     w = rng.normal(size=p) * (40.0 if seed % 2 else 0.3) / np.sqrt(p)
@@ -548,14 +552,23 @@ class TestKernelBits:
     def test_one_pass_scan_equals_two_pass_scan(self, seed):
         _, terms = kernel_case(seed)
         clamped, _ = terms.scan_clamped()
-        # the fused scan runs only clamp-free (the even seeds): there it is
-        # the table form bit for bit, and within its bound of the clamped scan
+        # the fused scan runs only clamp-free (the even seeds): there each
+        # scanned entry is the table form bit for bit, and within its bound
+        # of the clamped scan; a half-scan (a task at or over the gate)
+        # drops the other sign of each feature whose eg is beyond the margin
         assert terms.clamp_free == (seed % 2 == 0)
         if terms.clamp_free:
             losses, bound = terms.scan_fused(np.empty(2 * terms.X.size))
-            plus, minus = two_pass_scan(terms.X, terms.y, terms.z, terms.eps)
-            assert np.array_equal(losses[0], plus) and np.array_equal(losses[1], minus)
-            assert np.abs(losses - clamped).max() <= bound == terms.bound
+            scanned = np.isfinite(losses)
+            assert (terms.eg is not None) == (terms.X.size >= _HALF_SCAN_MIN)
+            if terms.eg is not None:
+                eg, margin = terms.eg, terms.margin
+                assert np.array_equal(~scanned, [eg > margin, eg < -margin])
+            else:
+                assert scanned.all()
+            want = np.array(two_pass_scan(terms.X, terms.y, terms.z, terms.eps))
+            assert np.array_equal(losses[scanned], want[scanned])
+            assert np.abs(losses - clamped)[scanned].max() <= bound == terms.bound
         else:
             assert terms.exp_sz is None
         z = terms.z[:, None]
@@ -618,10 +631,40 @@ class TestKernelBits:
         losses, bound = terms.scan_fused(np.empty(2 * terms.X.size))
         tangent = terms.loss + eps * np.array([grad, -grad])
         tol = 2.0 * bound + 1e-12
-        assert np.all(losses >= tangent - tol)
-        assert np.all(losses <= tangent + eps**2 / 8.0 * np.mean(terms.X**2, axis=0) + tol)
+        # a half-scan's dropped entries read inf: the bounds hold on the
+        # scanned ones
+        scanned = np.isfinite(losses)
+        assert np.all(losses[scanned] >= (tangent - tol)[scanned])
+        curvature = eps**2 / 8.0 * np.mean(terms.X**2, axis=0)
+        assert np.all(losses[scanned] <= (tangent + curvature + tol)[scanned])
         task_max = float(np.max(terms.signs * grad[terms.nz]))
         assert _back_best(losses, terms) >= terms.loss - eps * task_max - tol
+
+    # clamp-free cases, six of them below the half-scan's gate
+    @pytest.mark.parametrize("seed", range(0, 50, 2))
+    def test_half_scan_drops_only_moves_that_raise_the_loss(self, seed):
+        # by convexity a dropped move's clamped loss lies above the current
+        # loss by more than the bound, and above its tangent bound, which
+        # back_best reads for a dropped move toward zero; the zero line's
+        # moves leave the loss as it is, so both of its signs are scanned
+        _, terms = kernel_case(seed, zero_line=True)
+        assert terms.clamp_free
+        losses, bound = terms.scan_fused(np.empty(2 * terms.X.size))
+        clamped, _ = terms.scan_clamped()
+        dropped = ~np.isfinite(losses)
+        if terms.X.size < _HALF_SCAN_MIN:
+            assert terms.eg is None and not dropped.any()
+        else:
+            assert terms.eg[0] == 0.0 and not dropped[:, 0].any()
+            assert dropped.sum() >= terms.X.shape[1] - 1
+            assert np.all(clamped[dropped] > terms.loss + bound)
+        rows = (terms.signs > 0).view(np.int8)
+        toward_zero = clamped[rows, terms.nz]
+        assert _back_best(losses, terms) - bound <= toward_zero.min()
+        if terms.eg is not None:
+            tangent = terms.loss + np.abs(terms.eg[terms.nz]) - terms.margin
+            gone = dropped[rows, terms.nz]
+            assert gone.any() and np.all(tangent[gone] <= toward_zero[gone])
 
     @pytest.mark.parametrize("seed", range(30))
     def test_back_best_reads_the_moves_toward_zero(self, seed):

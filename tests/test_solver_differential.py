@@ -4,8 +4,9 @@ Every problem of a seeded corpus must give the same step sequence, the same
 termination reason and the same losses as the reference. The corpus is
 built to reach each regime of the solver: accepted backward steps, the
 clamp fallback on separable data, raw-scale inputs where the fused kernel
-never applies, and exact ties, with another move or with the current loss,
-that force a recheck with the clamped kernel.
+never applies, exact ties, with another move or with the current loss,
+that force a recheck with the clamped kernel, and tasks large enough to be
+half-scanned (the ``wide`` family, the only one at or over the gate).
 
 A ladder of tolerances per problem checks the shared path of ``fit_xis``
 against one ``fit`` per tolerance.
@@ -44,6 +45,8 @@ EPSILONS = (0.02, 0.05, 0.1, 0.3, 0.5, 1.0)
 
 def _problem(seed: int, family: str):
     """Tasks, config and ``standardize`` flag of one corpus problem."""
+    if family == "wide":
+        return _wide_problem(seed)
     rng = np.random.default_rng(seed)
     n_tasks = 1 + seed % 4
     n = int(rng.integers(20, 70))
@@ -92,15 +95,47 @@ def _problem(seed: int, family: str):
     return tasks, SolverConfig(eps, xi, max_iters=150), standardize
 
 
-# (family, seeds): 44 problems with 1-4 tasks and epsilon 0.02-1; the
+def _wide_problem(seed: int):
+    """A problem whose tasks are at or over the half-scan's size gate: 1-3
+    tasks of 100-160 samples and 82-100 lines. In each task line 2 copies
+    line 0, which ties their moves, and the last line is constant, so it
+    standardizes to zero and ``eg`` is exactly 0 there: both signs are
+    scanned. The last task of a joint problem, and the one task of an odd
+    seed, is separable, so its logits reach the clamp at the larger
+    epsilons."""
+    rng = np.random.default_rng(seed)
+    n_tasks = 1 + seed % 3
+    n, m = int(rng.integers(100, 161)), int(rng.integers(82, 101))
+    eps = (0.02, 0.1, 0.3, 1.0)[seed % 4]
+    beta = np.zeros(m)
+    beta[:8] = rng.normal(size=8)
+    tasks = []
+    for l in range(n_tasks):
+        X = rng.normal(size=(n, m))
+        X[:, 1] = X[:, 0] + 0.3 * rng.normal(size=n)
+        X[:, 2] = X[:, 0]
+        X[:, m - 1] = 3.3
+        z = X @ (beta + 0.3 * rng.normal(size=m) * (np.arange(m) < 8))
+        if l == n_tasks - 1 and (n_tasks > 1 or seed % 2):
+            y = (z > 0).astype(int)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        y[0], y[1] = 0, 1
+        tasks.append(TaskDataset(X, y, np.arange(1.0, m + 1.0), f"t{l}"))
+    return tasks, SolverConfig(eps, 1e-4, max_iters=150), True
+
+
+# (family, seeds): 50 problems with 1-4 tasks and epsilon 0.02-1; the
 # "shared" seeds include one (410) where two tolerances of the ladder below
-# pick different backward moves, which few problems do
+# pick different backward moves, which few problems do; the "wide" problems
+# are the only ones whose tasks are half-scanned
 CORPUS = [
     ("noisy", range(0, 16)),
     ("separable", range(100, 108)),
     ("raw", range(200, 210)),
     ("duplicate", range(300, 306)),
     ("shared", range(408, 412)),
+    ("wide", range(500, 506)),
 ]
 PROBLEMS = [(family, seed) for family, seeds in CORPUS for seed in seeds]
 
@@ -169,6 +204,16 @@ def test_corpus_reaches_every_regime(corpus_results):
         if family == "raw"
     )
     assert any(s.recheck_scans > 0 for s in stats.values())
+    # the wide tasks are half-scanned, and a separable one reaches the clamp
+    for family, seed in PROBLEMS:
+        tasks = _problem(seed, family)[0]
+        half = [t.features.size >= solver._HALF_SCAN_MIN for t in tasks]
+        assert all(half) if family == "wide" else not any(half)
+    assert any(
+        s.fused_scans > 0 and s.clamped_scans > 0
+        for (family, _), s in stats.items()
+        if family == "wide"
+    )
     assert sum(s.backward_exact for s in stats.values()) < sum(
         s.backward_candidates for s in stats.values()
     )
@@ -333,7 +378,7 @@ def test_kept_scans_equal_fresh_ones(monkeypatch):
     assert solo_kept > 1000 and seen["forks"] == 4 and seen["kept"] > solo_kept
 
 
-TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "nz", "signs", "comp", "exp_eps_x_max")
+TERM_NAMES = ("z", "loss", "reach", "exp_sz", "bound", "eg", "nz", "signs", "comp", "exp_eps_x_max")
 
 
 def test_kept_task_terms_equal_fresh_ones(monkeypatch):
@@ -390,13 +435,19 @@ def _fresh_offer(terms, buf):
     """A task's offer and ``back_best`` computed afresh, independently of
     ``solver._offer`` and ``solver._back_best``: the first lowest loss in
     flat order, its loss, the next in order, and the lowest loss of a move
-    toward zero."""
+    toward zero, scanned or at its tangent bound."""
     losses, _ = (
         _TaskTerms.scan_fused(terms, buf) if terms.clamp_free else _TaskTerms.scan_clamped(terms)
     )
     flat = losses.ravel()
     order = np.argsort(flat, kind="stable")
     toward_zero = losses[np.where(terms.signs > 0, 1, 0), terms.nz]
+    if terms.eg is not None:
+        # a move toward zero that the half-scan dropped counts at its tangent
+        # bound, loss + |eg_j| - margin
+        dropped = np.isinf(toward_zero)
+        tangent = terms.loss + np.abs(terms.eg[terms.nz]) - terms.margin
+        toward_zero[dropped] = tangent[dropped]
     back_best = float(toward_zero.min()) if toward_zero.size else np.inf
     return int(order[0]), float(flat[order[0]]), float(flat[order[1]]), back_best
 
