@@ -117,7 +117,8 @@ def window_split(n_features: int, n_windows: int) -> tuple[tuple[int, int], ...]
     windows carry the extra feature.
     """
     n_features = _check_int("n_features", n_features, 1)
-    if not 1 <= _check_int("n_windows", n_windows) <= n_features:
+    n_windows = _check_int("n_windows", n_windows)
+    if not 1 <= n_windows <= n_features:
         raise ValueError(f"n_windows must lie in 1..{n_features}, got {n_windows}")
     base, extra = divmod(n_features, n_windows)
     ranges = []

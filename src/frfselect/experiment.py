@@ -60,7 +60,7 @@ def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
     Indices of each class are shuffled and dealt round-robin, so per-fold
     class proportions match the full set within one sample.
     """
-    _check_int("n_samples", n_samples)
+    _check_int("n_samples", n_samples, 1)
     _check_int("k", k, 2)
     y = np.asarray(labels)
     if y.shape != (n_samples,):
@@ -109,9 +109,8 @@ class GridSpec:
             object.__setattr__(self, name, values)
         if not self.epsilons or not self.xis or not self.window_counts:
             raise ValueError("epsilons, xis and window_counts must be non-empty")
-        _check_int("folds", self.folds, 2)
-        _check_int("stage_windows", self.stage_windows, 1)
-        _check_int("seed", self.seed, 0)
+        for name, minimum in (("folds", 2), ("stage_windows", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         if self.strategy not in GRID_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -153,7 +152,7 @@ class ModelChoice:
     def __post_init__(self):
         if self.mode not in (MODE_INDEPENDENT, MODE_MTL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_int("n_windows", self.n_windows, 1)
+        object.__setattr__(self, "n_windows", _check_int("n_windows", self.n_windows, 1))
 
 
 def _window_fits(train_tasks, mode: str, n_windows: int, configs):

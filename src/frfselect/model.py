@@ -271,6 +271,8 @@ class Standardizer:
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         feats = np.asarray(features, dtype=float)
+        if feats.ndim != 2 or not feats.shape[0]:
+            raise ValueError(f"features must be 2-D with at least one row, got shape {feats.shape}")
         # the sums and divisions of .mean() and .std(), the mean taken once
         n = feats.shape[0]
         # a constant column's mean is its own value, not a rounded sum: scale 1

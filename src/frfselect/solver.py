@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from .model import (
+    PROB_CLAMP,
     Standardizer,
     WeightMatrix,
     _check_int,
@@ -86,14 +87,15 @@ class SolverConfig:
     lambda_floor: float = 0.0
 
     def __post_init__(self):
-        _check_real("epsilon", self.epsilon, above=0)
-        _check_real("xi", self.xi, above=0)
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, above=0))
+        object.__setattr__(self, "xi", _check_real("xi", self.xi, above=0))
         if not self.epsilon > self.xi:
             raise ValueError(
                 f"step size epsilon ({self.epsilon}) must exceed tolerance xi ({self.xi})"
             )
-        _check_int("max_iters", self.max_iters, 1)
-        _check_real("lambda_floor", self.lambda_floor, at_least=0)
+        object.__setattr__(self, "max_iters", _check_int("max_iters", self.max_iters, 1))
+        lambda_floor = _check_real("lambda_floor", self.lambda_floor, at_least=0)
+        object.__setattr__(self, "lambda_floor", lambda_floor)
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,9 @@ class FitStats:
     backward_candidates : nonzero coordinates offered a backward move, summed
         over all backward scans.
     backward_exact : of those, the ones whose loss was evaluated exactly:
-        every nonzero weight of each task whose screening bound passes (read
-        from the task's kept losses when it is unchanged since they were
-        evaluated); that bound rules out the rest.
+        every nonzero weight of each task, in either regime, whose screening
+        bound passes (read from the task's kept losses when it is unchanged
+        since they were evaluated); that bound rules out the rest.
     fused_scans : runs of the fused kernel: a forward scan of one task whose
         logits stay clamp-free, run the first time the backward screen or a
         forward search reads the task since a step last touched it.
@@ -175,9 +177,10 @@ class FitResult:
 
 
 # Below this logit magnitude expit stays inside [PROB_CLAMP, 1 - PROB_CLAMP]
-# (-log(PROB_CLAMP) = 27.63): the clamp is inactive, the loss is convex and
-# the fused kernel's exp() terms stay below e**27.
+# (-log(PROB_CLAMP) = 27.63, the largest clamped loss of one sample): the
+# clamp is inactive, the loss is convex and exp() terms stay below e**27.
 _CLAMP_FREE_REACH = 27.0
+_CLAMP_LOSS = -float(np.log(PROB_CLAMP))
 # Clamp-free tasks of this many elements (samples x features) or more are half-scanned.
 _HALF_SCAN_MIN = 8192
 # A task whose backward screening bound comes this close to xi is evaluated
@@ -218,8 +221,8 @@ class _TaskTerms:
     def update(self, w):
         """Recompute every term from scratch for the weight column ``w``.
 
-        In the clamp regime there is no fused scan and the error bound is
-        infinite. ``eg = eps * X.T @ (p - y) / n`` is None unless half-scanned.
+        In the clamp regime there is no fused scan, and ``bound`` caps ``reach``
+        at the clamp (README). ``eg = eps * X.T @ (p - y) / n`` is None unless half-scanned.
         """
         n = self.X.shape[0]
         self.z = self.X @ w
@@ -239,7 +242,7 @@ class _TaskTerms:
             half = self.X.size >= _HALF_SCAN_MIN
             self.eg = self.X.T @ (prob - self.y) * (self.eps / n) if half else None
         else:
-            self.exp_sz, self.bound, self.eg = None, np.inf, None
+            self.exp_sz, self.bound, self.eg = None, _ULP * 2.0 * n * (_CLAMP_LOSS + 1.0), None
         # the nonzero weights' index and signs
         self.nz = w.nonzero()[0]
         self.signs = np.sign(w[self.nz])
@@ -352,8 +355,8 @@ class _PathState:
         at level ``lam``, read from its forward scan (``scan``): ``empirical
         - (others[l] + back_best - bound) / L + lam * eps``, widened by a few
         ulp of ``empirical`` and of ``lam`` times the penalty (derived in
-        README); -inf for a task without a nonzero weight, inf for one in the
-        clamp regime, whose moves are all evaluated exactly.
+        README), with ``bound`` the task's ``_TaskTerms.bound``; -inf for a
+        task without a nonzero weight.
         """
         L, eps, emp, others = len(self.tasks), self.eps, self.empirical, self.others
         lam_eps = lam * eps
@@ -362,11 +365,8 @@ class _PathState:
         for l, terms in enumerate(self.tasks):
             if not terms.nz.size:
                 bounds.append(-np.inf)
-            elif not terms.clamp_free:
-                bounds.append(np.inf)
             else:
-                scan = self.scan(l)
-                bound = emp - (others[l] + scan[5] - scan[1]) / L + lam_eps
+                bound = emp - (others[l] + self.scan(l)[5] - terms.bound) / L + lam_eps
                 bounds.append(bound + 2.0 * _ULP * abs(bound) + margin)
         return bounds
 

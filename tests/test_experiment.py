@@ -28,10 +28,12 @@ from frfselect import (
     synth_population,
     transfer_evaluate,
     window_split,
+    write_report_bundle,
 )
 from frfselect import experiment
 from frfselect.experiment import MODE_INDEPENDENT, MODE_MTL, GridRow, _select_best
 from frfselect.model import Standardizer
+from tables import load_delimited_table
 
 
 def balanced_labels(n):
@@ -89,6 +91,10 @@ class TestKfoldSplit:
             kfold_split(10, np.zeros(10, int), 2, seed=0)
         with pytest.raises(ValueError):
             kfold_split(8, labels, 2, seed=0)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="^n_samples must be at least 1, got 0$"):
+            kfold_split(0, [], 2, 0)
 
     def test_rejects_more_folds_than_the_larger_class(self, tiny_task):
         # each class is dealt from fold 0: a third fold of two samples per
@@ -281,6 +287,14 @@ class TestGridSearch:
         assert len(points) == len(set(points))
         assert any(r.stage == "refine" and r.epsilon == 0.3 for r in out.table)
 
+    def test_staged_best_window_count_is_a_python_int(self):
+        pop = small_population()
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(2,), folds=2,
+                        stage_windows=np.int64(2), strategy="staged")
+        assert type(grid.stage_windows) is int
+        best = grid_search(pop.tasks, grid, "independent", max_iters=20).best
+        assert best.n_windows == 2 and type(best.n_windows) is int
+
     def test_refine_respects_epsilon_floor(self):
         pop = small_population()
         grid = GridSpec(
@@ -391,17 +405,18 @@ class TestGridGlue:
 
     # per-field sums over the grid's distinct paths, recorded before the
     # screening terms moved onto the path state (backward_exact re-pinned
-    # when the backward screen came to read the kept scans, and fused_scans
-    # and clamped_scans counting kernel runs since); a drift in what
-    # grid-style paths screen, scan or recheck shows here
+    # when the backward screen came to read the kept scans and again when it
+    # came to screen clamp-regime tasks, and fused_scans and clamped_scans
+    # counting kernel runs since); a drift in what grid-style paths screen,
+    # scan or recheck shows here
     @pytest.mark.parametrize(
         "mode,sums",
         [
             (MODE_INDEPENDENT, dict(forward_steps=3161, backward_steps=12,
-                                    backward_candidates=38427, backward_exact=5488,
+                                    backward_candidates=38427, backward_exact=197,
                                     fused_scans=2877, clamped_scans=306, recheck_scans=0)),
             (MODE_MTL, dict(forward_steps=1674, backward_steps=6, backward_candidates=25581,
-                            backward_exact=206, fused_scans=1716, clamped_scans=6,
+                            backward_exact=103, fused_scans=1716, clamped_scans=6,
                             recheck_scans=0)),
         ],
     )
@@ -426,6 +441,25 @@ class TestRunComparison:
         ranges = window_split(48, 2)
         for r in report.rows:
             assert (r.window_start, r.window_stop) == ranges[r.window]
+
+    def test_numpy_window_count_writes_a_report_bundle(self, tmp_path):
+        # the checked Python int is stored, so the window bounds are ints
+        pop = small_population()
+        choices = self.choices(n_windows=np.int64(2), max_iters=20)
+        assert type(choices[0].n_windows) is int
+        report = run_comparison(pop.tasks, pop.test_tasks, choices)
+        assert all(type(r.window_stop) is int for r in report.rows)
+        write_report_bundle(report, {}, tmp_path)
+
+    def test_integer_epsilon_writes_as_a_float(self, tmp_path):
+        pop = small_population()
+        summaries = []
+        for eps in (1, 1.0):
+            choices = [ModelChoice("mtl", SolverConfig(eps, 0.01, max_iters=20), 1)]
+            report = run_comparison(pop.tasks, pop.test_tasks, choices)
+            summaries.append(write_report_bundle(report, {}, tmp_path / str(eps))["summary"])
+        assert summaries[0].read_bytes() == summaries[1].read_bytes()
+        assert load_delimited_table(summaries[0])[0]["epsilon"] == "1.0"
 
     def test_separable_population_scores_perfectly_somewhere(self):
         pop = small_population()

@@ -284,6 +284,13 @@ class TestStandardizer:
             assert s.mean[0] == value and s.scale[0] == 1.0
             assert s.apply(feats).tolist() == [[0.0]] * n
 
+    @pytest.mark.parametrize("features", [np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+    def test_fit_rejects_no_rows_or_not_2d(self, features):
+        # one error about the rows, before any numpy warning (tests run
+        # with warnings as errors)
+        with pytest.raises(ValueError, match="^features must be 2-D with at least one row"):
+            Standardizer.fit(features)
+
     def test_identity_is_a_no_op(self):
         s = Standardizer.identity(2)
         feats = np.array([[1.0, -2.0]])
@@ -323,10 +330,14 @@ def test_integer_settings_accept_numpy_integers(tiny_task):
         kfold_split, monte_carlo_expand, spectrum_to_datasets, transfer_evaluate, window_split,
     )
 
-    assert SolverConfig(0.3, 0.01, max_iters=np.int64(3)).max_iters == 3
+    # each stores the Python int its check returns
+    max_iters = SolverConfig(0.3, 0.01, max_iters=np.int64(3)).max_iters
+    assert max_iters == 3 and type(max_iters) is int
     grid = GridSpec(window_counts=(np.int32(2),), folds=np.int64(3), stage_windows=np.int64(2),
                     seed=np.int64(4))
     assert grid.window_counts == (2,) and type(grid.window_counts[0]) is int
+    assert (grid.folds, grid.stage_windows, grid.seed) == (3, 2, 4)
+    assert {type(grid.folds), type(grid.stage_windows), type(grid.seed)} == {int}
     assert ModelChoice("mtl", SolverConfig(0.3, 0.01), np.int64(2)).n_windows == 2
     assert SpectrumLine(1.0, 1.0, 0.9, n_avg=np.int16(4)).n_avg == 4
     assert len(kfold_split(np.int64(4), [0, 1, 0, 1], np.int64(2), 0)) == 2
@@ -334,7 +345,8 @@ def test_integer_settings_accept_numpy_integers(tiny_task):
     assert transfer_evaluate(res, np.int64(0), tiny_task) == transfer_evaluate(res, 0, tiny_task)
     lines = [SpectrumLine(1.0, 1.0, 0.9), SpectrumLine(2.0, 0.5, 0.9)]
     assert monte_carlo_expand(lines, np.int64(10), np.int32(3), 0).shape == (3, 2)
-    assert window_split(np.int64(5), np.int64(2)) == ((0, 3), (3, 5))
+    windows = window_split(np.int64(5), np.int64(2))
+    assert windows == ((0, 3), (3, 5)) and {type(b) for w in windows for b in w} == {int}
     train, test = spectrum_to_datasets(
         lines, lines, n_train_per_class=np.int64(2), n_test_per_class=np.int64(1),
         seed=0, task_id="t", n_intermediate=np.int64(10),

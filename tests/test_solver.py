@@ -20,7 +20,13 @@ from frfselect import (
     forward_step,
     validate_trace,
 )
-from frfselect.model import _nll_from_probs, empirical_loss_mtl, empirical_loss_single, l21_norm
+from frfselect.model import (
+    PROB_CLAMP,
+    _nll_from_probs,
+    empirical_loss_mtl,
+    empirical_loss_single,
+    l21_norm,
+)
 from frfselect.solver import (
     StepRecord,
     TERMINATED_LAMBDA_FLOOR,
@@ -474,7 +480,7 @@ class TestFitStats:
         "family,seed,counts",
         [
             (None, 0, (52, 4, 624, 104, 59, 0, 0)),
-            ("separable", 103, (119, 4, 1827, 615, 124, 3, 0)),
+            ("separable", 103, (119, 4, 1827, 565, 124, 3, 0)),
             ("duplicate", 302, (148, 2, 1824, 843, 152, 0, 78)),
         ],
     )
@@ -621,10 +627,13 @@ class TestKernelBits:
         # the kept loss and residual and that tangent plus eps**2/8 * mean(x**2):
         # the scanned losses the backward screen reads are never looser than
         # the first-order bound eps * max(sign(w_j) * g_j). In the clamp
-        # regime the loss is not convex and no bound is formed.
+        # regime the loss is not convex, there is no fused scan, and the
+        # bound is the sum term with reach capped at the clamp.
         _, terms = kernel_case(seed)
         if not terms.clamp_free:
-            assert terms.exp_sz is None and terms.bound == np.inf
+            n = terms.z.shape[0]
+            clamp_bound = np.finfo(float).eps * 2.0 * n * (1.0 - np.log(PROB_CLAMP))
+            assert terms.exp_sz is None and terms.bound == clamp_bound
             return
         n, eps = terms.z.shape[0], terms.eps
         grad = terms.X.T @ (expit(terms.z) - terms.y) / n
@@ -665,6 +674,26 @@ class TestKernelBits:
             tangent = terms.loss + np.abs(terms.eg[terms.nz]) - terms.margin
             gone = dropped[rows, terms.nz]
             assert gone.any() and np.all(tangent[gone] <= toward_zero[gone])
+
+    def test_clamped_subsets_lie_within_the_bound_of_the_whole_scan(self):
+        # in the clamp regime (the odd seeds) the backward screen reads the
+        # whole clamped scan and the backward moves are evaluated on a column
+        # subset, which sums each column in another order: the two differ by
+        # rounding only, within the task's bound, and a zero bound would not do
+        differ = 0
+        for seed in range(1, 30, 2):
+            rng, terms = kernel_case(seed)
+            assert not terms.clamp_free and terms.bound > 0
+            clamped, _ = terms.scan_clamped()
+            p = terms.X.shape[1]
+            for _ in range(50):
+                idx = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+                signs = rng.choice([-1.0, 1.0], size=idx.size)
+                rows = (signs < 0).view(np.int8)
+                gap = np.abs(terms.moved_losses(idx, signs) - clamped[rows, idx])
+                assert gap.max() <= terms.bound
+                differ += bool(gap.max() > 0)
+        assert differ > 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_back_best_reads_the_moves_toward_zero(self, seed):

@@ -16,9 +16,12 @@ profile in ``conftest.py``) adds small problems with the same hard cases:
 duplicated, constant and power-of-two-scaled columns, separable tasks and
 raw-scale inputs, each with its own ladder, against the reference directly.
 
-The corpus also runs in a subprocess with numpy's AVX-512 kernels switched
-off, where ``exp`` and ``log1p`` round differently, and must take the same
-steps there.
+The paper cell (``paper_cell.py``), clamp-regime tasks of 240 samples on
+long paths, must take the steps recorded in ``cell_golden/steps.json``.
+
+The corpus and the cell also run in a subprocess with numpy's AVX-512
+kernels switched off, where ``exp`` and ``log1p`` round differently, and
+must take the same steps there.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import paper_cell
 import pytest
 import reference_solver
 from hypothesis import given, settings
@@ -248,6 +252,24 @@ def _corpus_runs():
     return json.loads(json.dumps([[_codes(r), r.trace.terminated_by] for r in runs]))
 
 
+CELL_GOLDEN = Path(__file__).resolve().parent / "cell_golden" / "steps.json"
+
+
+def _cell_digests():
+    """The paper cell's step digests at the golden's epsilon (``paper_cell``)."""
+    fits = paper_cell.cell_fits(paper_cell.cell_tasks(), [paper_cell.GOLDEN_EPSILON])
+    stats = [res.stats for res in fits.values()]
+    # the golden covers clamp-regime scans and backward steps
+    assert any(s.clamped_scans for s in stats) and any(s.backward_steps for s in stats)
+    return paper_cell.step_digests(fits)
+
+
+def test_paper_cell_steps_match_the_golden():
+    """Each fit of the paper cell at epsilon 1.0, both modes, xi 0.1, 0.01 and
+    0.001, takes the recorded steps and stops for the recorded reason."""
+    assert _cell_digests() == json.loads(CELL_GOLDEN.read_text())
+
+
 def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH):
     """The JSON that ``script`` prints, run in a subprocess without the numpy
     dispatch targets ``disabled`` (by default the AVX-512 ones) and with
@@ -263,16 +285,17 @@ def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH):
 
 @pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 target")
 def test_step_sequences_hold_without_avx512():
-    """The corpus takes the same steps when numpy runs its AVX2 kernels: the
-    last bits of exp and log1p move, the moves must not."""
+    """The corpus and the paper cell take the same steps when numpy runs its
+    AVX2 kernels: the last bits of exp and log1p move, the moves must not."""
     script = (
         "import json, sys\n"
-        "from test_solver_differential import _corpus_runs, _dispatches_avx512\n"
-        "json.dump([_dispatches_avx512(), _corpus_runs()], sys.stdout)\n"
+        "from test_solver_differential import _cell_digests, _corpus_runs, _dispatches_avx512\n"
+        "json.dump([_dispatches_avx512(), _corpus_runs(), _cell_digests()], sys.stdout)\n"
     )
-    avx512, runs = run_reduced_dispatch(script)
+    avx512, runs, cell = run_reduced_dispatch(script)
     assert not avx512
     assert runs == _corpus_runs()
+    assert cell == json.loads(CELL_GOLDEN.read_text())
 
 
 
@@ -605,10 +628,10 @@ def test_corpus_settles_searches_by_offers_and_by_one_rescan(monkeypatch):
 
 
 def test_task_screen_bounds_every_backward_gain(monkeypatch):
-    """At every backward decision of the corpus and the ladders, each
-    clamp-free task's screening bound is at least the exact gain of each of
-    its backward moves, and a task it settles has no move that qualifies at
-    the smallest tolerance."""
+    """At every backward decision of the corpus and the ladders, each task's
+    screening bound, clamp-free or in the clamp regime, is at least the exact
+    gain of each of its backward moves, and a task it settles has no move
+    that qualifies at the smallest tolerance."""
     real_moves = solver._backward_moves
     seen = Counter()
 
@@ -622,7 +645,7 @@ def test_task_screen_bounds_every_backward_gain(monkeypatch):
         L, xi_min = len(state.tasks), min(xis)
         total_before = state.empirical + lam * state.penalty
         for l, (terms, bound) in enumerate(zip(state.tasks, bounds)):
-            if not terms.clamp_free or not terms.nz.size:
+            if not terms.nz.size:
                 continue
             idx = terms.nz
             pen_after = state.penalty_after(idx, l, state.W[idx, l] - state.eps * terms.signs)
@@ -634,6 +657,7 @@ def test_task_screen_bounds_every_backward_gain(monkeypatch):
             if bound <= xi_min - solver._SCREEN_SLACK:
                 assert not np.any(gain > xi_min)
                 seen["settled"] += 1
+                seen["settled in the clamp regime"] += not terms.clamp_free
             else:
                 seen["evaluated"] += 1
                 seen["qualifying"] += bool(np.any(gain > xi_min))
@@ -649,6 +673,7 @@ def test_task_screen_bounds_every_backward_gain(monkeypatch):
             fit_xis(tasks, configs, standardize=standardize)
     assert seen["moves"] > 10_000 and seen["settled"] > 2 * seen["evaluated"]
     assert seen["qualifying"] > 0 and seen["tight"] > 0
+    assert seen["settled in the clamp regime"] > 0
 
 
 def test_backward_screen_evaluates_the_flagged_tasks(monkeypatch):
