@@ -56,10 +56,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", required=True, help="YAML run configuration")
     common.add_argument("--out", default=None, help="output directory (overrides config)")
     common.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for grid points (overrides config)",
-    )
 
     parser = _Parser(prog="frfselect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -132,28 +128,20 @@ def _materialize(cfg: ExperimentConfig, *, unseen_file: bool = False):
     return train, test, unseen
 
 
-def _check_at_most(name: str, values, limit: int, what: str) -> None:
-    for v in values:
-        if v > limit:
-            raise ConfigError(f"{name}: {v} exceeds the {limit} {what}")
-
-
 def _require_tests(test_tasks):
     if any(t is None for t in test_tasks):
         raise ConfigError("every task needs a test set for this command")
     return test_tasks
 
 
-def _choices(cfg: ExperimentConfig, modes, train) -> list[ModelChoice]:
-    n_windows = cfg.echo["n_windows"]
-    _check_at_most("n_windows", [n_windows], train[0].n_features, "feature lines")
-    return [ModelChoice(mode, cfg.solver, n_windows) for mode in modes]
+def _choices(cfg: ExperimentConfig, modes) -> list[ModelChoice]:
+    return [ModelChoice(mode, cfg.solver, cfg.echo["n_windows"]) for mode in modes]
 
 
 def _run_eval(cfg: ExperimentConfig, modes) -> int:
     train, test, _ = _materialize(cfg)
     report = run_comparison(
-        train, _require_tests(test), _choices(cfg, modes, train),
+        train, _require_tests(test), _choices(cfg, modes),
         include_traces=cfg.echo["include_traces"],
     )
     paths = write_report_bundle(report, cfg.echo, cfg.echo["output_dir"])
@@ -194,29 +182,15 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
     if cfg.grid is None:
         raise ConfigError("grid section is required for the grid command")
     train, _, _ = _materialize(cfg)
-    n_feat = train[0].n_features
-    _check_at_most("grid.window_counts", cfg.grid.window_counts, n_feat, "feature lines")
-    if cfg.grid.strategy == "staged":
-        _check_at_most("grid.stage_windows", [cfg.grid.stage_windows], n_feat, "feature lines")
-    # folds are dealt per class from fold 0, so folds beyond a task's smaller
-    # class validate on one class only; a one-class task fails later (exit 2)
-    for t in train:
-        n_minor = int(np.bincount(t.labels, minlength=2).min())
-        if n_minor:
-            _check_at_most("grid.folds", [cfg.grid.folds], n_minor,
-                           f"samples of the smaller class of task {t.task_id!r}")
     out = Path(cfg.echo["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     results = {}
     for mode in cfg.echo["modes"]:
-        result = grid_search(
-            train,
-            cfg.grid,
-            mode,
-            max_iters=cfg.solver.max_iters,
-            lambda_floor=cfg.solver.lambda_floor,
-            threads=cfg.echo["threads"],
-        )
+        try:
+            result = grid_search(train, cfg.grid, mode, max_iters=cfg.solver.max_iters,
+                                 lambda_floor=cfg.solver.lambda_floor)
+        except ConfigError as exc:  # a grid setting that does not fit the data
+            raise ConfigError(f"grid.{exc}") from None
+        out.mkdir(parents=True, exist_ok=True)  # once the search has checked the settings
         table_path = out / f"grid_{mode}.csv"
         write_grid_table(result.table, table_path)
         best = result.best
@@ -238,7 +212,7 @@ def cmd_transfer(cfg: ExperimentConfig) -> int:
     train, _, unseen = _materialize(cfg, unseen_file=True)
     if unseen is None:
         raise ConfigError("transfer: no unseen task available")
-    rows = run_transfer(train, unseen, _choices(cfg, cfg.echo["modes"], train))
+    rows = run_transfer(train, unseen, _choices(cfg, cfg.echo["modes"]))
     json_path = write_bundle(
         cfg.echo["output_dir"], "transfer.json", cfg.echo,
         unseen_task=unseen.task_id, rows=[dataclasses.asdict(r) for r in rows],
@@ -272,12 +246,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        cfg = load_config(
-            args.config,
-            seed_override=args.seed,
-            out_override=args.out,
-            threads_override=args.threads,
-        )
+        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
         return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)

@@ -29,10 +29,10 @@ from .experiment import (
     GridRow,
     GridSpec,
     TransferRow,
-    grid_search,
     run_comparison,
 )
 from .model import (
+    ConfigError,
     TaskDataset,
     _check_int,
     _check_real,
@@ -57,10 +57,6 @@ __all__ = [
 
 class DatasetFormatError(ValueError):
     """A dataset file deviates from the expected delimited layout."""
-
-
-class ConfigError(ValueError):
-    """A run configuration is structurally invalid or references missing files."""
 
 
 def save_dataset(data: TaskDataset, path) -> None:
@@ -214,7 +210,7 @@ _ECHOED_SEED = _Key("seed", int, None)
 _SCHEMA = (
     _Key("seed", int, minimum=0),
     _Key("output_dir", Path, "out"),
-    _Key("threads", int, grid_search.__kwdefaults__["threads"], minimum=1),
+    _Key("threads", int, 1, minimum=1),  # validated and echoed, read by nothing
     _Key("include_traces", bool, run_comparison.__kwdefaults__["include_traces"]),
     _Key("solver", (
         _Key("epsilon", float),
@@ -393,7 +389,6 @@ def load_config(
     *,
     seed_override: int | None = None,
     out_override=None,
-    threads_override: int | None = None,
 ) -> ExperimentConfig:
     """Load and validate a YAML run configuration.
 
@@ -414,7 +409,7 @@ def load_config(
         raise ConfigError(f"{cfg_path}: invalid YAML: {_yaml_problem(exc)}") from None
     _require(isinstance(raw, dict), "config must be a mapping")
     file_seed = raw.get("seed")
-    overrides = {"seed": seed_override, "output_dir": out_override, "threads": threads_override}
+    overrides = {"seed": seed_override, "output_dir": out_override}
     raw.update((k, v) for k, v in overrides.items() if v is not None)
     tree = _walk_mapping(_SCHEMA, raw, "", cfg_path.parent)
 

@@ -13,7 +13,6 @@ one shared solver path per fit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ from scipy.special import expit
 
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import Standardizer, TaskDataset, _check_int, _check_real, standardized_copy
+from .model import (ConfigError, Standardizer, TaskDataset, _check_int, _check_real,
+                    standardized_copy)
 from .solver import (
     DegenerateLabelsError,
     FitResult,
@@ -175,6 +175,13 @@ def _window_fits(train_tasks, mode: str, n_windows: int, configs):
         yield wi, start, stop, fits
 
 
+def _check_windows(name: str, counts, n_features: int) -> None:
+    """``ConfigError`` for a window count above the feature lines."""
+    for w in counts:
+        if w > n_features:
+            raise ConfigError(f"{name}: {w} exceeds the {n_features} feature lines")
+
+
 def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
     """Validated choices for a run of every choice over ``train_tasks``.
 
@@ -192,6 +199,7 @@ def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
         raise ValueError("at least one ModelChoice is required")
     if len({c.mode for c in choices}) != len(choices):
         raise ValueError("duplicate modes in choices")
+    _check_windows("n_windows", [c.n_windows for c in choices], train_tasks[0].n_features)
     for task, train in scored:
         if not np.array_equal(task.feature_freqs, train.feature_freqs):
             raise ValueError(
@@ -250,7 +258,6 @@ def grid_search(
     *,
     max_iters: int = SolverConfig.max_iters,
     lambda_floor: float = SolverConfig.lambda_floor,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Cross-validated hyperparameter search.
 
@@ -260,30 +267,35 @@ def grid_search(
     then the ``grid.refine_epsilons`` list at the winning window count.
     The returned best row maximizes mean validation F1 over the whole
     table; ties prefer higher mean Gini, then smaller epsilon.
+
+    Before the first fit, a window count above the feature lines and
+    ``grid.folds`` above a task's smaller class raise ``ConfigError``; a
+    task of one class raises ``DegenerateLabelsError``.
     """
     train_tasks = tuple(train_tasks)
     if not train_tasks:
         raise ValueError("grid_search requires at least one task")
-    _check_int("threads", threads, 1)
     if mode not in (MODE_INDEPENDENT, MODE_MTL):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = grid.pairs()
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
 
+    _check_windows("window_counts", grid.window_counts, train_tasks[0].n_features)
+    if grid.strategy == "staged":
+        _check_windows("stage_windows", [grid.stage_windows], train_tasks[0].n_features)
     # a fold past a task's smaller class validates on one class, and with one
     # sample of that class the fold's training rest holds the other alone
-    for t in train_tasks:
-        smaller = min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0))
-        if not smaller:
+    smaller = [min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0)) for t in train_tasks]
+    for t, n in zip(train_tasks, smaller):
+        if 0 < n < grid.folds:
+            raise ConfigError(f"folds: {grid.folds} exceeds the {n} samples of the smaller class "
+                              f"of task {t.task_id!r}")
+    for t, n in zip(train_tasks, smaller):
+        if not n:
             raise DegenerateLabelsError(
                 f"task {t.task_id!r} contains a single class; both classes must be present "
                 "to stratify"
-            )
-        if grid.folds > smaller:
-            raise ValueError(
-                f"folds={grid.folds} exceeds the {smaller} samples of the smaller class "
-                f"of task {t.task_id!r}"
             )
     folds_per_task = [
         kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
@@ -310,20 +322,10 @@ def grid_search(
         for e, x, w in todo:
             groups.setdefault((e, w), []).append(x)
 
-        def score(group):
-            (e, w), xis = group
-            limits = dict(max_iters=max_iters, lambda_floor=lambda_floor)
-            return _scores(folds, mode, w, [SolverConfig(e, x, **limits) for x in xis])
-
-        items = list(groups.items())
-        if threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(score, items))
-        else:
-            results = [score(g) for g in items]
         scores = {}
-        for ((e, w), xis), group_scores in zip(items, results):
-            for x, point_scores in zip(xis, group_scores):
+        for (e, w), xis in groups.items():
+            configs = [SolverConfig(e, x, max_iters=max_iters, lambda_floor=lambda_floor) for x in xis]
+            for x, point_scores in zip(xis, _scores(folds, mode, w, configs)):
                 scores[e, x, w] = point_scores
         for point in todo:
             evaluated.add(point)

@@ -30,6 +30,10 @@ __all__ = [
 PROB_CLAMP = 1e-12
 
 
+class ConfigError(ValueError):
+    """Run settings that are invalid, in themselves or for the data they run on."""
+
+
 def _check_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int of at least ``minimum``. numpy integers pass; bools,
     floats and other non-integers raise ValueError instead of being truncated."""
@@ -85,11 +89,12 @@ def _write_table(path, header, rows) -> None:
 def _table_lines(path, error):
     """The header's cells and the ``(1-based line number, text)`` of each
     non-blank row after it. Raises ``error`` for a file that is not UTF-8
-    text or is empty. Lines end at ``\n`` alone: reading maps ``\r\n`` and
-    ``\r`` to it, and ``str.splitlines`` would also break inside a cell at
-    characters such as ``\x1c`` or ``\u2028``."""
+    text or is empty. One leading byte-order mark is dropped. Lines end at
+    ``\n`` alone: reading maps ``\r\n`` and ``\r`` to it, and
+    ``str.splitlines`` would also break inside a cell at characters such as
+    ``\x1c`` or ``\u2028``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not text:

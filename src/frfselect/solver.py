@@ -145,8 +145,7 @@ class FitStats:
         over all backward scans.
     backward_exact : of those, the ones whose loss was evaluated exactly:
         every nonzero weight of each task, in either regime, whose screening
-        bound passes (read from the task's kept losses when it is unchanged
-        since they were evaluated); that bound rules out the rest.
+        bound passes; that bound rules out the rest.
     fused_scans : runs of the fused kernel: a forward scan of one task whose
         logits stay clamp-free, run the first time the backward screen or a
         forward search reads the task since a step last touched it.
@@ -193,7 +192,7 @@ class _TaskTerms:
     """One task's data and every solver term that depends on its weight
     column alone: logits, loss, the forward scan's per-sample factor and
     error bound, the nonzero weights' index and signs, and the forward scan
-    and backward losses kept at this column once they are evaluated.
+    kept at this column once it is evaluated.
 
     ``update`` replaces these arrays and never writes into them, so a fork's
     shallow copy shares them until one side steps the task. The fused
@@ -231,7 +230,6 @@ class _TaskTerms:
         prob = expit(self.z)
         self.loss = float(_nll_from_probs(prob, self.y, self.comp, not self.clamp_free))
         self.last_scan = None  # the forward scan at this w, its offer and back_best (_PathState)
-        self.back_losses = None  # the backward moves' losses at this w (_backward_moves)
         if self.clamp_free:
             # exp(s * z), the fused kernel's per-sample factor, below e**27
             self.exp_sz = np.exp(self.s * self.z)
@@ -515,9 +513,7 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list:
         idx = terms.nz
         pen_after = state.penalty_after(idx, l, state.W[idx, l] - state.eps * terms.signs)
         state.tally["backward_exact"] += idx.size
-        if terms.back_losses is None:
-            terms.back_losses = terms.moved_losses(idx, -terms.signs)
-        emp_after = (state.others[l] + terms.back_losses) / L
+        emp_after = (state.others[l] + terms.moved_losses(idx, -terms.signs)) / L
         total_after = emp_after + lam * pen_after
         gain = total_before - total_after
         for a in (gain > xi_min).nonzero()[0]:

@@ -129,17 +129,15 @@ class TestGrid:
         printed = capsys.readouterr().out
         assert printed.count("best:") == 2
 
-    def test_threads_flag_keeps_results(self, config, tmp_path):
-        # the echoed config records the thread count, so compare results only
+    def test_threads_flag_is_a_usage_error(self, config, tmp_path, capsys):
+        # the grid runs serially; the config's threads key is only echoed
         out = tmp_path / "out"
-        assert main(["grid", "--config", str(config)]) == 0
-        single = json.loads((out / "grid.json").read_text())["results"]
-        tables = {m: (out / f"grid_{m}.csv").read_bytes() for m in single}
-        assert main(["grid", "--config", str(config), "--threads", "4"]) == 0
-        threaded = json.loads((out / "grid.json").read_text())["results"]
-        assert threaded == single
-        for m, blob in tables.items():
-            assert (out / f"grid_{m}.csv").read_bytes() == blob
+        assert main(["grid", "--config", str(config), "--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: frfselect ")
+        assert captured.err.endswith("error: unrecognized arguments: --threads 2\n")
+        assert not out.exists()
 
     def test_grid_section_required(self, config, capsys):
         text = "\n".join(
@@ -528,12 +526,13 @@ class TestDataDependentChecks:
             ("grid", "folds: 2", "folds: 17", "grid.folds: 17 exceeds the 16 samples"),
         ],
     )
-    def test_exits_1(self, config, command, old, new, message, capsys):
+    def test_exits_1(self, config, tmp_path, command, old, new, message, capsys):
         text = config.read_text()
         assert old in text
         config.write_text(text.replace(old, new, 1))
         assert main([command, "--config", str(config)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def unbalanced_grid_config(tmp_path, labels, folds):

@@ -15,12 +15,16 @@ from frfselect import (
     DatasetFormatError,
     EvaluationReport,
     SolverConfig,
+    SpectrumFormatError,
+    SpectrumLine,
     TaskDataset,
     fit,
     load_config,
     load_dataset,
+    load_spectrum,
     save_dataset,
     write_report_bundle,
+    write_spectrum,
 )
 from frfselect import dataio
 from frfselect.experiment import ActiveFeature, ReportRow
@@ -181,6 +185,31 @@ class TestDatasetErrors:
         assert data.features.tolist() == [[0.5, -1.5], [2.0, 3e-3]]
         assert data.feature_freqs.tolist() == [10.0, 20.0]
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets export UTF-8 with a leading U+FEFF; a config file with
+        # one loads already, since PyYAML drops it
+        save_dataset(sample_dataset(), tmp_path / "plain.csv")
+        write_spectrum([SpectrumLine(10.0, 2.0, 0.9), SpectrumLine(20.0, 1e-20, 0.3)],
+                       tmp_path / "plain_spectrum.csv")
+        for name in ("plain.csv", "plain_spectrum.csv"):
+            text = (tmp_path / name).read_bytes()
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + text)
+        plain, bom = (load_dataset(tmp_path / name, "t") for name in ("plain.csv", "bom_plain.csv"))
+        assert np.array_equal(bom.features, plain.features)
+        assert np.array_equal(bom.labels, plain.labels)
+        assert np.array_equal(bom.feature_freqs, plain.feature_freqs)
+        assert load_spectrum(tmp_path / "bom_plain_spectrum.csv") == load_spectrum(
+            tmp_path / "plain_spectrum.csv")
+        # the byte offset of a decoding fault still counts the mark
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,10.0,20.0\n1,0.5,\xff\n")
+        with pytest.raises(DatasetFormatError, match=r"\(invalid start byte at byte 25\)$"):
+            load_dataset(path)
+        # only one mark is dropped
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "bom_plain_spectrum.csv").read_bytes())
+        with pytest.raises(SpectrumFormatError, match="line 1"):
+            load_spectrum(path)
+
     def test_first_fault_in_file_order_is_reported(self, tmp_path):
         # a bad cell on line 2 comes before a short row on line 3; blank lines count
         path = self.write(tmp_path, "label,10.0,20.0\n1,0.5,oops\n0,0.5\n")
@@ -317,11 +346,9 @@ class TestLoadConfig:
             self.write(tmp_path, MINIMAL),
             seed_override=99,
             out_override="elsewhere",
-            threads_override=4,
         )
         assert cfg.echo["seed"] == 99
         assert cfg.echo["output_dir"] == "elsewhere"
-        assert cfg.echo["threads"] == 4
         assert cfg.synthetic.seed == 99
         assert cfg.echo["seed"] == 99
 

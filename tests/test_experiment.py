@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 from frfselect import (
+    ConfigError,
     DegenerateLabelsError,
     FitResult,
     GridSpec,
@@ -106,7 +107,7 @@ class TestKfoldSplit:
                 kfold_split(n, labels, k, 0)
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
         # grid_search names the task: k above the larger class is above the smaller
-        match = "^folds=3 exceeds the 2 samples of the smaller class of task 'tiny'$"
+        match = "^folds: 3 exceeds the 2 samples of the smaller class of task 'tiny'$"
         with pytest.raises(ValueError, match=match):
             grid_search([tiny_task], grid, "independent")
 
@@ -116,13 +117,23 @@ class TestKfoldSplit:
         task = TaskDataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 1, 1, 1]),
                            np.array([1.0, 2.0]), "t")
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
-        match = "^folds=3 exceeds the 1 samples of the smaller class of task 't'$"
+        match = "^folds: 3 exceeds the 1 samples of the smaller class of task 't'$"
         for mode in (MODE_INDEPENDENT, MODE_MTL):
             with pytest.raises(ValueError, match=match):
                 grid_search([task], grid, mode)
         # two folds fit the two samples of tiny_task's smaller class
         grid = dataclasses.replace(grid, folds=2)
         assert grid_search([tiny_task], grid, "independent").best.n_windows == 1
+
+    def test_folds_are_checked_before_a_single_class_task(self, tiny_task):
+        # the two-class task's folds are a setting error, the one-class task
+        # a runtime one, whichever comes first in the task list
+        one = TaskDataset(tiny_task.features, np.ones(tiny_task.n_samples, dtype=int),
+                          tiny_task.feature_freqs, "ones")
+        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=3)
+        match = "^folds: 3 exceeds the 2 samples of the smaller class of task 'tiny'$"
+        with pytest.raises(ConfigError, match=match):
+            grid_search([one, tiny_task], grid, MODE_INDEPENDENT)
 
     def test_grid_names_a_single_class_task(self, tiny_task):
         one = TaskDataset(tiny_task.features, np.ones(tiny_task.n_samples, dtype=int),
@@ -253,18 +264,6 @@ class TestGridSearch:
         assert row.mean_f1 == np.mean(f1s)
         assert row.mean_gini == np.mean(ginis)
 
-    @pytest.mark.parametrize("threads, message", [
-        (True, "threads must be an integer, got True"),
-        (2.5, "threads must be an integer, got 2.5"),
-        ("2", "threads must be an integer, got '2'"),
-        (0, "threads must be at least 1, got 0"),
-        (-3, "threads must be at least 1, got -3"),
-    ])
-    def test_threads_follow_the_integer_rule(self, tiny_task, threads, message):
-        grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            grid_search([tiny_task], grid, "independent", threads=threads)
-
     def test_exhaustive_covers_the_product(self):
         pop = small_population()
         grid = GridSpec(epsilons=(0.5, 0.2), xis=(0.01,), window_counts=(1, 2),
@@ -305,14 +304,19 @@ class TestGridSearch:
         out = grid_search(pop.tasks, grid, "independent", max_iters=40)
         assert all(r.stage != "refine" for r in out.table)
 
-    def test_threads_do_not_change_results(self):
-        pop = small_population()
-        grid = GridSpec(epsilons=(0.5, 0.2), xis=(0.01,), window_counts=(1, 2),
-                        folds=2, seed=4)
-        a = grid_search(pop.tasks, grid, "mtl", max_iters=50)
-        b = grid_search(pop.tasks, grid, "mtl", max_iters=50, threads=4)
-        assert a.table == b.table
-        assert a.best == b.best
+    @pytest.mark.parametrize("changes, message", [
+        (dict(window_counts=(2, 500)), "window_counts: 500 exceeds the 196 feature lines"),
+        (dict(strategy="staged", stage_windows=500),
+         "stage_windows: 500 exceeds the 196 feature lines"),
+    ])
+    def test_window_counts_are_checked_before_any_fit(self, monkeypatch, changes, message):
+        tasks, grid = benchmark_grid_case()
+        fits = []
+        monkeypatch.setattr(experiment, "fit_xis", lambda *args, **kw: fits.append(args))
+        for mode in (MODE_INDEPENDENT, MODE_MTL):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                grid_search(tasks, dataclasses.replace(grid, **changes), mode)
+        assert fits == []
 
     @pytest.mark.parametrize("mode", ["independent", "mtl"])
     @pytest.mark.parametrize("strategy", ["exhaustive", "staged"])
@@ -441,6 +445,18 @@ class TestRunComparison:
         ranges = window_split(48, 2)
         for r in report.rows:
             assert (r.window_start, r.window_stop) == ranges[r.window]
+
+    def test_window_counts_are_checked_before_any_fit(self, monkeypatch):
+        pop = small_population()
+        choices = [self.choices()[0], ModelChoice("mtl", SolverConfig(0.3, 0.01), 49)]
+        fits = []
+        monkeypatch.setattr(experiment, "fit_xis", lambda *args, **kw: fits.append(args))
+        message = "^n_windows: 49 exceeds the 48 feature lines$"
+        with pytest.raises(ConfigError, match=message):
+            run_comparison(pop.tasks, pop.test_tasks, choices)
+        with pytest.raises(ConfigError, match=message):
+            run_transfer(pop.tasks, pop.test_tasks[0], choices)
+        assert fits == []
 
     def test_numpy_window_count_writes_a_report_bundle(self, tmp_path):
         # the checked Python int is stored, so the window bounds are ints

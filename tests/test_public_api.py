@@ -71,6 +71,13 @@ def test_package_exports_each_module_name_once():
         assert hasattr(frfselect, name)
 
 
+def test_config_error_is_raised_by_the_library_and_exported_by_dataio():
+    # experiment raises it for settings that do not fit the data
+    assert frfselect.ConfigError is dataio.ConfigError is model.ConfigError
+    assert issubclass(frfselect.ConfigError, ValueError)
+    assert "ConfigError" in dataio.__all__ and "ConfigError" not in model.__all__
+
+
 def test_every_public_function_has_a_caller():
     # the API is sized to what the CLI, the demos, the acceptance tests, the
     # README quick start and the benchmark use
