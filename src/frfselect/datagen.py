@@ -88,6 +88,9 @@ def monte_carlo_expand(
     draws is taken per line, its mean and sample standard deviation are
     re-estimated, and the output rows are drawn from that refitted normal;
     ``two_stage=False`` draws the output directly from the line statistics.
+    A line whose standard deviation overflows, as at a coherence near 0, raises
+    ValueError naming its index and frequency; one whose mean overflows gives
+    non-finite rows, which ``TaskDataset`` rejects.
     """
     lines = tuple(spectrum)
     if not lines:
@@ -97,16 +100,19 @@ def monte_carlo_expand(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(lines))
     out = np.empty((n_out, len(lines)))
-    for m, line in enumerate(lines):
-        rng = np.random.default_rng(children[m])
-        sd = coherence_std(line)
-        if two_stage:
-            pool = rng.normal(line.h_mean, sd, n_intermediate)
-            mu = float(pool.mean())
-            sd_hat = float(pool.std(ddof=1))
-            out[:, m] = rng.normal(mu, sd_hat, n_out)
-        else:
-            out[:, m] = rng.normal(line.h_mean, sd, n_out)
+    with np.errstate(over="ignore", invalid="ignore"):  # no warning; see the check below
+        for m, line in enumerate(lines):
+            rng = np.random.default_rng(children[m])
+            mu, sd = line.h_mean, coherence_std(line)
+            if two_stage and math.isfinite(sd):
+                pool = rng.normal(mu, sd, n_intermediate)
+                mu, sd = float(pool.mean()), float(pool.std(ddof=1))
+            if math.isfinite(mu) and not math.isfinite(sd):
+                raise ValueError(
+                    f"spectrum line {m} ({line.freq} Hz, coherence {line.coherence}): "
+                    "Monte-Carlo standard deviation is not finite"
+                )
+            out[:, m] = rng.normal(mu, sd, n_out)
     return out
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import model
 from .datagen import window_split
 from .metrics import f1_score, gini_index
 from .model import (ConfigError, Standardizer, TaskDataset, _check_int, _check_real,
@@ -225,7 +225,7 @@ def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDatas
         raise ValueError(
             f"unseen task has {unseen.n_features} features, weights have {w.shape[0]}"
         )
-    preds = np.where(expit(unseen.features @ w) >= 0.5, 1, 0)
+    preds = np.where(model.expit(unseen.features @ w) >= 0.5, 1, 0)
     return f1_score(unseen.labels, preds)
 
 

@@ -53,9 +53,13 @@ def gini_index(weights) -> float:
     if not np.all(np.isfinite(w)):
         raise ValueError("gini_index requires finite input")
     a = np.sort(np.abs(w))
-    s = float(a.sum())
+    with np.errstate(over="ignore"):
+        s = float(a.sum())
     if s == 0.0:
         return 0.0
+    if not np.isfinite(s):  # the index is scale-free; rescale only on overflow
+        a = a / a[-1]
+        s = float(a.sum())
     m = a.size
     rank = np.arange(1, m + 1, dtype=float)
     coef = (m - rank + 0.5) / m

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "TaskDataset",
@@ -308,6 +307,14 @@ def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskData
     # only the new features can fail a check: a tiny scale can overflow them
     make = TaskDataset._from_checked if np.isfinite(features).all() else TaskDataset
     return make(features, task.labels, task.feature_freqs, task.task_id)
+
+
+def expit(x):
+    """The logistic function. The first call imports scipy's ``expit`` ufunc and
+    rebinds this name to it, so importing the package does not load scipy."""
+    global expit
+    from scipy.special import expit
+    return expit(x)
 
 
 def _nll_from_probs(p, labels, complement=None, clamp=True):

@@ -35,8 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import model
 from .model import (
     PROB_CLAMP,
     Standardizer,
@@ -227,7 +227,7 @@ class _TaskTerms:
         self.z = self.X @ w
         # the largest logit magnitude a one-step candidate can reach
         self.reach = float(np.maximum.reduce(np.abs(self.z))) + self.eps_x_max
-        prob = expit(self.z)
+        prob = model.expit(self.z)
         self.loss = float(_nll_from_probs(prob, self.y, self.comp, not self.clamp_free))
         self.last_scan = None  # the forward scan at this w, its offer and back_best (_PathState)
         if self.clamp_free:
@@ -316,7 +316,7 @@ class _TaskTerms:
         """Clamped losses after moving each weight ``idx[a]`` by ``eps * signs[a]``;
         ``idx`` may be a slice and ``signs`` one sign for all of them."""
         Z = self.z[:, None] + self.eps * signs * self.X[:, idx]
-        return _nll_from_probs(expit(Z), self.y, self.comp, not self.clamp_free)
+        return _nll_from_probs(model.expit(Z), self.y, self.comp, not self.clamp_free)
 
 
 class _PathState:

@@ -582,11 +582,15 @@ class TestDataDependentChecks:
             ("class1: s2.csv", "class spectra must share the same frequency lines"),
             ("class1: s1.csv, freq_min: 100.0",
              "no spectrum lines remain inside the analysed band"),
+            ("class1: s3.csv", "spectrum line 1 (20.0 Hz, coherence 1e-300): "
+                               "Monte-Carlo standard deviation is not finite"),
         ],
     )
     def test_spectrum_error_names_its_entry(self, file_config, tmp_path, bad, message, capsys):
         write_spectrum([SpectrumLine(f, 2.0, 0.9) for f in (10.0, 20.0, 40.0)],
                        tmp_path / "s2.csv")
+        write_spectrum([SpectrumLine(f, 2.0, c) for f, c in ((10.0, 0.9), (20.0, 1e-300),
+                                                             (30.0, 0.9))], tmp_path / "s3.csv")
         file_config.write_text(file_config.read_text() + (
             "  - {id: bad, class0: s0.csv, " + bad + ", n_train_per_class: 4}\n"))
         for command in ("fit", "generate"):

@@ -125,6 +125,23 @@ class TestMonteCarloExpand:
         with pytest.raises(ValueError):
             monte_carlo_expand([], 10, 5, seed=0)
 
+    @pytest.mark.parametrize("coherence, two_stage", [
+        (1e-300, True),  # the pool's std overflows
+        (1e-320, True),  # the line's sd is inf
+        (1e-320, False),
+    ])
+    def test_line_whose_standard_deviation_overflows_is_named(self, coherence, two_stage):
+        lines = [SpectrumLine(10.0, 1.0, 0.9), SpectrumLine(13.0, 1.0, coherence)]
+        message = rf"^spectrum line 1 \(13\.0 Hz, coherence {coherence}\): Monte-Carlo"
+        with pytest.raises(ValueError, match=message + " standard deviation is not finite$"):
+            monte_carlo_expand(lines, 100, 5, seed=0, two_stage=two_stage)
+
+    def test_one_stage_draws_a_finite_huge_sd(self):
+        # sd 2.9e299 is finite, so only the two-stage pool's std overflows
+        out = monte_carlo_expand([SpectrumLine(13.0, 1.0, 1e-300)], 100, 5, seed=0,
+                                 two_stage=False)
+        assert np.isfinite(out).all()
+
 
 def sizes_of(ranges):
     return tuple(stop - start for start, stop in ranges)

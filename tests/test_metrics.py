@@ -95,6 +95,17 @@ class TestGiniIndex:
         with pytest.raises(ValueError):
             gini_index(np.ones((2, 2)))
 
+    def test_magnitudes_whose_sum_overflows_score_as_scaled_down(self):
+        assert gini_index([1e308, 1e308, 0.0]) == gini_index([1.0, 1.0, 0.0])
+        assert gini_index([1e308, 1e308, 0.0]) == pytest.approx(1.0 / 3.0)
+
+    def test_a_finite_sum_is_not_rescaled(self):
+        # rescaling by the largest magnitude would move the last bit here
+        w = np.array([0.1, 0.2, 0.3])
+        coef = np.array([2.5, 1.5, 0.5]) / 3
+        assert gini_index(w) == 1.0 - 2.0 * float(w @ coef) / float(w.sum())
+        assert gini_index(w) != gini_index(w / 0.3)
+
     @given(
         st.lists(
             st.floats(min_value=-50, max_value=50), min_size=2, max_size=12
