@@ -209,9 +209,7 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
 def cmd_transfer(cfg: ExperimentConfig) -> int:
     if "transfer" not in cfg.echo:
         raise ConfigError("transfer section is required for the transfer command")
-    train, _, unseen = _materialize(cfg, unseen_file=True)
-    if unseen is None:
-        raise ConfigError("transfer: no unseen task available")
+    train, _, unseen = _materialize(cfg, unseen_file=True)  # load_config ensures an unseen task
     rows = run_transfer(train, unseen, _choices(cfg, cfg.echo["modes"]))
     json_path = write_bundle(
         cfg.echo["output_dir"], "transfer.json", cfg.echo,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (TaskDataset, _check_int, _check_real, _plain_number, _split_rows,
-                    _table_lines, _write_table)
+from .model import (TaskDataset, _check_int, _check_list, _check_real, _plain_number,
+                    _split_rows, _table_lines, _write_table)
 
 __all__ = [
     "SpectrumLine",
@@ -88,9 +88,9 @@ def monte_carlo_expand(
     draws is taken per line, its mean and sample standard deviation are
     re-estimated, and the output rows are drawn from that refitted normal;
     ``two_stage=False`` draws the output directly from the line statistics.
-    A line whose standard deviation overflows, as at a coherence near 0, raises
-    ValueError naming its index and frequency; one whose mean overflows gives
-    non-finite rows, which ``TaskDataset`` rejects.
+    A line whose standard deviation overflows, as at a coherence near 0, or
+    whose draws do, as at a mean near the float limit, raises ValueError
+    naming its index, frequency and coherence.
     """
     lines = tuple(spectrum)
     if not lines:
@@ -107,12 +107,12 @@ def monte_carlo_expand(
             if two_stage and math.isfinite(sd):
                 pool = rng.normal(mu, sd, n_intermediate)
                 mu, sd = float(pool.mean()), float(pool.std(ddof=1))
+            where = f"spectrum line {m} ({line.freq} Hz, coherence {line.coherence})"
             if math.isfinite(mu) and not math.isfinite(sd):
-                raise ValueError(
-                    f"spectrum line {m} ({line.freq} Hz, coherence {line.coherence}): "
-                    "Monte-Carlo standard deviation is not finite"
-                )
+                raise ValueError(f"{where}: Monte-Carlo standard deviation is not finite")
             out[:, m] = rng.normal(mu, sd, n_out)
+            if not np.isfinite(out[:, m]).all():  # an overflowing mean or draw
+                raise ValueError(f"{where}: Monte-Carlo mean or draws are not finite")
     return out
 
 
@@ -190,9 +190,9 @@ class SyntheticPopulationSpec:
     coherence: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "modes", _check_list("modes", self.modes))
         for name in ("class_shift", "nuisance_band", "freq_range"):
-            entries = enumerate(getattr(self, name))
+            entries = enumerate(_check_list(name, getattr(self, name)))
             values = tuple(_check_real(f"{name}[{i}]", x) for i, x in entries)
             if name != "class_shift" and len(values) != 2:
                 raise ValueError(f"{name} must be a pair of numbers, got {values}")
@@ -245,25 +245,19 @@ def _shifted(modes, shifts):
     )
 
 
-def _train_test(block0, block1, n_train: int, freqs, task_id: str):
-    """Train and test datasets from equal-sized class-0 and class-1 sample blocks.
+def _train_test(blocks, n_train: int, freqs, task_id: str):
+    """Train and test datasets from stacked class-0 and class-1 sample blocks,
+    shape (2, rows per class, n_lines).
 
     The first ``n_train`` rows of each block train; the rest test (None when
-    no rows are left). Finite blocks on strictly increasing frequencies pass
-    the constructor's checks, so they skip them and its copy; anything else
-    goes through the constructor and fails there.
+    no rows are left).
     """
-    freqs = np.asarray(freqs, dtype=float)
-    checked = (np.isfinite(block0).all() and np.isfinite(block1).all()
-               and np.isfinite(freqs).all() and np.all(np.diff(freqs) > 0))
-    make = TaskDataset._from_checked if checked else TaskDataset
+    def dataset(rows):
+        labels = np.repeat(np.array([0, 1]), rows.shape[1])
+        return TaskDataset(rows.reshape(-1, rows.shape[2]), labels, freqs, task_id)
 
-    def dataset(rows0, rows1):
-        labels = np.repeat(np.array([0, 1], dtype=np.int64), [len(rows0), len(rows1)])
-        return make(np.vstack([rows0, rows1]), labels, freqs.copy(), task_id)
-
-    test = dataset(block0[n_train:], block1[n_train:]) if len(block0) > n_train else None
-    return dataset(block0[:n_train], block1[:n_train]), test
+    test = dataset(blocks[:, n_train:]) if blocks.shape[1] > n_train else None
+    return dataset(blocks[:, :n_train]), test
 
 
 def synth_population(spec: SyntheticPopulationSpec) -> SyntheticPopulation:
@@ -296,13 +290,12 @@ def synth_population(spec: SyntheticPopulationSpec) -> SyntheticPopulation:
             curve0 = curve0 / peak
             curve1 = curve1 / peak
 
-        # the noise is drawn, then the curve added in place: the same sums
-        # as curve + noise without a second block
-        block0 = rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
-        block0 += curve0
-        block1 = rng.normal(0.0, spec.noise_sd, (per_class, spec.n_features))
-        block1 += curve1
-        train, test = _train_test(block0, block1, spec.n_samples, freqs, f"task{t + 1}")
+        # the noise of both classes is drawn, then the curves added in place:
+        # the same sums as curve + noise without a second block
+        blocks = rng.normal(0.0, spec.noise_sd, (2, per_class, spec.n_features))
+        blocks[0] += curve0
+        blocks[1] += curve1
+        train, test = _train_test(blocks, spec.n_samples, freqs, f"task{t + 1}")
         tasks.append(train)
         if test is not None:
             test_tasks.append(test)
@@ -395,10 +388,9 @@ def spectrum_to_datasets(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sub0, sub1 = root.spawn(2)
     per_class = n_train_per_class + n_test_per_class
-    block0 = monte_carlo_expand(c0, n_intermediate, per_class, sub0, two_stage=two_stage)
-    block1 = monte_carlo_expand(c1, n_intermediate, per_class, sub1, two_stage=two_stage)
-
-    return _train_test(block0, block1, n_train_per_class, np.array(f0), task_id)
+    blocks = np.stack([monte_carlo_expand(c, n_intermediate, per_class, sub, two_stage=two_stage)
+                       for c, sub in ((c0, sub0), (c1, sub1))])
+    return _train_test(blocks, n_train_per_class, f0, task_id)
 
 
 def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:

@@ -20,8 +20,8 @@ import numpy as np
 from . import model
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import (ConfigError, Standardizer, TaskDataset, _check_int, _check_real,
-                    standardized_copy)
+from .model import (ConfigError, Standardizer, TaskDataset, _check_int, _check_list,
+                    _check_real, standardized_copy)
 from .solver import (
     DegenerateLabelsError,
     FitResult,
@@ -98,7 +98,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("window_counts", "epsilons", "xis", "refine_epsilons"):
-            entries = enumerate(getattr(self, name))
+            entries = enumerate(_check_list(name, getattr(self, name)))
             values = tuple(
                 _check_int(f"{name}[{i}]", x, 1) if name == "window_counts"
                 else _check_real(f"{name}[{i}]", x, above=0) for i, x in entries
@@ -182,6 +182,18 @@ def _check_windows(name: str, counts, n_features: int) -> None:
             raise ConfigError(f"{name}: {w} exceeds the {n_features} feature lines")
 
 
+def _check_axes(pairs, what: str) -> None:
+    """ValueError unless each ``(task, training task)`` pair shares one frequency
+    axis. The runners window every task by one ``window_split``, so the training
+    tasks are checked against the first one."""
+    for task, train in pairs:
+        if not np.array_equal(task.feature_freqs, train.feature_freqs):
+            raise ValueError(
+                f"{what} {task.task_id!r}: feature count or frequencies differ from "
+                f"training task {train.task_id!r}"
+            )
+
+
 def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
     """Validated choices for a run of every choice over ``train_tasks``.
 
@@ -190,6 +202,7 @@ def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
     """
     if not train_tasks:
         raise ValueError("at least one training task is required")
+    _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
     ids = [t.task_id for t in train_tasks]
     for k, task_id in enumerate(ids):
         if task_id in ids[:k]:
@@ -200,12 +213,7 @@ def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
     if len({c.mode for c in choices}) != len(choices):
         raise ValueError("duplicate modes in choices")
     _check_windows("n_windows", [c.n_windows for c in choices], train_tasks[0].n_features)
-    for task, train in scored:
-        if not np.array_equal(task.feature_freqs, train.feature_freqs):
-            raise ValueError(
-                f"{what} {task.task_id!r}: feature count or frequencies differ from "
-                f"training task {train.task_id!r}"
-            )
+    _check_axes(scored, what)
     return choices
 
 
@@ -268,9 +276,10 @@ def grid_search(
     The returned best row maximizes mean validation F1 over the whole
     table; ties prefer higher mean Gini, then smaller epsilon.
 
-    Before the first fit, a window count above the feature lines and
-    ``grid.folds`` above a task's smaller class raise ``ConfigError``; a
-    task of one class raises ``DegenerateLabelsError``.
+    Before the first fit, tasks on different frequency axes raise
+    ValueError, a window count above the feature lines and ``grid.folds``
+    above a task's smaller class raise ``ConfigError``, and a task of one
+    class raises ``DegenerateLabelsError``.
     """
     train_tasks = tuple(train_tasks)
     if not train_tasks:
@@ -280,6 +289,7 @@ def grid_search(
     pairs = grid.pairs()
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
+    _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
 
     _check_windows("window_counts", grid.window_counts, train_tasks[0].n_features)
     if grid.strategy == "staged":

@@ -61,6 +61,15 @@ def _check_real(name: str, value, *, above=-math.inf, at_least=-math.inf, below=
     return x
 
 
+def _check_list(name: str, value) -> tuple:
+    """``value``'s entries as a tuple. A value that holds no entries to
+    iterate, such as None or a number, raises ValueError instead of TypeError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {value!r}") from None
+
+
 def _fmt(x) -> str:
     """Shortest round-trip decimal, so a save/load cycle is bit-exact."""
     return repr(float(x))
@@ -164,7 +173,7 @@ class TaskDataset:
             raise ValueError(
                 f"labels shape {raw_labels.shape} does not match {n} samples"
             )
-        if not np.all(np.isin(raw_labels, (0, 1))):
+        if not np.all((raw_labels == 0) | (raw_labels == 1)):
             raise ValueError(f"task {self.task_id!r}: labels must be 0 or 1")
         labels = raw_labels.astype(np.int64)
         freqs = np.array(self.feature_freqs, dtype=float)
@@ -172,7 +181,7 @@ class TaskDataset:
             raise ValueError(
                 f"feature_freqs shape {freqs.shape} does not match {m} features"
             )
-        if not np.all(np.isfinite(freqs)) or not np.all(np.diff(freqs) > 0):
+        if not np.all(np.isfinite(freqs)) or not np.all(freqs[1:] > freqs[:-1]):
             raise ValueError("feature_freqs must be finite and strictly increasing")
         for name, arr in (("features", feats), ("labels", labels), ("feature_freqs", freqs)):
             arr.setflags(write=False)
@@ -186,31 +195,22 @@ class TaskDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def _from_checked(cls, features, labels, freqs, task_id) -> "TaskDataset":
-        """A dataset from parts known to pass the constructor's checks, not
-        validated or copied again; arrays become read-only."""
-        data = object.__new__(cls)
-        object.__setattr__(data, "task_id", task_id)
-        for name, arr in (("features", features), ("labels", labels), ("feature_freqs", freqs)):
-            arr.setflags(write=False)
-            object.__setattr__(data, name, arr)
-        return data
-
     def subset(self, indices) -> "TaskDataset":
-        """New dataset holding the given sample rows."""
-        idx = np.asarray(indices, dtype=int)
-        # an empty or multi-dimensional selection fails the constructor's checks
-        make = TaskDataset._from_checked if idx.ndim == 1 and idx.size else TaskDataset
-        return make(self.features[idx], self.labels[idx], self.feature_freqs, self.task_id)
+        """New dataset holding the given sample rows, by integer row number."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            if idx.size:  # a bool mask or fractional rows are not row numbers
+                raise ValueError(f"indices must be integers, got {idx.dtype} values")
+            idx = idx.astype(int)  # [] is a float array; the constructor rejects no rows
+        return TaskDataset(self.features[idx], self.labels[idx], self.feature_freqs, self.task_id)
 
     def window(self, start: int, stop: int) -> "TaskDataset":
         """New dataset restricted to the feature columns [start, stop)."""
-        if not (0 <= start < stop <= self.n_features):
+        start, stop = _check_int("start", start), _check_int("stop", stop)
+        if not 0 <= start < stop <= self.n_features:
             raise ValueError(f"window [{start}, {stop}) outside 0..{self.n_features}")
-        features = np.array(self.features[:, start:stop])  # C-ordered, as the constructor's
-        freqs = self.feature_freqs[start:stop]
-        return TaskDataset._from_checked(features, self.labels, freqs, self.task_id)
+        return TaskDataset(self.features[:, start:stop], self.labels,
+                           self.feature_freqs[start:stop], self.task_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +303,8 @@ class Standardizer:
 
 def standardized_copy(task: TaskDataset, standardizer: Standardizer) -> TaskDataset:
     """The same dataset with its features pushed through a standardizer."""
-    features = standardizer.apply(task.features)
-    # only the new features can fail a check: a tiny scale can overflow them
-    make = TaskDataset._from_checked if np.isfinite(features).all() else TaskDataset
-    return make(features, task.labels, task.feature_freqs, task.task_id)
+    return TaskDataset(standardizer.apply(task.features), task.labels, task.feature_freqs,
+                       task.task_id)
 
 
 def expit(x):

@@ -584,6 +584,8 @@ class TestDataDependentChecks:
              "no spectrum lines remain inside the analysed band"),
             ("class1: s3.csv", "spectrum line 1 (20.0 Hz, coherence 1e-300): "
                                "Monte-Carlo standard deviation is not finite"),
+            ("class1: s4.csv, normalize: false", "spectrum line 1 (20.0 Hz, coherence 0.5): "
+                                                 "Monte-Carlo mean or draws are not finite"),
         ],
     )
     def test_spectrum_error_names_its_entry(self, file_config, tmp_path, bad, message, capsys):
@@ -591,6 +593,8 @@ class TestDataDependentChecks:
                        tmp_path / "s2.csv")
         write_spectrum([SpectrumLine(f, 2.0, c) for f, c in ((10.0, 0.9), (20.0, 1e-300),
                                                              (30.0, 0.9))], tmp_path / "s3.csv")
+        write_spectrum([SpectrumLine(f, h, c) for f, h, c in ((10.0, 2.0, 0.9), (20.0, 1e308, 0.5),
+                                                              (30.0, 2.0, 0.9))], tmp_path / "s4.csv")
         file_config.write_text(file_config.read_text() + (
             "  - {id: bad, class0: s0.csv, " + bad + ", n_train_per_class: 4}\n"))
         for command in ("fit", "generate"):
@@ -604,6 +608,25 @@ class TestDataDependentChecks:
         cfg = self.unbalanced_grid_config(tmp_path, [1] * 4, folds=2)
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "both classes" in capsys.readouterr().err
+
+    def test_tasks_on_different_axes_exit_2(self, tmp_path, capsys):
+        # a 4-line and a 6-line task: one window split cannot serve both
+        rng = np.random.default_rng(0)
+        for name, n_lines in (("a", 4), ("b", 6)):
+            data = TaskDataset(rng.normal(size=(6, n_lines)), np.array([0, 1] * 3),
+                               np.arange(1.0, n_lines + 1), name)
+            save_dataset(data, tmp_path / f"{name}.csv")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 2\nsolver: {epsilon: 0.2, xi: 0.01, max_iters: 20}\n"
+                       "tasks: [{id: a, train: a.csv, test: a.csv}, {id: b, train: b.csv, test: b.csv}]\n"
+                       "grid: {epsilons: [0.2], xis: [0.01], window_counts: [1], folds: 2}\n")
+        for command in ("compare", "fit", "grid"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: training task 'b': feature count "
+                                                        "or frequencies differ from training task 'a'\n")
+            assert not out.exists()
 
 
 class TestEntryPoints:

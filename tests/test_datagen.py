@@ -136,6 +136,14 @@ class TestMonteCarloExpand:
         with pytest.raises(ValueError, match=message + " standard deviation is not finite$"):
             monte_carlo_expand(lines, 100, 5, seed=0, two_stage=two_stage)
 
+    @pytest.mark.parametrize("two_stage", [True, False])
+    def test_line_whose_mean_overflows_is_named(self, two_stage):
+        # two stages: the pool's mean overflows; one stage: the draws do
+        lines = [SpectrumLine(10.0, 1.0, 0.9), SpectrumLine(13.0, 1e308, 0.5)]
+        message = r"^spectrum line 1 \(13\.0 Hz, coherence 0\.5\): Monte-Carlo mean or draws"
+        with pytest.raises(ValueError, match=message + " are not finite$"):
+            monte_carlo_expand(lines, 100, 50, seed=0, two_stage=two_stage)
+
     def test_one_stage_draws_a_finite_huge_sd(self):
         # sd 2.9e299 is finite, so only the two-stage pool's std overflows
         out = monte_carlo_expand([SpectrumLine(13.0, 1.0, 1e-300)], 100, 5, seed=0,
@@ -299,6 +307,10 @@ class TestSynthPopulation:
             small_spec(nuisance_band=(190.0, 130.0))
         with pytest.raises(ValueError):
             small_spec(freq_range=(200.0, 5.0))
+        for name, value in (("class_shift", None), ("nuisance_band", 5), ("freq_range", None),
+                            ("modes", None)):
+            with pytest.raises(ValueError, match=rf"^{name} must be a list, got {value}$"):
+                small_spec(**{name: value})
 
     def test_freq_range_too_narrow_for_its_grid(self):
         # linspace repeats 5.0 on a range two ulps wide: the grid names no column
@@ -543,54 +555,41 @@ class TestSpectrumToDatasets:
 
 
 class TestLeanDatasets:
-    """Generated datasets skip the constructor's checks and copy when they
-    would pass them, and come out as the constructor would build them."""
+    """Generated datasets are built by the constructor: float64 C-ordered
+    features, int64 labels and float64 frequencies, all read-only, with each
+    dataset owning its frequencies."""
 
     @staticmethod
-    def built_both_ways(monkeypatch, make):
-        got = make()
-        with monkeypatch.context() as mp:
-            mp.setattr(TaskDataset, "_from_checked", classmethod(lambda cls, *parts: cls(*parts)))
-            want = make()
-        return got, want
+    def assert_built(data):
+        for name, dtype in (("features", np.float64), ("labels", np.int64),
+                            ("feature_freqs", np.float64)):
+            a = getattr(data, name)
+            assert a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata, name
+            assert not a.flags.writeable, name
 
-    @staticmethod
-    def assert_same(got, want):
-        assert got.task_id == want.task_id
-        for name in ("features", "labels", "feature_freqs"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert np.array_equal(a, b), name
-            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
-            assert not a.flags.writeable and not b.flags.writeable
-
-    def test_synth_population_matches_the_constructor(self, monkeypatch):
-        got, want = self.built_both_ways(monkeypatch, lambda: synth_population(small_spec()))
+    def test_synth_population_matches_the_constructor(self):
+        got = synth_population(small_spec())
         datasets = got.tasks + got.test_tasks
-        for g, w in zip(datasets, want.tasks + want.test_tasks, strict=True):
-            self.assert_same(g, w)
+        for data in datasets:
+            self.assert_built(data)
         # each dataset owns its frequencies, apart from the population's grid
         freqs = [t.feature_freqs for t in datasets] + [got.freqs]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(freqs) for b in freqs[i + 1:])
 
-    def test_spectrum_to_datasets_matches_the_constructor(self, monkeypatch):
+    def test_spectrum_to_datasets_matches_the_constructor(self):
         # integer frequencies still come out as float64
         lines = [SpectrumLine(f, h, 0.9) for f, h in ((10, 1.0), (20, 0.5), (30, 2.0))]
-        got, want = self.built_both_ways(monkeypatch, lambda: spectrum_to_datasets(
-            lines, lines, n_train_per_class=4, n_test_per_class=3, seed=3, task_id="m",
-            n_intermediate=50,
-        ))
-        for g, w in zip(got, want, strict=True):
-            self.assert_same(g, w)
-        assert got[0].feature_freqs.dtype == np.float64
+        got = spectrum_to_datasets(lines, lines, n_train_per_class=4, n_test_per_class=3, seed=3,
+                                   task_id="m", n_intermediate=50)
+        for data in got:
+            self.assert_built(data)
         assert not np.shares_memory(got[0].feature_freqs, got[1].feature_freqs)
 
     def test_non_finite_features_keep_the_constructor_message(self):
-        # a mean near the float limit overflows the Monte-Carlo draws
-        lines = [SpectrumLine(1.0, 1e308, 0.5), SpectrumLine(2.0, 1e308, 0.5)]
+        # noise near the float limit overflows the synthetic draws
         with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match=r"^task 'x': features contain non-finite values$"):
-                spectrum_to_datasets(lines, lines, n_train_per_class=2, n_test_per_class=0,
-                                     seed=0, task_id="x", n_intermediate=10, normalize=False)
+            with pytest.raises(ValueError, match=r"^task 'task1': features contain non-finite values$"):
+                synth_population(small_spec(noise_sd=1e308))
 
     def test_non_increasing_frequencies_keep_the_constructor_message(self):
         for freqs in ((20.0, 10.0), (10.0, 10.0)):

@@ -171,6 +171,10 @@ class TestGridSpec:
             GridSpec(stage_windows=0)
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             GridSpec(seed=-1)
+        for name in ("epsilons", "xis", "window_counts", "refine_epsilons"):
+            for value in (None, 0.1):
+                with pytest.raises(ValueError, match=rf"^{name} must be a list, got {value}$"):
+                    GridSpec(**{name: value})
 
     @pytest.mark.parametrize("field, value, name", [
         ("epsilons", (0.3, 0.1, 0.3), "epsilons[2]"),
@@ -673,3 +677,40 @@ class TestModelChoice:
     def test_n_windows_must_be_an_integer(self, n_windows):
         with pytest.raises(ValueError, match="n_windows must be an integer"):
             ModelChoice("mtl", SolverConfig(0.3, 0.01), n_windows)
+
+
+class TestOneFeatureAxis:
+    """Every runner windows all training tasks by one ``window_split``, so
+    training tasks on different frequency axes are refused before any fit."""
+
+    @staticmethod
+    def tasks(other):
+        pop = small_population()
+        first, second = pop.tasks
+        if other == "fewer lines":  # the second task's axis ends early
+            second = second.window(0, second.n_features - 2)
+        else:  # the same count of lines, none shared
+            second = TaskDataset(second.features, second.labels, second.feature_freqs + 1000.0,
+                                 second.task_id)
+        return pop, [first, second]
+
+    @pytest.mark.parametrize("runner", ["grid", "compare", "transfer"])
+    @pytest.mark.parametrize("mode", [MODE_INDEPENDENT, MODE_MTL])
+    @pytest.mark.parametrize("other", ["fewer lines", "disjoint lines"])
+    def test_runners_refuse_tasks_on_different_axes(self, monkeypatch, runner, mode, other):
+        pop, train = self.tasks(other)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the axes were checked")
+
+        monkeypatch.setattr(experiment, "fit_xis", no_fit)
+        choices = [ModelChoice(mode, SolverConfig(0.3, 0.01), 1)]
+        message = r"^training task 'task2': feature count or frequencies differ from training task 'task1'$"
+        with pytest.raises(ValueError, match=message):
+            if runner == "grid":
+                grid_search(train, GridSpec(epsilons=(0.3,), xis=(0.01,), window_counts=(1,),
+                                            folds=2), mode)
+            elif runner == "compare":
+                run_comparison(train, [pop.test_tasks[0], train[1]], choices)
+            else:
+                run_transfer(train, pop.test_tasks[0], choices)

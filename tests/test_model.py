@@ -227,6 +227,23 @@ class TestTaskDataset:
         with pytest.raises(IndexError):
             data.subset([2])
 
+    @pytest.mark.parametrize("indices", [[True, False], [True] * 6, np.array([1, 0], dtype=bool),
+                                         True, [0.5, 1.2], [0.0, 1.0], np.array([1], dtype=object)])
+    def test_subset_takes_integer_rows_only(self, indices):
+        data = make_task([[1.0, 2.0], [3.0, 4.0]], [1, 0])
+        with pytest.raises(ValueError, match=r"^indices must be integers, got \w+ values$"):
+            data.subset(indices)
+
+    @pytest.mark.parametrize("start, stop, name", [
+        (0.5, 2, "start"), (0, 2.0, "stop"), (True, 2, "start"), (0, np.float64(2), "stop"),
+        ("0", 2, "start"), (0, None, "stop"),
+    ])
+    def test_window_takes_integer_bounds_only(self, start, stop, name):
+        data = make_task([[1.0, 2.0], [3.0, 4.0]], [1, 0])
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            data.window(start, stop)
+        assert data.window(np.int64(0), np.uint8(2)).n_features == 2
+
 
 class TestWeightMatrix:
     def test_vector_becomes_single_column(self):

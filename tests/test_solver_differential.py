@@ -270,7 +270,7 @@ def test_paper_cell_steps_match_the_golden():
     assert _cell_digests() == json.loads(CELL_GOLDEN.read_text())
 
 
-def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH):
+def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH, timeout: float = 300):
     """The JSON that ``script`` prints, run in a subprocess without the numpy
     dispatch targets ``disabled`` (by default the AVX-512 ones) and with
     ``src`` and ``tests`` importable."""
@@ -279,7 +279,7 @@ def run_reduced_dispatch(script: str, disabled: str = REDUCED_DISPATCH):
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+                          text=True, timeout=timeout, check=True)
     return json.loads(proc.stdout)
 
 
