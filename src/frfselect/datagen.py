@@ -207,6 +207,19 @@ class SyntheticPopulationSpec:
         lo, hi = self.nuisance_band
         if self.nuisance_modes > 0 and not lo < hi:
             raise ValueError(f"nuisance_band must be an increasing pair, got {self.nuisance_band}")
+        _check_real("nuisance_class_shift", self.nuisance_class_shift)
+        # class 1's modes, and the nuisance modes drawn in [lo, hi), must be
+        # valid ModalModes: finite and above 0 Hz
+        for i, (mode, shift) in enumerate(zip(self.modes, self.class_shift)):
+            if not 0 < mode.natural_freq + shift < math.inf:
+                raise ValueError(f"class_shift[{i}] must be a shift that keeps mode {i} "
+                                 f"({mode.natural_freq} Hz) finite and above 0, got {shift}")
+        if self.nuisance_modes > 0 and not lo > 0:
+            raise ValueError(f"nuisance_band[0] must be above 0, got {lo}")
+        shift = self.nuisance_class_shift
+        if self.nuisance_modes > 0 and not (lo + shift > 0 and hi + shift < math.inf):
+            raise ValueError(f"nuisance_class_shift must be a shift that keeps nuisance_band "
+                             f"{self.nuisance_band} finite and above 0, got {shift}")
         flo, fhi = self.freq_range
         if not 0 < flo < fhi:
             raise ValueError(f"freq_range must be an increasing positive pair, got {self.freq_range}")
@@ -216,7 +229,6 @@ class SyntheticPopulationSpec:
                 "the frequency grid repeats a value"
             )
         _check_real("noise_sd", self.noise_sd, at_least=0)
-        _check_real("nuisance_class_shift", self.nuisance_class_shift)
         _check_real("nuisance_damping", self.nuisance_damping, above=0, below=1)
         _check_real("nuisance_amplitude", self.nuisance_amplitude, above=0)
         _check_real("coherence", self.coherence, above=0, at_most=1)

@@ -14,14 +14,15 @@ one shared solver path per fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import model
 from .datagen import window_split
 from .metrics import f1_score, gini_index
-from .model import (ConfigError, Standardizer, TaskDataset, _check_int, _check_list,
-                    _check_real, standardized_copy)
+from .model import (ConfigError, Standardizer, TaskDataset, _check_axes, _check_int,
+                    _check_list, _check_real, standardized_copy)
 from .solver import (
     DegenerateLabelsError,
     FitResult,
@@ -175,46 +176,38 @@ def _window_fits(train_tasks, mode: str, n_windows: int, configs):
         yield wi, start, stop, fits
 
 
-def _check_windows(name: str, counts, n_features: int) -> None:
-    """``ConfigError`` for a window count above the feature lines."""
-    for w in counts:
-        if w > n_features:
-            raise ConfigError(f"{name}: {w} exceeds the {n_features} feature lines")
-
-
-def _check_axes(pairs, what: str) -> None:
-    """ValueError unless each ``(task, training task)`` pair shares one frequency
-    axis. The runners window every task by one ``window_split``, so the training
-    tasks are checked against the first one."""
-    for task, train in pairs:
-        if not np.array_equal(task.feature_freqs, train.feature_freqs):
-            raise ValueError(
-                f"{what} {task.task_id!r}: feature count or frequencies differ from "
-                f"training task {train.task_id!r}"
-            )
-
-
-def _checked_choices(train_tasks: tuple, choices, scored, what: str) -> tuple:
-    """Validated choices for a run of every choice over ``train_tasks``.
-
-    ``scored`` pairs each task the fitted models are applied to with the
-    training task whose frequency axis it must share.
-    """
+def _checked_tasks(train_tasks, windows, scored=(), what="") -> tuple:
+    """The training tasks as a tuple, checked before any fit: present, with
+    distinct ids, on one frequency axis (one ``window_split`` cuts them all),
+    every ``(setting, count)`` of ``windows`` within it (``ConfigError``), and
+    ``scored[l]``, the ``what`` task ``l``'s models are applied to, on its axis."""
+    train_tasks = tuple(train_tasks)
     if not train_tasks:
         raise ValueError("at least one training task is required")
-    _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
     ids = [t.task_id for t in train_tasks]
     for k, task_id in enumerate(ids):
         if task_id in ids[:k]:
             raise ValueError(f"training task id {task_id!r} is repeated")
-    choices = tuple(choices)
+    _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
+    n_features = train_tasks[0].n_features
+    for name, w in windows:
+        if w > n_features:
+            raise ConfigError(f"{name}: {w} exceeds the {n_features} feature lines")
+    _check_axes(zip(scored, train_tasks), what)
+    return train_tasks
+
+
+def _choice_fits(train_tasks, choices):
+    """``(choice, window index, start, stop, fits[0])`` of ``_window_fits`` for
+    each choice; no choices or a repeated mode raise ValueError before any fit."""
     if not choices:
         raise ValueError("at least one ModelChoice is required")
     if len({c.mode for c in choices}) != len(choices):
         raise ValueError("duplicate modes in choices")
-    _check_windows("n_windows", [c.n_windows for c in choices], train_tasks[0].n_features)
-    _check_axes(scored, what)
-    return choices
+    for choice in choices:
+        plan = _window_fits(train_tasks, choice.mode, choice.n_windows, [choice.solver])
+        for wi, start, stop, fits in plan:
+            yield choice, wi, start, stop, fits[0]
 
 
 def transfer_evaluate(fitted: FitResult, source_task_col: int, unseen: TaskDataset) -> float:
@@ -259,6 +252,26 @@ def _scores(folds, mode: str, n_windows: int, configs) -> list[tuple[float, floa
     return [tuple(float(np.mean(x)) for x in zip(*pairs)) for pairs in scores]
 
 
+def _grid_folds(train_tasks, grid: GridSpec) -> list[tuple[list, list]]:
+    """Each fold as ``(training tasks, validation tasks)``: task ``ti`` is dealt
+    by ``kfold_split`` seeded ``SeedSequence([grid.seed, ti])``, and a fold
+    validates on its own samples and trains on the sorted rest."""
+    folds_per_task = [
+        kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
+        for ti, t in enumerate(train_tasks)
+    ]
+    folds = []
+    for f in range(grid.folds):
+        fold_train = []
+        fold_val = []
+        for t, tf in zip(train_tasks, folds_per_task):
+            rest = np.sort(np.concatenate([tf[g] for g in range(grid.folds) if g != f]))
+            fold_train.append(t.subset(rest))
+            fold_val.append(t.subset(tf[f]))
+        folds.append((fold_train, fold_val))
+    return folds
+
+
 def grid_search(
     train_tasks,
     grid: GridSpec,
@@ -276,24 +289,20 @@ def grid_search(
     The returned best row maximizes mean validation F1 over the whole
     table; ties prefer higher mean Gini, then smaller epsilon.
 
-    Before the first fit, tasks on different frequency axes raise
-    ValueError, a window count above the feature lines and ``grid.folds``
-    above a task's smaller class raise ``ConfigError``, and a task of one
-    class raises ``DegenerateLabelsError``.
+    Before the first fit, repeated task ids and tasks on different frequency
+    axes raise ValueError, a window count above the feature lines and
+    ``grid.folds`` above a task's smaller class raise ``ConfigError``, and a
+    task of one class raises ``DegenerateLabelsError``.
     """
-    train_tasks = tuple(train_tasks)
-    if not train_tasks:
-        raise ValueError("grid_search requires at least one task")
     if mode not in (MODE_INDEPENDENT, MODE_MTL):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = grid.pairs()
     if not pairs:
         raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
-    _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
-
-    _check_windows("window_counts", grid.window_counts, train_tasks[0].n_features)
+    windows = [("window_counts", w) for w in grid.window_counts]
     if grid.strategy == "staged":
-        _check_windows("stage_windows", [grid.stage_windows], train_tasks[0].n_features)
+        windows.append(("stage_windows", grid.stage_windows))
+    train_tasks = _checked_tasks(train_tasks, windows)
     # a fold past a task's smaller class validates on one class, and with one
     # sample of that class the fold's training rest holds the other alone
     smaller = [min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0)) for t in train_tasks]
@@ -307,20 +316,7 @@ def grid_search(
                 f"task {t.task_id!r} contains a single class; both classes must be present "
                 "to stratify"
             )
-    folds_per_task = [
-        kfold_split(t.n_samples, t.labels, grid.folds, np.random.SeedSequence([grid.seed, ti]))
-        for ti, t in enumerate(train_tasks)
-    ]
-    # each fold's (train, validation) tasks, built once for every grid point
-    folds = []
-    for f in range(grid.folds):
-        fold_train = []
-        fold_val = []
-        for t, tf in zip(train_tasks, folds_per_task):
-            rest = np.sort(np.concatenate([tf[g] for g in range(grid.folds) if g != f]))
-            fold_train.append(t.subset(rest))
-            fold_val.append(t.subset(tf[f]))
-        folds.append((fold_train, fold_val))
+    folds = _grid_folds(train_tasks, grid)  # built once for every grid point
 
     evaluated: set[tuple[float, float, int]] = set()
     table: list[GridRow] = []
@@ -401,34 +397,34 @@ def run_comparison(train_tasks, test_tasks, choices, *, include_traces: bool = F
     test_tasks = tuple(test_tasks)
     if len(train_tasks) != len(test_tasks):
         raise ValueError("need one test set per training task")
-    choices = _checked_choices(train_tasks, choices, zip(test_tasks, train_tasks), "test set")
+    choices = tuple(choices)
+    _checked_tasks(train_tasks, [("n_windows", c.n_windows) for c in choices], test_tasks,
+                   "test set")
 
     rows = []
     traces = []
-    for choice in choices:
-        plan = _window_fits(train_tasks, choice.mode, choice.n_windows, [choice.solver])
-        for wi, start, stop, fits in plan:
-            for task, test, (res, col) in zip(train_tasks, test_tasks, fits[0]):
-                weights = res.weights.column(col)
-                rows.append(
-                    ReportRow(
-                        window=wi,
-                        window_start=start,
-                        window_stop=stop,
-                        task_id=task.task_id,
-                        mode=choice.mode,
-                        f1=_scored_f1(res, col, test.window(start, stop)),
-                        gini=gini_index(weights),
-                        active=_active_features(task, weights, start),
-                        epsilon=choice.solver.epsilon,
-                        xi=choice.solver.xi,
-                    )
+    for choice, wi, start, stop, fits in _choice_fits(train_tasks, choices):
+        for task, test, (res, col) in zip(train_tasks, test_tasks, fits):
+            weights = res.weights.column(col)
+            rows.append(
+                ReportRow(
+                    window=wi,
+                    window_start=start,
+                    window_stop=stop,
+                    task_id=task.task_id,
+                    mode=choice.mode,
+                    f1=_scored_f1(res, col, test.window(start, stop)),
+                    gini=gini_index(weights),
+                    active=_active_features(task, weights, start),
+                    epsilon=choice.solver.epsilon,
+                    xi=choice.solver.xi,
                 )
-                if include_traces and col == 0:
-                    key = f"{choice.mode}/window{wi}"
-                    if choice.mode == MODE_INDEPENDENT:
-                        key += f"/{task.task_id}"
-                    traces.append((key, res.trace))
+            )
+            if include_traces and col == 0:
+                key = f"{choice.mode}/window{wi}"
+                if choice.mode == MODE_INDEPENDENT:
+                    key += f"/{task.task_id}"
+                traces.append((key, res.trace))
 
     return EvaluationReport(rows=tuple(rows), traces=tuple(traces))
 
@@ -448,23 +444,20 @@ def run_transfer(train_tasks, unseen: TaskDataset, choices) -> tuple[TransferRow
     (labels untouched); models are fit per window on the training tasks
     exactly as in run_comparison.
     """
-    train_tasks = tuple(train_tasks)
-    choices = _checked_choices(
-        train_tasks, choices, [(unseen, t) for t in train_tasks], "unseen task"
-    )
+    choices = tuple(choices)
+    train_tasks = _checked_tasks(train_tasks, [("n_windows", c.n_windows) for c in choices],
+                                 repeat(unseen), "unseen task")
     rows = []
-    for choice in choices:
-        plan = _window_fits(train_tasks, choice.mode, choice.n_windows, [choice.solver])
-        for wi, start, stop, fits in plan:
-            unseen_w = unseen.window(start, stop)
-            unseen_std = standardized_copy(unseen_w, Standardizer.fit(unseen_w.features))
-            for task, (res, col) in zip(train_tasks, fits[0]):
-                rows.append(
-                    TransferRow(
-                        mode=choice.mode,
-                        source_task=task.task_id,
-                        window=wi,
-                        f1=transfer_evaluate(res, col, unseen_std),
-                    )
+    for choice, wi, start, stop, fits in _choice_fits(train_tasks, choices):
+        unseen_w = unseen.window(start, stop)
+        unseen_std = standardized_copy(unseen_w, Standardizer.fit(unseen_w.features))
+        for task, (res, col) in zip(train_tasks, fits):
+            rows.append(
+                TransferRow(
+                    mode=choice.mode,
+                    source_task=task.task_id,
+                    window=wi,
+                    f1=transfer_evaluate(res, col, unseen_std),
                 )
+            )
     return tuple(rows)

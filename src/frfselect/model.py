@@ -70,6 +70,14 @@ def _check_list(name: str, value) -> tuple:
         raise ValueError(f"{name} must be a list, got {value!r}") from None
 
 
+def _check_axes(pairs, what: str) -> None:
+    """ValueError unless each ``(task, training task)`` pair has equal ``feature_freqs``."""
+    for task, train in pairs:
+        if not np.array_equal(task.feature_freqs, train.feature_freqs):
+            raise ValueError(f"{what} {task.task_id!r}: feature count or frequencies differ "
+                             f"from training task {train.task_id!r}")
+
+
 def _fmt(x) -> str:
     """Shortest round-trip decimal, so a save/load cycle is bit-exact."""
     return repr(float(x))

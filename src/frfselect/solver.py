@@ -41,6 +41,7 @@ from .model import (
     PROB_CLAMP,
     Standardizer,
     WeightMatrix,
+    _check_axes,
     _check_int,
     _check_real,
     _nll_from_probs,
@@ -598,15 +599,7 @@ def _validated_tasks(tasks):
     tasks = tuple(tasks)
     if not tasks:
         raise ValueError("fit requires at least one task")
-    n_feat = tasks[0].n_features
-    freqs = tasks[0].feature_freqs
-    for t in tasks[1:]:
-        if t.n_features != n_feat:
-            raise ValueError(
-                f"task {t.task_id!r} has {t.n_features} features, expected {n_feat}"
-            )
-        if not np.array_equal(t.feature_freqs, freqs):
-            raise ValueError(f"task {t.task_id!r} does not share the feature frequencies")
+    _check_axes([(t, tasks[0]) for t in tasks[1:]], "training task")
     for t in tasks:
         if np.all(t.labels == t.labels[0]):
             raise DegenerateLabelsError(

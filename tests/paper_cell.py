@@ -19,10 +19,8 @@ import hashlib
 import json
 import time
 
-import numpy as np
-
 from frfselect.datagen import ModalMode, SyntheticPopulationSpec, synth_population
-from frfselect.experiment import GridSpec, kfold_split
+from frfselect.experiment import GridSpec, _grid_folds
 from frfselect.solver import SolverConfig, fit_xis
 
 WINDOW = (98, 196)
@@ -30,21 +28,15 @@ GOLDEN_EPSILON = 1.0
 
 
 def cell_tasks():
-    """The cell's training tasks: fold 0's training rest, as ``grid_search``
-    deals it with the default ``GridSpec``, cut to the window."""
+    """The cell's training tasks: fold 0's training rest of ``grid_search``'s
+    folds with the default ``GridSpec``, cut to the window."""
     spec = SyntheticPopulationSpec(
         modes=(ModalMode(40.0, 0.04), ModalMode(90.0, 0.03)), class_shift=(4.0, -5.0),
         nuisance_band=(130.0, 190.0), noise_sd=0.3, n_samples=150, seed=3, n_tasks=3,
         n_features=588,
     )
-    grid = GridSpec()
-    tasks = []
-    for ti, t in enumerate(synth_population(spec).tasks):
-        seed = np.random.SeedSequence([grid.seed, ti])
-        folds = kfold_split(t.n_samples, t.labels, grid.folds, seed)
-        rest = np.sort(np.concatenate(folds[1:]))
-        tasks.append(t.subset(rest).window(*WINDOW))
-    return tasks
+    fold_train, _ = _grid_folds(synth_population(spec).tasks, GridSpec())[0]
+    return [t.window(*WINDOW) for t in fold_train]
 
 
 def cell_fits(tasks, epsilons):

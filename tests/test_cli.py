@@ -207,6 +207,16 @@ class TestExitCodes:
         assert main(["fit", "--config", str(tmp_path / "none.yaml")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_no_data_source_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        for sources in ("", "tasks: []\nspectra: []\n"):
+            cfg.write_text("seed: 2\nsolver: {epsilon: 0.2, xi: 0.01}\nn_windows: 1\n" + sources)
+            for command in ("fit", "generate"):
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+                assert capsys.readouterr().err == (
+                    "error: no data sources configured (tasks, spectra, or synthetic)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_solver_pairing_is_config_error(self, config, capsys):
         config.write_text(config.read_text().replace("epsilon: 0.2", "epsilon: 0.001"))
         assert main(["fit", "--config", str(config)]) == 1
@@ -524,6 +534,12 @@ class TestDataDependentChecks:
              "grid.stage_windows: 500 exceeds the 32 feature lines"),
             ("grid", "folds: 2", "folds: 200", "grid.folds: 200 exceeds the 16 samples"),
             ("grid", "folds: 2", "folds: 17", "grid.folds: 17 exceeds the 16 samples"),
+            ("generate", "class_shift: [4.0, -5.0]", "class_shift: [-50.0, -5.0]",
+             "synthetic.class_shift[0] must be a shift that keeps mode 0 (40.0 Hz) finite and above 0"),
+            ("generate", "nuisance_band: [130.0, 190.0]", "nuisance_band: [-5.0, 3.0]",
+             "synthetic.nuisance_band[0] must be above 0, got -5.0"),
+            ("generate", "noise_sd: 0.02", "noise_sd: 0.02\n  nuisance_class_shift: -500.0",
+             "synthetic.nuisance_class_shift must be a shift that keeps nuisance_band (130.0, 190.0)"),
         ],
     )
     def test_exits_1(self, config, tmp_path, command, old, new, message, capsys):

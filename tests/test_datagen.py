@@ -311,6 +311,29 @@ class TestSynthPopulation:
                             ("modes", None)):
             with pytest.raises(ValueError, match=rf"^{name} must be a list, got {value}$"):
                 small_spec(**{name: value})
+        # every class-1 and nuisance mode must be a valid ModalMode: finite, above 0 Hz
+        huge = (ModalMode(1e308, 0.04), ModalMode(90.0, 0.03))
+        for overrides, message in (
+            (dict(class_shift=(-50.0, -5.0)),
+             "class_shift[0] must be a shift that keeps mode 0 (40.0 Hz) finite and above 0, got -50.0"),
+            (dict(modes=huge, class_shift=(1e308, -5.0)),
+             "class_shift[0] must be a shift that keeps mode 0 (1e+308 Hz) finite and above 0, got 1e+308"),
+            (dict(nuisance_band=(-5.0, 3.0)), "nuisance_band[0] must be above 0, got -5.0"),
+            (dict(nuisance_class_shift=-500.0), "nuisance_class_shift must be a shift that "
+             "keeps nuisance_band (130.0, 190.0) finite and above 0, got -500.0"),
+            (dict(nuisance_band=(130.0, 1e308), nuisance_class_shift=1e308),
+             "nuisance_class_shift must be a shift that keeps nuisance_band (130.0, 1e+308) "
+             "finite and above 0, got 1e+308"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                small_spec(**overrides)
+        # without nuisance modes the band and its shift are unused, and every
+        # task has the shared modes' curves
+        pop = synth_population(small_spec(nuisance_modes=0, nuisance_band=(-5.0, 3.0),
+                                          nuisance_class_shift=-500.0))
+        for c0, c1 in pop.class_curves[1:]:
+            assert np.array_equal(c0, pop.class_curves[0][0])
+            assert np.array_equal(c1, pop.class_curves[0][1])
 
     def test_freq_range_too_narrow_for_its_grid(self):
         # linspace repeats 5.0 on a range two ulps wide: the grid names no column
@@ -600,13 +623,16 @@ class TestLeanDatasets:
 
     def test_generation_peak_memory_stays_near_its_output(self):
         # the paper-grid population (3 tasks, 150 samples per class, 588
-        # lines); one more copy of each task's samples on the way (curve +
-        # noise, then the constructor's copy) puts the peak at 1.7x
+        # lines); the noise blocks and the constructor's copy of them put the
+        # peak at 1.37x, and one more copy of the samples would pass 1.5x. The
+        # first call in a process also imports numpy.random and numpy.ma,
+        # which tracemalloc would count, so one warm-up call runs untraced.
         spec = SyntheticPopulationSpec(
             modes=(ModalMode(40.0, 0.04), ModalMode(90.0, 0.03)), class_shift=(4.0, -5.0),
             nuisance_band=(130.0, 190.0), noise_sd=0.3, n_samples=150, seed=3, n_tasks=3,
             n_features=588,
         )
+        synth_population(spec)
         tracemalloc.start()
         try:
             pop = synth_population(spec)

@@ -90,6 +90,8 @@ class TestKfoldSplit:
             kfold_split(10, labels, 11, seed=0)
         with pytest.raises(ValueError):
             kfold_split(10, np.zeros(10, int), 2, seed=0)
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            kfold_split(10, labels + 1, 2, seed=0)
         with pytest.raises(ValueError):
             kfold_split(8, labels, 2, seed=0)
 
@@ -351,7 +353,7 @@ class TestGridSearch:
     def test_rejects_bad_arguments(self):
         pop = small_population()
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one training task is required$"):
             grid_search([], grid, "independent")
         with pytest.raises(ValueError):
             grid_search(pop.tasks, grid, "both")
@@ -660,6 +662,8 @@ class TestTransfer:
         res = fit(pop.tasks, SolverConfig(0.3, 0.01, max_iters=40))
         with pytest.raises(ValueError, match="source_task_col 5 outside 0..1"):
             transfer_evaluate(res, 5, pop.tasks[0])
+        with pytest.raises(ValueError, match="^unseen task has 3 features, weights have 48$"):
+            transfer_evaluate(res, 0, pop.tasks[0].window(0, 3))
         for col, message in ((-1, "at least 0"), (2.5, "an integer"), (True, "an integer")):
             with pytest.raises(ValueError, match=f"source_task_col must be {message}"):
                 transfer_evaluate(res, col, pop.tasks[0])
@@ -681,7 +685,9 @@ class TestModelChoice:
 
 class TestOneFeatureAxis:
     """Every runner windows all training tasks by one ``window_split``, so
-    training tasks on different frequency axes are refused before any fit."""
+    training tasks on different frequency axes are refused before any fit,
+    by the one pre-fit check that also refuses repeated task ids and window
+    counts above the axis."""
 
     @staticmethod
     def tasks(other):
@@ -694,23 +700,45 @@ class TestOneFeatureAxis:
                                  second.task_id)
         return pop, [first, second]
 
+    @staticmethod
+    def run_unfitted(monkeypatch, runner, mode, train, tests, n_windows=1):
+        """Run ``runner`` on ``train`` with ``fit_xis`` failing if reached;
+        ``tests`` are ``run_comparison``'s test sets, and the first of them is
+        ``run_transfer``'s unseen task."""
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the tasks were checked")
+
+        monkeypatch.setattr(experiment, "fit_xis", no_fit)
+        choices = [ModelChoice(mode, SolverConfig(0.3, 0.01), n_windows)]
+        if runner == "grid":
+            grid = GridSpec(epsilons=(0.3,), xis=(0.01,), window_counts=(n_windows,), folds=2)
+            grid_search(train, grid, mode)
+        elif runner == "compare":
+            run_comparison(train, tests, choices)
+        else:
+            run_transfer(train, tests[0], choices)
+
     @pytest.mark.parametrize("runner", ["grid", "compare", "transfer"])
     @pytest.mark.parametrize("mode", [MODE_INDEPENDENT, MODE_MTL])
     @pytest.mark.parametrize("other", ["fewer lines", "disjoint lines"])
     def test_runners_refuse_tasks_on_different_axes(self, monkeypatch, runner, mode, other):
         pop, train = self.tasks(other)
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before the axes were checked")
-
-        monkeypatch.setattr(experiment, "fit_xis", no_fit)
-        choices = [ModelChoice(mode, SolverConfig(0.3, 0.01), 1)]
         message = r"^training task 'task2': feature count or frequencies differ from training task 'task1'$"
         with pytest.raises(ValueError, match=message):
-            if runner == "grid":
-                grid_search(train, GridSpec(epsilons=(0.3,), xis=(0.01,), window_counts=(1,),
-                                            folds=2), mode)
-            elif runner == "compare":
-                run_comparison(train, [pop.test_tasks[0], train[1]], choices)
-            else:
-                run_transfer(train, pop.test_tasks[0], choices)
+            self.run_unfitted(monkeypatch, runner, mode, train, [pop.test_tasks[0], train[1]])
+
+    @pytest.mark.parametrize("runner", ["grid", "compare", "transfer"])
+    @pytest.mark.parametrize("mode", [MODE_INDEPENDENT, MODE_MTL])
+    @pytest.mark.parametrize("fault", ["repeated ids", "more windows than lines"])
+    def test_runners_refuse_other_faults_before_any_fit(self, monkeypatch, runner, mode, fault):
+        pop = small_population()
+        if fault == "repeated ids":
+            error, message, n_windows = ValueError, "training task id 'task1' is repeated", 1
+            train, tests = [pop.tasks[0]] * 2, [pop.test_tasks[0]] * 2
+        else:
+            setting = "window_counts" if runner == "grid" else "n_windows"
+            error, message, n_windows = ConfigError, f"{setting}: 49 exceeds the 48 feature lines", 49
+            train, tests = pop.tasks, pop.test_tasks
+        with pytest.raises(error, match=f"^{message}$"):
+            self.run_unfitted(monkeypatch, runner, mode, train, tests, n_windows)

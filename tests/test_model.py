@@ -156,6 +156,8 @@ class TestTaskDataset:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             TaskDataset(np.ones((2, 3)), np.array([1, 0]), np.array([1.0, 2.0]), "t")
+        with pytest.raises(ValueError, match=r"^labels shape \(3,\) does not match 2 samples$"):
+            TaskDataset(np.ones((2, 2)), np.array([1, 0, 1]), np.array([1.0, 2.0]), "t")
 
     def test_arrays_are_read_only(self):
         data = make_task([[1.0, 2.0]], [1])
@@ -256,6 +258,11 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             WeightMatrix(np.array([np.nan]))
 
+    @pytest.mark.parametrize("values", [np.zeros((2, 2, 2)), np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_rejects_a_matrix_that_is_not_2d_or_is_empty(self, values):
+        with pytest.raises(ValueError, match="^weights must form a non-empty"):
+            WeightMatrix(values)
+
     def test_values_read_only(self):
         wm = WeightMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -307,6 +314,16 @@ class TestStandardizer:
         # with warnings as errors)
         with pytest.raises(ValueError, match="^features must be 2-D with at least one row"):
             Standardizer.fit(features)
+
+    @pytest.mark.parametrize("mean, scale, message", [
+        (np.zeros((1, 2)), np.ones((1, 2)), "mean and scale must be 1-D arrays of equal length"),
+        (np.zeros(2), np.ones(3), "mean and scale must be 1-D arrays of equal length"),
+        (np.zeros(2), np.array([1.0, 0.0]), "scale entries must be finite and positive"),
+        (np.array([0.0, np.nan]), np.ones(2), "scale entries must be finite and positive"),
+    ])
+    def test_rejects_a_bad_mean_or_scale(self, mean, scale, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Standardizer(mean, scale)
 
     def test_identity_is_a_no_op(self):
         s = Standardizer.identity(2)

@@ -237,18 +237,27 @@ class TestStepProbeInput:
                 with pytest.raises(ValueError, match="weights contain non-finite values"):
                     probe()
 
+    def test_rejects_weights_of_the_wrong_rank_or_shape(self):
+        tasks = random_instance(np.random.default_rng(1), 3, 2, 8)
+        for weights, message in ((np.zeros((3, 2, 1)), r"^weights must be 1-D or 2-D$"),
+                                 (np.zeros((3, 1)), r"^weights shape \(3, 1\) does not match \(3, 2\)$")):
+            for probe in self.probes(weights, tasks):
+                with pytest.raises(ValueError, match=message):
+                    probe()
+
     def test_rejects_tasks_of_different_widths(self):
         narrow, wide = random_instance(np.random.default_rng(2), 5, 2, 8)
         narrow = TaskDataset(narrow.features[:, :4], narrow.labels, np.arange(1.0, 5.0), "narrow")
         for probe in self.probes(np.full((4, 2), 0.3), [narrow, wide]):
-            with pytest.raises(ValueError, match="task 't1' has 5 features, expected 4"):
+            message = "^training task 't1': feature count or frequencies differ from training task 'narrow'$"
+            with pytest.raises(ValueError, match=message):
                 probe()
 
     def test_rejects_tasks_on_different_frequency_axes(self):
         a, b = random_instance(np.random.default_rng(3), 3, 2, 8)
         shifted = TaskDataset(b.features, b.labels, b.feature_freqs + 0.5, "shifted")
         for probe in self.probes(np.full((3, 2), 0.3), [a, shifted]):
-            with pytest.raises(ValueError, match="task 'shifted' does not share the feature"):
+            with pytest.raises(ValueError, match="training task 'shifted': feature count or frequencies"):
                 probe()
 
     def test_rejects_a_single_class_task(self):
@@ -383,12 +392,12 @@ class TestFit:
             np.ones((4, 3)), np.array([1, 0, 1, 0]),
             np.array([1.0, 2.0, 3.0]), "wide",
         )
-        with pytest.raises(ValueError, match="features"):
+        with pytest.raises(ValueError, match="training task 'wide': feature count"):
             fit([a, b], SolverConfig(epsilon=0.2, xi=0.01))
         c = TaskDataset(
             a.features, a.labels, np.array([6.0, 9.0]), "shifted"
         )
-        with pytest.raises(ValueError, match="frequencies"):
+        with pytest.raises(ValueError, match="training task 'shifted': feature count or frequencies"):
             fit([a, c], SolverConfig(epsilon=0.2, xi=0.01))
         with pytest.raises(ValueError):
             fit([], SolverConfig(epsilon=0.2, xi=0.01))
