@@ -56,10 +56,11 @@ class SpectrumLine:
     n_avg: int = 6
 
     def __post_init__(self):
-        _check_real("freq", self.freq)
-        _check_real("h_mean", self.h_mean)
-        _check_real("coherence", self.coherence, above=0, at_most=1)
-        _check_int("n_avg", self.n_avg, 1)
+        object.__setattr__(self, "freq", _check_real("freq", self.freq))
+        object.__setattr__(self, "h_mean", _check_real("h_mean", self.h_mean))
+        object.__setattr__(self, "coherence",
+                           _check_real("coherence", self.coherence, above=0, at_most=1))
+        object.__setattr__(self, "n_avg", _check_int("n_avg", self.n_avg, 1))
 
 
 def coherence_std(line: SpectrumLine) -> float:
@@ -146,9 +147,8 @@ class ModalMode:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_real("natural_freq", self.natural_freq, above=0)
-        _check_real("damping", self.damping, above=0, below=1)
-        _check_real("amplitude", self.amplitude, above=0)
+        for name, kw in (("natural_freq", {}), ("damping", dict(below=1)), ("amplitude", {})):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), above=0, **kw))
 
 
 def modal_magnitude(freqs, modes) -> np.ndarray:
@@ -191,6 +191,9 @@ class SyntheticPopulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _check_list("modes", self.modes))
+        for i, mode in enumerate(self.modes):
+            if not isinstance(mode, ModalMode):
+                raise ValueError(f"modes[{i}] must be a ModalMode, got {mode!r}")
         for name in ("class_shift", "nuisance_band", "freq_range"):
             entries = enumerate(_check_list(name, getattr(self, name)))
             values = tuple(_check_real(f"{name}[{i}]", x) for i, x in entries)
@@ -203,20 +206,20 @@ class SyntheticPopulationSpec:
             )
         for name, minimum in (("n_samples", 1), ("n_tasks", 1), ("n_features", 1),
                               ("n_test", 0), ("nuisance_modes", 0), ("seed", 0)):
-            _check_int(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         lo, hi = self.nuisance_band
         if self.nuisance_modes > 0 and not lo < hi:
             raise ValueError(f"nuisance_band must be an increasing pair, got {self.nuisance_band}")
-        _check_real("nuisance_class_shift", self.nuisance_class_shift)
+        shift = _check_real("nuisance_class_shift", self.nuisance_class_shift)
+        object.__setattr__(self, "nuisance_class_shift", shift)
         # class 1's modes, and the nuisance modes drawn in [lo, hi), must be
         # valid ModalModes: finite and above 0 Hz
-        for i, (mode, shift) in enumerate(zip(self.modes, self.class_shift)):
-            if not 0 < mode.natural_freq + shift < math.inf:
+        for i, (mode, d) in enumerate(zip(self.modes, self.class_shift)):
+            if not 0 < mode.natural_freq + d < math.inf:
                 raise ValueError(f"class_shift[{i}] must be a shift that keeps mode {i} "
-                                 f"({mode.natural_freq} Hz) finite and above 0, got {shift}")
+                                 f"({mode.natural_freq} Hz) finite and above 0, got {d}")
         if self.nuisance_modes > 0 and not lo > 0:
             raise ValueError(f"nuisance_band[0] must be above 0, got {lo}")
-        shift = self.nuisance_class_shift
         if self.nuisance_modes > 0 and not (lo + shift > 0 and hi + shift < math.inf):
             raise ValueError(f"nuisance_class_shift must be a shift that keeps nuisance_band "
                              f"{self.nuisance_band} finite and above 0, got {shift}")
@@ -228,10 +231,10 @@ class SyntheticPopulationSpec:
                 f"freq_range {self.freq_range} is too narrow for n_features={self.n_features}: "
                 "the frequency grid repeats a value"
             )
-        _check_real("noise_sd", self.noise_sd, at_least=0)
-        _check_real("nuisance_damping", self.nuisance_damping, above=0, below=1)
-        _check_real("nuisance_amplitude", self.nuisance_amplitude, above=0)
-        _check_real("coherence", self.coherence, above=0, at_most=1)
+        reals = {"noise_sd": dict(at_least=0), "nuisance_damping": dict(above=0, below=1),
+                 "nuisance_amplitude": dict(above=0), "coherence": dict(above=0, at_most=1)}
+        for name, bounds in reals.items():
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), **bounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +345,7 @@ def population_spectrum(pop: SyntheticPopulation, task: int, label: int,
         raise ValueError(f"label must be 0 or 1, got {label}")
     curve = pop.class_curves[task][label]
     return [
-        SpectrumLine(float(f), float(h), coherence, n_avg)
+        SpectrumLine(f, h, coherence, n_avg)
         for f, h in zip(pop.freqs, curve)
     ]
 
@@ -435,5 +438,5 @@ def load_spectrum(path, n_avg: int = 6) -> list[SpectrumLine]:
 
 def write_spectrum(lines, path) -> None:
     """Write spectrum lines in the load_spectrum format."""
-    rows = [(float(ln.freq), float(ln.h_mean), float(ln.coherence)) for ln in lines]
+    rows = [(ln.freq, ln.h_mean, ln.coherence) for ln in lines]
     _write_table(path, SPECTRUM_HEADER, rows)

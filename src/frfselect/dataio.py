@@ -441,7 +441,6 @@ def load_config(
     grid = None
     if "grid" in tree:
         grid = _make("grid", GridSpec, **tree["grid"])
-        _require(grid.pairs(), "grid: no (epsilon, xi) pairs satisfy epsilon > xi")
 
     if "transfer" in tree:
         node = tree["transfer"]

@@ -24,10 +24,10 @@ from .metrics import f1_score, gini_index
 from .model import (ConfigError, Standardizer, TaskDataset, _check_axes, _check_int,
                     _check_list, _check_real, standardized_copy)
 from .solver import (
-    DegenerateLabelsError,
     FitResult,
     SolverConfig,
     SolverTrace,
+    _validated_tasks,
     fit,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     fit_xis,
 )
@@ -86,7 +86,8 @@ def kfold_split(n_samples: int, labels, k: int, seed) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter search space and strategy. Only pairs with epsilon > xi are kept."""
+    """Hyperparameter search space and strategy. Only pairs with epsilon > xi
+    are kept, and a grid without such a pair is refused."""
 
     epsilons: tuple[float, ...] = (1.0, 0.3, 0.1, 0.03)
     xis: tuple[float, ...] = (0.1, 0.01, 0.001)
@@ -114,6 +115,8 @@ class GridSpec:
             object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
         if self.strategy not in GRID_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not self.pairs():
+            raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
 
     def pairs(self) -> list[tuple[float, float]]:
         """(epsilon, xi) combinations with epsilon strictly greater than xi."""
@@ -177,24 +180,22 @@ def _window_fits(train_tasks, mode: str, n_windows: int, configs):
 
 
 def _checked_tasks(train_tasks, windows, scored=(), what="") -> tuple:
-    """The training tasks as a tuple, checked before any fit: present, with
-    distinct ids, on one frequency axis (one ``window_split`` cuts them all),
-    every ``(setting, count)`` of ``windows`` within it (``ConfigError``), and
-    ``scored[l]``, the ``what`` task ``l``'s models are applied to, on its axis."""
+    """The training tasks as a tuple, checked before any fit: distinct ids,
+    one frequency axis (one ``window_split`` cuts them all), every
+    ``(setting, count)`` of ``windows`` within it (``ConfigError``),
+    ``scored[l]``, the ``what`` task ``l``'s models are applied to, on its
+    axis, then ``fit``'s own check (``solver._validated_tasks``)."""
     train_tasks = tuple(train_tasks)
-    if not train_tasks:
-        raise ValueError("at least one training task is required")
     ids = [t.task_id for t in train_tasks]
     for k, task_id in enumerate(ids):
         if task_id in ids[:k]:
             raise ValueError(f"training task id {task_id!r} is repeated")
     _check_axes([(t, train_tasks[0]) for t in train_tasks[1:]], "training task")
-    n_features = train_tasks[0].n_features
     for name, w in windows:
-        if w > n_features:
-            raise ConfigError(f"{name}: {w} exceeds the {n_features} feature lines")
+        if any(w > t.n_features for t in train_tasks):  # one axis; none when empty
+            raise ConfigError(f"{name}: {w} exceeds the {train_tasks[0].n_features} feature lines")
     _check_axes(zip(scored, train_tasks), what)
-    return train_tasks
+    return _validated_tasks(train_tasks)
 
 
 def _choice_fits(train_tasks, choices):
@@ -289,33 +290,26 @@ def grid_search(
     The returned best row maximizes mean validation F1 over the whole
     table; ties prefer higher mean Gini, then smaller epsilon.
 
-    Before the first fit, repeated task ids and tasks on different frequency
-    axes raise ValueError, a window count above the feature lines and
-    ``grid.folds`` above a task's smaller class raise ``ConfigError``, and a
-    task of one class raises ``DegenerateLabelsError``.
+    Before the first fit, ``grid.folds`` above a task's smaller class raises
+    ``ConfigError``, then the runners' one check runs: repeated task ids and
+    tasks on different frequency axes raise ValueError, a window count above
+    the feature lines ``ConfigError``, and a task of one class, last,
+    ``DegenerateLabelsError``.
     """
     if mode not in (MODE_INDEPENDENT, MODE_MTL):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = grid.pairs()
-    if not pairs:
-        raise ValueError("no (epsilon, xi) pairs satisfy epsilon > xi")
+    train_tasks = tuple(train_tasks)
+    # a fold past a task's smaller class validates on one class, and with one
+    # sample of that class the fold's training rest holds the other alone
+    for t in train_tasks:
+        n = min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0))
+        if 0 < n < grid.folds:
+            raise ConfigError(f"folds: {grid.folds} exceeds the {n} samples of the smaller class "
+                              f"of task {t.task_id!r}")
     windows = [("window_counts", w) for w in grid.window_counts]
     if grid.strategy == "staged":
         windows.append(("stage_windows", grid.stage_windows))
     train_tasks = _checked_tasks(train_tasks, windows)
-    # a fold past a task's smaller class validates on one class, and with one
-    # sample of that class the fold's training rest holds the other alone
-    smaller = [min(np.count_nonzero(t.labels), np.count_nonzero(t.labels == 0)) for t in train_tasks]
-    for t, n in zip(train_tasks, smaller):
-        if 0 < n < grid.folds:
-            raise ConfigError(f"folds: {grid.folds} exceeds the {n} samples of the smaller class "
-                              f"of task {t.task_id!r}")
-    for t, n in zip(train_tasks, smaller):
-        if not n:
-            raise DegenerateLabelsError(
-                f"task {t.task_id!r} contains a single class; both classes must be present "
-                "to stratify"
-            )
     folds = _grid_folds(train_tasks, grid)  # built once for every grid point
 
     evaluated: set[tuple[float, float, int]] = set()
@@ -338,9 +332,9 @@ def grid_search(
             table.append(GridRow(stage_name, *point, *scores[point]))
 
     if grid.strategy == "exhaustive":
-        run_stage("exhaustive", [(e, x, w) for e, x in pairs for w in grid.window_counts])
+        run_stage("exhaustive", [(e, x, w) for e, x in grid.pairs() for w in grid.window_counts])
     else:
-        run_stage("pairs", [(e, x, grid.stage_windows) for e, x in pairs])
+        run_stage("pairs", [(e, x, grid.stage_windows) for e, x in grid.pairs()])
         best = _select_best(table)
         run_stage("windows", [(best.epsilon, best.xi, w) for w in grid.window_counts])
         best = _select_best(table)

@@ -46,7 +46,10 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
 def _check_real(name: str, value, *, above=-math.inf, at_least=-math.inf, below=math.inf,
                 at_most=math.inf) -> float:
     """``value`` as a finite float inside the given bounds. ints and numpy numbers
-    pass; bools, strings, nan and ±inf raise ValueError instead of being coerced."""
+    pass; bools, strings, nan and ±inf raise ValueError instead of being coerced.
+    A float inside the bounds, the common case, returns before any conversion."""
+    if type(value) is float and above < value < below and at_least <= value <= at_most:
+        return value
     if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -351,17 +354,8 @@ def empirical_loss_single(weights, data: TaskDataset) -> float:
 
 
 def _weights_2d(weights, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Finite weights as an (n_features, n_tasks) array, optionally of a given shape."""
-    if isinstance(weights, WeightMatrix):
-        arr = weights.values
-    else:
-        arr = np.asarray(weights, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError("weights must be 1-D or 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights contain non-finite values")
+    """The values of ``weights`` as a ``WeightMatrix``, optionally of a given shape."""
+    arr = (weights if isinstance(weights, WeightMatrix) else WeightMatrix(weights)).values
     if shape is not None and arr.shape != shape:
         raise ValueError(f"weights shape {arr.shape} does not match {shape}")
     return arr
@@ -392,9 +386,8 @@ def l21_norm(weights) -> float:
 def total_loss(weights, tasks, lam: float) -> LossBreakdown:
     """Penalised loss: empirical average plus ``lam`` times the group norm."""
     lam = _check_real("lam", lam, at_least=0)
-    arr = _weights_2d(weights)
-    empirical = empirical_loss_mtl(arr, tasks)
-    penalty = l21_norm(arr)
+    empirical = empirical_loss_mtl(weights, tasks)
+    penalty = l21_norm(weights)
     return LossBreakdown(
         empirical=empirical, penalty=penalty, lam=lam, total=empirical + lam * penalty
     )

@@ -529,10 +529,7 @@ def _backward_moves(state: _PathState, xis, lam: float) -> list:
 
 def _probe(weights, tasks, epsilon: float) -> _PathState:
     """The probe state of a step function at ``weights`` on ``tasks``."""
-    tasks = tuple(tasks)
-    if not tasks:
-        raise ValueError("tasks must hold at least one task")
-    _validated_tasks(tasks)
+    tasks = _validated_tasks(tasks)
     W = _weights_2d(weights, (tasks[0].n_features, len(tasks)))
     return _PathState(tasks, epsilon, W)
 
@@ -595,16 +592,16 @@ def lambda_schedule_update(
     return min(prev_lambda, gain)
 
 
-def _validated_tasks(tasks):
+def _validated_tasks(tasks) -> tuple:
+    """The training tasks as a tuple: present, on one frequency axis, each of two classes."""
     tasks = tuple(tasks)
     if not tasks:
-        raise ValueError("fit requires at least one task")
+        raise ValueError("at least one training task is required")
     _check_axes([(t, tasks[0]) for t in tasks[1:]], "training task")
     for t in tasks:
         if np.all(t.labels == t.labels[0]):
             raise DegenerateLabelsError(
-                f"task {t.task_id!r} contains a single class; cannot fit a separator"
-            )
+                f"task {t.task_id!r} contains a single class; both classes must be present")
     return tasks
 
 

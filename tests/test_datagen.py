@@ -70,6 +70,25 @@ class TestSpectrumLine:
         with pytest.raises(ValueError, match="n_avg must be an integer"):
             SpectrumLine(1.0, 1.0, 0.9, n_avg=n_avg)
 
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        # a float32 coherence and the same value as a Python float give the
+        # same standard deviation, as a float, and the same draws
+        coherence = np.float32(0.8)
+        narrow = SpectrumLine(np.float32(100.0), np.float32(2.0), coherence, np.int64(6))
+        wide = SpectrumLine(100.0, 2.0, float(coherence), 6)
+        assert narrow == wide
+        assert [type(v) for v in vars(narrow).values()] == [float, float, float, int]
+        assert type(coherence_std(narrow)) is float
+        assert coherence_std(narrow) == coherence_std(wide) == 0.43301268396890813
+        for two_stage in (True, False):
+            draws = [monte_carlo_expand([line], 50, 20, 3, two_stage=two_stage)
+                     for line in (narrow, wide)]
+            assert np.array_equal(*draws)
+        mode = ModalMode(np.float32(40.0), np.float32(0.04), np.int64(2))
+        assert [type(v) for v in vars(mode).values()] == [float, float, float]
+        spec = small_spec(noise_sd=np.float32(0.5), n_samples=np.int64(20), coherence=1)
+        assert (type(spec.noise_sd), type(spec.n_samples), type(spec.coherence)) == (float, int, float)
+
 
 SPECTRUM = [
     SpectrumLine(10.0, 1.0, 0.8, 6),
@@ -319,6 +338,7 @@ class TestSynthPopulation:
             (dict(modes=huge, class_shift=(1e308, -5.0)),
              "class_shift[0] must be a shift that keeps mode 0 (1e+308 Hz) finite and above 0, got 1e+308"),
             (dict(nuisance_band=(-5.0, 3.0)), "nuisance_band[0] must be above 0, got -5.0"),
+            (dict(modes=(40.0, ModalMode(90.0, 0.03))), "modes[0] must be a ModalMode, got 40.0"),
             (dict(nuisance_class_shift=-500.0), "nuisance_class_shift must be a shift that "
              "keeps nuisance_band (130.0, 190.0) finite and above 0, got -500.0"),
             (dict(nuisance_band=(130.0, 1e308), nuisance_class_shift=1e308),

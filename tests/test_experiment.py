@@ -18,8 +18,10 @@ from frfselect import (
     SyntheticPopulationSpec,
     TaskDataset,
     WeightMatrix,
+    backward_step,
     f1_score,
     fit,
+    forward_step,
     grid_search,
     gini_index,
     kfold_split,
@@ -141,7 +143,7 @@ class TestKfoldSplit:
         one = TaskDataset(tiny_task.features, np.ones(tiny_task.n_samples, dtype=int),
                           tiny_task.feature_freqs, "ones")
         grid = GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2)
-        match = "^task 'ones' contains a single class; both classes must be present to stratify$"
+        match = "^task 'ones' contains a single class; both classes must be present$"
         for mode in (MODE_INDEPENDENT, MODE_MTL):
             with pytest.raises(DegenerateLabelsError, match=match):
                 grid_search([tiny_task, one], grid, mode)
@@ -159,8 +161,10 @@ class TestGridSpec:
         ]
 
     def test_pairs_drop_non_dominating_epsilon(self):
-        spec = GridSpec(epsilons=(0.1,), xis=(0.1, 0.2))
-        assert spec.pairs() == []
+        spec = GridSpec(epsilons=(0.1, 0.3), xis=(0.1, 0.2))
+        assert spec.pairs() == [(0.3, 0.1), (0.3, 0.2)]
+        with pytest.raises(ValueError, match=r"^no \(epsilon, xi\) pairs satisfy epsilon > xi$"):
+            GridSpec(epsilons=(0.1,), xis=(0.1, 0.2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -359,9 +363,8 @@ class TestGridSearch:
             grid_search(pop.tasks, grid, "both")
         with pytest.raises(ValueError):
             GridSpec(epsilons=(0.5,), xis=(0.01,), window_counts=(1,), folds=2, strategy="greedy")
-        empty = GridSpec(epsilons=(0.05,), xis=(0.1,), window_counts=(1,), folds=2)
         with pytest.raises(ValueError, match="pairs"):
-            grid_search(pop.tasks, empty, "independent")
+            GridSpec(epsilons=(0.05,), xis=(0.1,), window_counts=(1,), folds=2)
 
 
 def benchmark_grid_case():
@@ -686,8 +689,13 @@ class TestModelChoice:
 class TestOneFeatureAxis:
     """Every runner windows all training tasks by one ``window_split``, so
     training tasks on different frequency axes are refused before any fit,
-    by the one pre-fit check that also refuses repeated task ids and window
-    counts above the axis."""
+    by the one pre-fit check that also refuses repeated task ids, window
+    counts above the axis and, after those settings, a task of one class."""
+
+    @staticmethod
+    def one_class(task):
+        return TaskDataset(task.features, np.ones(task.n_samples, dtype=int), task.feature_freqs,
+                           task.task_id)
 
     @staticmethod
     def tasks(other):
@@ -730,15 +738,38 @@ class TestOneFeatureAxis:
 
     @pytest.mark.parametrize("runner", ["grid", "compare", "transfer"])
     @pytest.mark.parametrize("mode", [MODE_INDEPENDENT, MODE_MTL])
-    @pytest.mark.parametrize("fault", ["repeated ids", "more windows than lines"])
+    @pytest.mark.parametrize("fault", ["repeated ids", "more windows than lines", "one class",
+                                       "one class, more windows than lines"])
     def test_runners_refuse_other_faults_before_any_fit(self, monkeypatch, runner, mode, fault):
+        # a task of one class is refused after every setting check
         pop = small_population()
+        train, tests, n_windows = pop.tasks, pop.test_tasks, 1
         if fault == "repeated ids":
-            error, message, n_windows = ValueError, "training task id 'task1' is repeated", 1
+            error, message = ValueError, "training task id 'task1' is repeated"
             train, tests = [pop.tasks[0]] * 2, [pop.test_tasks[0]] * 2
-        else:
+        if fault.startswith("one class"):
+            error = DegenerateLabelsError
+            message = "task 'task2' contains a single class; both classes must be present"
+            train = [pop.tasks[0], self.one_class(pop.tasks[1])]
+        if fault.endswith("more windows than lines"):
             setting = "window_counts" if runner == "grid" else "n_windows"
             error, message, n_windows = ConfigError, f"{setting}: 49 exceeds the 48 feature lines", 49
-            train, tests = pop.tasks, pop.test_tasks
         with pytest.raises(error, match=f"^{message}$"):
             self.run_unfitted(monkeypatch, runner, mode, train, tests, n_windows)
+
+    def test_every_entry_point_gives_one_message_for_no_tasks(self):
+        pop = small_population()
+        cfg = SolverConfig(0.3, 0.01)
+        choices = [ModelChoice(MODE_MTL, cfg, 1)]
+        calls = (
+            lambda: fit([], cfg),
+            lambda: forward_step(np.zeros((48, 1)), [], cfg),
+            lambda: backward_step(np.zeros((48, 1)), [], cfg, 0.5),
+            lambda: grid_search([], GridSpec(epsilons=(0.3,), xis=(0.01,), window_counts=(1,)),
+                                MODE_MTL),
+            lambda: run_comparison([], [], choices),
+            lambda: run_transfer([], pop.test_tasks[0], choices),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^at least one training task is required$"):
+                call()

@@ -223,7 +223,7 @@ class TestStepProbeInput:
 
     def test_rejects_empty_task_list(self):
         for probe in self.probes(np.full((3, 1), 0.3), []):
-            with pytest.raises(ValueError, match="tasks must hold at least one task"):
+            with pytest.raises(ValueError, match="^at least one training task is required$"):
                 probe()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -239,7 +239,8 @@ class TestStepProbeInput:
 
     def test_rejects_weights_of_the_wrong_rank_or_shape(self):
         tasks = random_instance(np.random.default_rng(1), 3, 2, 8)
-        for weights, message in ((np.zeros((3, 2, 1)), r"^weights must be 1-D or 2-D$"),
+        for weights, message in ((np.zeros((3, 2, 1)),
+                                  r"^weights must form a non-empty \(n_features, n_tasks\) matrix$"),
                                  (np.zeros((3, 1)), r"^weights shape \(3, 1\) does not match \(3, 2\)$")):
             for probe in self.probes(weights, tasks):
                 with pytest.raises(ValueError, match=message):
